@@ -50,11 +50,8 @@ from dapalloc.metrics import (
     UeSet,
     Allocation,
     EvalReport,
-    operating_point,
     operating_point_at,
-    sindr_zf,
-    sindr_mrt,
-    sindr_zf_icsi,
+    sindr,
     rates,
     evaluate,
     csi_error_factor,

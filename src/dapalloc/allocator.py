@@ -72,8 +72,6 @@ def alternating_optimize(
     cfg: SystemConfig,
     delta: Optional[float] = None,
     max_iters: int = 100,
-    sum_rate_rel_tol: Optional[float] = None,
-    warm_start: Optional[tuple[float, np.ndarray]] = None,
 ) -> tuple[Allocation, AoTrace]:
     """Alternate total-power and fraction optimization to a fixed point.
 
@@ -81,11 +79,8 @@ def alternating_optimize(
     problem at the current fractions, then water-fills the fractions at
     the new total.  Convergence is declared when the total power moves
     by less than ``delta`` (defaulting to the solver's own
-    1e-6 * M * p_max).  ``sum_rate_rel_tol`` optionally adds a second
-    stop condition on the relative sum-rate change between iterations
-    (off by default).  ``warm_start = (power, omega)`` resumes from a
-    previous solution instead of equal fractions; restarting from a
-    converged point terminates after a single iteration.
+    1e-6 * M * p_max); that is the only stop condition, and every run
+    starts from equal fractions.
 
     If ``max_iters`` runs out, the best iterate seen is returned with
     ``converged = False`` in the trace.
@@ -99,12 +94,7 @@ def alternating_optimize(
     iterates: list[tuple[float, np.ndarray, float]] = []
     converged = False
     prev_power: Optional[float] = None
-    prev_rate: Optional[float] = None
-    if warm_start is None:
-        omega = np.full(n, 1.0 / n)
-    else:
-        prev_power = float(warm_start[0])
-        omega = np.asarray(warm_start[1], dtype=np.float64)
+    omega = np.full(n, 1.0 / n)
 
     for _ in range(max_iters):
         result = solve_dapa(ues, omega, cfg, delta)
@@ -125,15 +115,7 @@ def alternating_optimize(
         if prev_power is not None and abs(prev_power - power) < delta:
             converged = True
             break
-        if (
-            sum_rate_rel_tol is not None
-            and prev_rate is not None
-            and abs(report.sum_rate - prev_rate) <= sum_rate_rel_tol * abs(prev_rate)
-        ):
-            converged = True
-            break
         prev_power = power
-        prev_rate = report.sum_rate
 
     if converged:
         power, omega, _ = iterates[-1]

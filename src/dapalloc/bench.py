@@ -5,6 +5,11 @@ per-drop results, computes empirical survival functions (CCDF) and
 quartile summaries, and serializes everything as diff-able CSV (17
 significant digits) plus a JSON summary.
 
+One loop serves every Monte-Carlo mode: a per-drop task builds the
+drop once, solves every strategy, and rates each allocation under a
+list of (config, precoder, csi) evaluators.  Solver failures become NaN
+rows carrying the error; any other exception propagates.
+
 Determinism: a drop is a pure function of (scenario seed, drop id), and
 results are collected in drop order, so the output is byte-identical
 for any worker count.
@@ -24,7 +29,7 @@ import numpy as np
 
 from dapalloc.allocator import ALGORITHMS
 from dapalloc.dapa import SolverError
-from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
+from dapalloc.metrics import SystemConfig, UeSet, evaluate
 from dapalloc.numerics import ConvergenceError
 from dapalloc.pa_model import RAPP, PaModel
 from dapalloc.scenario import ScenarioConfig, drop_ues, two_ue_grid
@@ -90,77 +95,101 @@ def _system_config(sc: ScenarioConfig, pa: Optional[PaModel] = None) -> SystemCo
     )
 
 
-def _evaluate_to_result(
+# How one allocation is rated: (config, precoder, csi).  ``csi`` None
+# keeps the drop's own ``csi_delta``; an array replaces it.
+_Evaluator = tuple[SystemConfig, str, Optional[np.ndarray]]
+
+
+def _solve_and_rate(
     drop_id: int,
-    label: str,
-    cfg: SystemConfig,
     ues: UeSet,
-    alloc: Allocation,
-    precoder: str = "zf",
-) -> DropResult:
-    report = evaluate(cfg, ues, alloc, precoder=precoder)
-    return DropResult(
-        drop_id=drop_id,
-        algorithm=label,
-        sum_rate=report.sum_rate,
-        total_power_p=alloc.total_power_p,
-        ibo_db=report.ibo_db,
-        omega_max=float(np.max(alloc.omega)),
-        rates=report.rate,
-    )
+    cfg: SystemConfig,
+    algorithms: Sequence[str],
+    delta: Optional[float],
+    evaluators: Sequence[_Evaluator],
+) -> list[list[DropResult]]:
+    """Solve every strategy on one user set, rate it under every evaluator.
+
+    Returns one result list per evaluator, in strategy order.  A solver
+    failure gives the same NaN result in every list; any other error
+    propagates.
+    """
+    views = [
+        ues if csi is None else UeSet(beta=ues.beta, noise_w=ues.noise_w, csi_delta=csi)
+        for _, _, csi in evaluators
+    ]
+    out: list[list[DropResult]] = [[] for _ in evaluators]
+    for label in algorithms:
+        try:
+            alloc = ALGORITHMS[label](ues, cfg, delta)
+        except (SolverError, ConvergenceError) as exc:
+            logger.warning("drop %d, %s failed: %s", drop_id, label, exc)
+            nan = math.nan
+            rates = np.full(ues.n_users, nan)
+            failure = DropResult(drop_id, label, nan, nan, nan, nan, rates, str(exc))
+            for results in out:
+                results.append(failure)
+            continue
+        for results, view, (eval_cfg, precoder, _) in zip(out, views, evaluators):
+            report = evaluate(eval_cfg, view, alloc, precoder=precoder)
+            results.append(
+                DropResult(
+                    drop_id=drop_id,
+                    algorithm=label,
+                    sum_rate=report.sum_rate,
+                    total_power_p=alloc.total_power_p,
+                    ibo_db=report.ibo_db,
+                    omega_max=float(np.max(alloc.omega)),
+                    rates=report.rate,
+                )
+            )
+    return out
 
 
-def _failure_result(drop_id: int, label: str, n_users: int, exc: Exception) -> DropResult:
-    logger.warning("drop %d, %s failed: %s", drop_id, label, exc)
-    return DropResult(
-        drop_id=drop_id,
-        algorithm=label,
-        sum_rate=math.nan,
-        total_power_p=math.nan,
-        ibo_db=math.nan,
-        omega_max=math.nan,
-        rates=np.full(n_users, math.nan),
-        error=str(exc),
-    )
-
-
-def _solve_drop(
+def _drop_task(
     drop_id: int,
     sc: ScenarioConfig,
     algorithms: Sequence[str],
     delta: Optional[float],
-) -> list[tuple[str, Optional[Allocation], Optional[str]]]:
-    """Allocations of every strategy on one drop (errors captured)."""
+    evaluators: Sequence[_Evaluator],
+) -> list[list[DropResult]]:
+    """Build one drop, then solve and rate it."""
     ues = drop_ues(sc, drop_id)
-    cfg = _system_config(sc)
-    out: list[tuple[str, Optional[Allocation], Optional[str]]] = []
-    for label in algorithms:
-        try:
-            alloc = ALGORITHMS[label](ues, cfg, delta)
-            out.append((label, alloc, None))
-        except (SolverError, ConvergenceError, ValueError) as exc:
-            out.append((label, None, str(exc)))
-    return out
+    return _solve_and_rate(drop_id, ues, _system_config(sc), algorithms, delta, evaluators)
 
 
-def _run_drops(
+def _map(task, items: list, workers: int) -> list:
+    """``task`` over ``items`` in order, in a process pool if workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, items))
+    return [task(item) for item in items]
+
+
+def _run(
     sc: ScenarioConfig,
     algorithms: Sequence[str],
     n_drops: int,
     delta: Optional[float],
     workers: int,
-) -> list[list[tuple[str, Optional[Allocation], Optional[str]]]]:
-    """Per-drop allocation lists, in drop order regardless of workers."""
+    evaluators: Sequence[_Evaluator],
+) -> list[list[DropResult]]:
+    """The Monte-Carlo loop: one result list per evaluator, ordered by
+    (drop, algorithm) regardless of the worker count."""
     for label in algorithms:
         if label not in ALGORITHMS:
             raise ValueError(f"unknown algorithm label {label!r}")
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
-    task = partial(_solve_drop, sc=sc, algorithms=tuple(algorithms), delta=delta)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, range(n_drops)))
-    return [task(drop_id) for drop_id in range(n_drops)]
+    task = partial(
+        _drop_task,
+        sc=sc,
+        algorithms=tuple(algorithms),
+        delta=delta,
+        evaluators=tuple(evaluators),
+    )
+    per_drop = _map(task, list(range(n_drops)), workers)
+    return [[r for drop in per_drop for r in drop[i]] for i in range(len(evaluators))]
 
 
 def run_montecarlo(
@@ -176,17 +205,8 @@ def run_montecarlo(
     algorithm).  Individual solver failures are logged and recorded as
     NaN results; the run continues.
     """
-    cfg = _system_config(sc)
-    results: list[DropResult] = []
-    for drop_id, solved in enumerate(
-        _run_drops(sc, algorithms, n_drops, delta, workers)
-    ):
-        ues = drop_ues(sc, drop_id)
-        for label, alloc, err in solved:
-            if alloc is None:
-                results.append(_failure_result(drop_id, label, sc.n_users, RuntimeError(err)))
-            else:
-                results.append(_evaluate_to_result(drop_id, label, cfg, ues, alloc))
+    evaluators = [(_system_config(sc), "zf", None)]
+    (results,) = _run(sc, algorithms, n_drops, delta, workers, evaluators)
     return results
 
 
@@ -204,23 +224,10 @@ def evaluate_rapp_mode(
     over identical allocations, so any rate difference is purely the
     amplifier model.
     """
-    cfg_soft = _system_config(sc)
     cfg_rapp = _system_config(sc, PaModel(kind=RAPP, smoothness_p=smoothness_p))
-    soft_results: list[DropResult] = []
-    rapp_results: list[DropResult] = []
-    for drop_id, solved in enumerate(
-        _run_drops(sc, algorithms, n_drops, delta, workers)
-    ):
-        ues = drop_ues(sc, drop_id)
-        for label, alloc, err in solved:
-            if alloc is None:
-                failure = _failure_result(drop_id, label, sc.n_users, RuntimeError(err))
-                soft_results.append(failure)
-                rapp_results.append(failure)
-            else:
-                soft_results.append(_evaluate_to_result(drop_id, label, cfg_soft, ues, alloc))
-                rapp_results.append(_evaluate_to_result(drop_id, label, cfg_rapp, ues, alloc))
-    return soft_results, rapp_results
+    evaluators = [(_system_config(sc), "zf", None), (cfg_rapp, "zf", None)]
+    soft, rapp = _run(sc, algorithms, n_drops, delta, workers, evaluators)
+    return soft, rapp
 
 
 def evaluate_icsi_mode(
@@ -243,31 +250,15 @@ def evaluate_icsi_mode(
             raise ValueError("delta_policy must be a float or 'estimated'")
         if sc.pilot_len is None:
             raise ValueError("'estimated' policy requires pilot parameters in the scenario")
+        csi = None  # drop_ues already carries the estimated fractions
     elif not 0 <= float(delta_policy) < 1:
         raise ValueError("uniform csi error fraction must lie in [0, 1)")
-
+    else:
+        csi = np.full(sc.n_users, float(delta_policy))
     cfg = _system_config(sc)
-    perfect: list[DropResult] = []
-    imperfect: list[DropResult] = []
-    for drop_id, solved in enumerate(
-        _run_drops(sc, algorithms, n_drops, delta, workers)
-    ):
-        ues = drop_ues(sc, drop_id)
-        if isinstance(delta_policy, str):
-            csi = ues.csi_delta
-        else:
-            csi = np.full(sc.n_users, float(delta_policy))
-        ues_icsi = UeSet(beta=ues.beta, noise_w=ues.noise_w, csi_delta=csi)
-        for label, alloc, err in solved:
-            if alloc is None:
-                failure = _failure_result(drop_id, label, sc.n_users, RuntimeError(err))
-                perfect.append(failure)
-                imperfect.append(failure)
-            else:
-                perfect.append(_evaluate_to_result(drop_id, label, cfg, ues, alloc))
-                imperfect.append(
-                    _evaluate_to_result(drop_id, label, cfg, ues_icsi, alloc, "zf_icsi")
-                )
+    perfect, imperfect = _run(
+        sc, algorithms, n_drops, delta, workers, [(cfg, "zf", None), (cfg, "zf_icsi", csi)]
+    )
     return perfect, imperfect
 
 
@@ -294,41 +285,33 @@ def sweep_homogeneous(
     """All-users-equal path-loss sweep: one row per grid value.
 
     Each row holds the path loss plus every strategy's sum rate and
-    back-off at that path loss.
+    back-off at that path loss (NaN where the solver failed; the
+    failure is logged under the grid index).
     """
     from dapalloc.scenario import homogeneous_sweep
 
     cfg = _system_config(sc)
     rows = []
-    for pl_db, ues in zip(pl_db_grid, homogeneous_sweep(pl_db_grid, sc)):
+    for index, (pl_db, ues) in enumerate(zip(pl_db_grid, homogeneous_sweep(pl_db_grid, sc))):
+        (results,) = _solve_and_rate(index, ues, cfg, algorithms, delta, [(cfg, "zf", None)])
         row: dict = {"pl_db": float(pl_db)}
-        for label in algorithms:
-            try:
-                alloc = ALGORITHMS[label](ues, cfg, delta)
-                report = evaluate(cfg, ues, alloc, precoder="zf")
-                row[f"{label}_sum_rate"] = report.sum_rate
-                row[f"{label}_ibo_db"] = report.ibo_db
-            except (SolverError, ConvergenceError) as exc:
-                logger.warning("sweep at %s dB, %s failed: %s", pl_db, label, exc)
-                row[f"{label}_sum_rate"] = math.nan
-                row[f"{label}_ibo_db"] = math.nan
+        for r in results:
+            row[f"{r.algorithm}_sum_rate"] = r.sum_rate
+            row[f"{r.algorithm}_ibo_db"] = r.ibo_db
         rows.append(row)
     return rows
 
 
 def _grid_cell(
-    idx: tuple[int, int],
+    cell: tuple[float, float, UeSet],
     sc: ScenarioConfig,
-    grid_db: np.ndarray,
     delta: Optional[float],
 ) -> dict:
     from dapalloc.allocator import alternating_optimize, ref_e
 
-    i, j = idx
-    beta = np.array([10.0 ** (-grid_db[i] / 10.0), 10.0 ** (-grid_db[j] / 10.0)])
-    ues = UeSet(beta=beta, noise_w=np.full(2, sc.noise_w))
+    pl1_db, pl2_db, ues = cell
     cfg = _system_config(sc)
-    row: dict = {"pl1_db": float(grid_db[i]), "pl2_db": float(grid_db[j])}
+    row: dict = {"pl1_db": pl1_db, "pl2_db": pl2_db}
     try:
         alloc, _ = alternating_optimize(ues, cfg, delta)
         report = evaluate(cfg, ues, alloc, precoder="zf")
@@ -337,7 +320,7 @@ def _grid_cell(
         row["omega1"] = float(alloc.omega[0])
         row["ibo_db"] = report.ibo_db
     except (SolverError, ConvergenceError) as exc:
-        logger.warning("2-user cell (%d, %d) failed: %s", i, j, exc)
+        logger.warning("2-user cell (%g, %g) dB failed: %s", pl1_db, pl2_db, exc)
         row["sum_rate_ratio_vs_ref_e"] = math.nan
         row["omega1"] = math.nan
         row["ibo_db"] = math.nan
@@ -353,18 +336,18 @@ def grid_2ue(
     """Two-user path-loss grid: optimality gain, split, and back-off.
 
     ``grid`` is the (values, cells) pair from
-    :func:`dapalloc.scenario.two_ue_grid`.  Each record compares the
-    alternating optimizer against the fixed-back-off equal-split
-    baseline on one (path loss 1, path loss 2) cell.
+    :func:`dapalloc.scenario.two_ue_grid`; each ``cells[i][j]`` is rated
+    as built.  Each record compares the alternating optimizer against
+    the fixed-back-off equal-split baseline on one (path loss 1, path
+    loss 2) cell.
     """
     grid_db, cells = grid
-    n = len(grid_db)
-    indices = [(i, j) for i in range(n) for j in range(n)]
-    task = partial(_grid_cell, sc=sc, grid_db=np.asarray(grid_db), delta=delta)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, indices))
-    return [task(idx) for idx in indices]
+    items = [
+        (float(grid_db[i]), float(grid_db[j]), ues)
+        for i, row in enumerate(cells)
+        for j, ues in enumerate(row)
+    ]
+    return _map(partial(_grid_cell, sc=sc, delta=delta), items, workers)
 
 
 def _quartiles(values: np.ndarray) -> dict:

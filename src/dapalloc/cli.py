@@ -402,7 +402,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         noise_w=np.full(4, 7.2e-14),
     )
     omega = np.full(4, 0.25)
-    lo, hi = root_bounds(ues.noise_w[0], float(np.max(ues.beta)), cfg)
+    # the bracket solve_dapa uses: lower end from the user with the
+    # smallest noise-to-gain ratio, upper end from the largest
+    ratio = ues.noise_w / ues.beta
+    k_best, k_worst = int(np.argmin(ratio)), int(np.argmax(ratio))
+    lo, _ = root_bounds(float(ues.noise_w[k_best]), float(ues.beta[k_best]), cfg)
+    _, hi = root_bounds(float(ues.noise_w[k_worst]), float(ues.beta[k_worst]), cfg)
     ok &= _check(
         "optimizer bracket sign change",
         sum_rate_derivative(lo, ues, omega, cfg) > 0

@@ -9,16 +9,20 @@ power ``D = eta * dist_coeff * P`` at the transmitter, where ``eta`` is
 the precoder efficiency (2/3 for the precoders considered here) and
 ``P`` the total transmit power split as ``p_k = omega_k * P``.
 
-With large-scale channel gains ``beta_k`` and per-user noise powers
-``sigma_k^2`` the resulting per-user effective SINDRs are closed-form:
+With large-scale channel gains ``beta_k``, per-user noise powers
+``sigma_k^2`` and channel-estimation error fractions ``delta_k``, every
+precoder shares one closed-form effective SINDR (:func:`sindr`):
 
-* zero-forcing:       gamma_k = (M-K) lam p_k beta_k / (sigma_k^2 + beta_k D)
-* maximum ratio:      gamma_k = M lam p_k beta_k
-                                / (sigma_k^2 + beta_k D + beta_k lam (P - p_k))
-* zero-forcing with imperfect CSI (error fraction delta_k):
-                      gamma_k = (M-K) lam p_k beta_k (1 - delta_k)
-                                / (sigma_k^2 + beta_k D
-                                   + lam beta_k delta_k (P - p_k))
+    gamma_k = g lam p_k beta_k (1 - delta_k)
+              / (sigma_k^2 + beta_k D + l_k lam beta_k (P - p_k))
+
+with array gain ``g`` and interference leakage ``l_k`` set by the
+precoder:
+
+* zero-forcing (``"zf"``):            g = M - K, l_k = 0, delta_k = 0
+* maximum ratio (``"mrt"``):          g = M,     l_k = 1, delta_k = 0
+* zero-forcing, imperfect CSI
+  (``"zf_icsi"``):                    g = M - K, l_k = delta_k
 
 and the ergodic rate of user k is ``B * log2(1 + gamma_k)``.
 """
@@ -31,7 +35,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dapalloc.numerics import DEFAULT_QUADRATURE, QuadratureSpec
 from dapalloc.pa_model import (
     RAPP,
     SOFT_LIMITER,
@@ -50,11 +53,8 @@ __all__ = [
     "UeSet",
     "Allocation",
     "EvalReport",
-    "operating_point",
     "operating_point_at",
-    "sindr_zf",
-    "sindr_mrt",
-    "sindr_zf_icsi",
+    "sindr",
     "rates",
     "evaluate",
     "csi_error_factor",
@@ -129,7 +129,7 @@ class UeSet:
         beta: length-K array of channel gains (linear, not dB).
         noise_w: length-K array of receiver noise powers in watts.
         csi_delta: optional length-K array of channel-estimation error
-            fractions in [0, 1); required by :func:`sindr_zf_icsi`.
+            fractions in [0, 1); required by the ``"zf_icsi"`` precoder of :func:`sindr`.
     """
 
     beta: np.ndarray
@@ -198,11 +198,7 @@ class EvalReport:
     operating_point: PaOperatingPoint
 
 
-def operating_point_at(
-    cfg: SystemConfig,
-    total_power_p: float,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> PaOperatingPoint:
+def operating_point_at(cfg: SystemConfig, total_power_p: float) -> PaOperatingPoint:
     """Amplifier gain/distortion state at a given total power.
 
     ``total_power_p = 0`` is the idle transmitter: infinite back-off,
@@ -217,26 +213,12 @@ def operating_point_at(
         lam = bussgang_gain_soft(psi)
         coeff = distortion_coeff_soft(psi)
     elif cfg.pa.kind == RAPP:
-        lam = bussgang_gain_rapp(psi, cfg.pa.smoothness_p, quad)
-        coeff = distortion_coeff_rapp(psi, cfg.pa.smoothness_p, quad)
+        lam = bussgang_gain_rapp(psi, cfg.pa.smoothness_p)
+        coeff = distortion_coeff_rapp(psi, cfg.pa.smoothness_p)
     else:  # pragma: no cover - PaModel validates kind
         raise ValueError(f"unknown amplifier kind {cfg.pa.kind!r}")
     dist = effective_distortion(coeff, total_power_p, cfg.eta)
     return PaOperatingPoint(psi, float(lam), float(coeff), dist)
-
-
-def operating_point(
-    cfg: SystemConfig,
-    alloc: Allocation,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> PaOperatingPoint:
-    """Amplifier gain/distortion state of an allocation.
-
-    Only the total power matters (per-user fractions do not change the
-    waveform statistics); :func:`operating_point_at` exposes the same
-    computation keyed by power directly.
-    """
-    return operating_point_at(cfg, alloc.total_power_p, quad)
 
 
 def _check_shapes(cfg: SystemConfig, ues: UeSet, alloc: Allocation) -> None:
@@ -246,68 +228,41 @@ def _check_shapes(cfg: SystemConfig, ues: UeSet, alloc: Allocation) -> None:
         raise ValueError("allocation size does not match SystemConfig.n_users")
 
 
-def sindr_zf(
-    cfg: SystemConfig, ues: UeSet, alloc: Allocation, op: PaOperatingPoint
+def sindr(
+    cfg: SystemConfig,
+    ues: UeSet,
+    alloc: Allocation,
+    op: PaOperatingPoint,
+    precoder: str = "zf",
 ) -> np.ndarray:
-    """Per-user effective SINDR under zero-forcing precoding."""
-    _check_shapes(cfg, ues, alloc)
-    p_k = alloc.per_user_power
-    array_gain = cfg.m_antennas - cfg.n_users
-    return (
-        array_gain
-        * op.lam
-        * p_k
-        * ues.beta
-        / (ues.noise_w + ues.beta * op.effective_distortion)
-    )
+    """Per-user effective SINDR of one precoder (see the module docstring).
 
-
-def sindr_mrt(
-    cfg: SystemConfig, ues: UeSet, alloc: Allocation, op: PaOperatingPoint
-) -> np.ndarray:
-    """Per-user effective SINDR under maximum-ratio precoding.
-
-    Unlike zero-forcing, maximum ratio leaves multi-user interference
-    ``lam * beta_k * (P - p_k)`` in the denominator; no optimizer in this
-    package targets it, but it can be evaluated on any allocation.
+    ``precoder`` is one of ``"zf"``, ``"mrt"``, ``"zf_icsi"``.  Maximum
+    ratio leaves the other users' power ``lam * beta_k * (P - p_k)`` as
+    interference; with imperfect CSI each user's error fraction
+    ``delta_k`` (from ``ues.csi_delta``) removes a factor ``1 - delta_k``
+    from the coherent gain and leaks that share of the interference.
+    With ``delta_k = 0`` the imperfect-CSI SINDR is bitwise the
+    zero-forcing one.
     """
     _check_shapes(cfg, ues, alloc)
+    gain = cfg.m_antennas - cfg.n_users
+    if precoder == "mrt":
+        gain, delta, leak = cfg.m_antennas, 0.0, 1.0
+    elif precoder == "zf_icsi":
+        if ues.csi_delta is None:
+            raise ValueError("UeSet.csi_delta is required for imperfect-CSI SINDR")
+        delta = leak = ues.csi_delta
+    elif precoder != "zf":
+        raise ValueError(f"unknown precoder {precoder!r}")
     p_k = alloc.per_user_power
-    interference = ues.beta * op.lam * (alloc.total_power_p - p_k)
-    return (
-        cfg.m_antennas
-        * op.lam
-        * p_k
-        * ues.beta
-        / (ues.noise_w + ues.beta * op.effective_distortion + interference)
-    )
-
-
-def sindr_zf_icsi(
-    cfg: SystemConfig, ues: UeSet, alloc: Allocation, op: PaOperatingPoint
-) -> np.ndarray:
-    """Zero-forcing SINDR with imperfect channel knowledge.
-
-    Each user's estimation-error fraction ``delta_k`` removes a factor
-    ``1 - delta_k`` from the coherent gain and leaks the other users'
-    power as residual interference.  With ``delta_k = 0`` this reduces
-    exactly to :func:`sindr_zf`.
-    """
-    _check_shapes(cfg, ues, alloc)
-    if ues.csi_delta is None:
-        raise ValueError("UeSet.csi_delta is required for imperfect-CSI SINDR")
-    delta = ues.csi_delta
-    p_k = alloc.per_user_power
-    array_gain = cfg.m_antennas - cfg.n_users
-    leak = op.lam * ues.beta * delta * (alloc.total_power_p - p_k)
-    return (
-        array_gain
-        * op.lam
-        * p_k
-        * ues.beta
-        * (1.0 - delta)
-        / (ues.noise_w + ues.beta * op.effective_distortion + leak)
-    )
+    signal = gain * op.lam * p_k * ues.beta
+    floor = ues.noise_w + ues.beta * op.effective_distortion
+    if precoder == "zf":
+        # delta = leak = 0: skip the two vanishing terms on the hot path
+        return signal / floor
+    leakage = op.lam * ues.beta * leak * (alloc.total_power_p - p_k)
+    return signal * (1.0 - delta) / (floor + leakage)
 
 
 def rates(cfg: SystemConfig, sindr: np.ndarray) -> np.ndarray:
@@ -315,15 +270,11 @@ def rates(cfg: SystemConfig, sindr: np.ndarray) -> np.ndarray:
     return cfg.bandwidth_hz * np.log2(1.0 + np.asarray(sindr, dtype=np.float64))
 
 
-_PRECODERS = {"zf": sindr_zf, "mrt": sindr_mrt, "zf_icsi": sindr_zf_icsi}
-
-
 def evaluate(
     cfg: SystemConfig,
     ues: UeSet,
     alloc: Allocation,
     precoder: str = "zf",
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> EvalReport:
     """Full rate evaluation of an allocation: SINDRs, rates, back-off.
 
@@ -331,15 +282,11 @@ def evaluate(
     amplifier law comes from ``cfg.pa``.  Everything is recomputed from
     the inputs on every call; there is no hidden state.
     """
-    try:
-        sindr_fn = _PRECODERS[precoder]
-    except KeyError:
-        raise ValueError(f"unknown precoder {precoder!r}") from None
-    op = operating_point_at(cfg, alloc.total_power_p, quad)
-    sindr = sindr_fn(cfg, ues, alloc, op)
-    rate = rates(cfg, sindr)
+    op = operating_point_at(cfg, alloc.total_power_p)
+    gamma = sindr(cfg, ues, alloc, op, precoder)
+    rate = rates(cfg, gamma)
     return EvalReport(
-        sindr=sindr,
+        sindr=gamma,
         rate=rate,
         sum_rate=float(np.sum(rate)),
         ibo_db=op.ibo_db,

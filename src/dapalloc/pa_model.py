@@ -14,7 +14,8 @@ Two amplifier laws are supported:
   amplitude, hard-limited above.  Gain and distortion have closed forms
   in ``erfc``.
 * ``rapp`` -- smooth saturation with knee sharpness ``p``; the moments
-  have no closed form and are computed by Gaussian-decay quadrature.
+  have no closed form and are computed by Gaussian-decay quadrature
+  (``numerics.DEFAULT_QUADRATURE``).
   As ``p -> inf`` the Rapp curves converge to the soft limiter.
 
 The fraction ``dist_coeff`` returned here is normalized to the input
@@ -30,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dapalloc.numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    erfc,
-    erfcx,
-    integrate_semi_infinite,
-)
+from dapalloc.numerics import erfc, erfcx, integrate_semi_infinite
 
 __all__ = [
     "SOFT_LIMITER",
@@ -173,7 +168,7 @@ def distortion_coeff_soft(psi):
     return float(out) if np.ndim(psi) == 0 else out
 
 
-def _rapp_moment(psi: float, p: float, exponent: float, spec: QuadratureSpec) -> float:
+def _rapp_moment(psi: float, p: float, exponent: float) -> float:
     """integral_0^inf 2 t^3 (1 + (t^2/psi)^p)^(exponent) exp(-t^2) dt.
 
     The saturation factor is evaluated in the log domain so that huge
@@ -196,10 +191,10 @@ def _rapp_moment(psi: float, p: float, exponent: float, spec: QuadratureSpec) ->
                 out[pos] = 2.0 * tp**3 * np.exp(exponent * log1p_rp - tp * tp)
         return out
 
-    return integrate_semi_infinite(integrand, spec)
+    return integrate_semi_infinite(integrand)
 
 
-def bussgang_gain_rapp(psi, p: float = 2.0, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def bussgang_gain_rapp(psi, p: float = 2.0):
     """Bussgang power gain of a Rapp amplifier with knee sharpness p.
 
     lambda = (integral_0^inf 2 t^3 (1 + (t^2/psi)^p)^(-1/(2p)) e^(-t^2) dt)^2.
@@ -213,15 +208,13 @@ def bussgang_gain_rapp(psi, p: float = 2.0, spec: QuadratureSpec = DEFAULT_QUADR
         raise ValueError("back-off must be positive for the Rapp model")
     flat = np.atleast_1d(arr).ravel()
     vals = np.array(
-        [_rapp_moment(float(v), p, -1.0 / (2.0 * p), spec) ** 2 for v in flat]
+        [_rapp_moment(float(v), p, -1.0 / (2.0 * p)) ** 2 for v in flat]
     )
     out = vals.reshape(np.shape(arr))
     return float(out) if np.ndim(psi) == 0 else out
 
 
-def distortion_coeff_rapp(
-    psi, p: float = 2.0, spec: QuadratureSpec = DEFAULT_QUADRATURE
-):
+def distortion_coeff_rapp(psi, p: float = 2.0):
     """Distortion power fraction of a Rapp amplifier with sharpness p.
 
     c = integral_0^inf 2 t^3 (1 + (t^2/psi)^p)^(-1/p) e^(-t^2) dt - lambda.
@@ -238,8 +231,8 @@ def distortion_coeff_rapp(
     flat = np.atleast_1d(arr).ravel()
     vals = []
     for v in flat:
-        total = _rapp_moment(float(v), p, -1.0 / p, spec)
-        lam = _rapp_moment(float(v), p, -1.0 / (2.0 * p), spec) ** 2
+        total = _rapp_moment(float(v), p, -1.0 / p)
+        lam = _rapp_moment(float(v), p, -1.0 / (2.0 * p)) ** 2
         vals.append(max(total - lam, 0.0))
     out = np.array(vals).reshape(np.shape(arr))
     return float(out) if np.ndim(psi) == 0 else out

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dapalloc import bench
 from dapalloc.bench import (
     DEFAULT_ALGORITHMS,
     CcdfSeries,
@@ -21,6 +22,7 @@ from dapalloc.bench import (
     write_summary_json,
     write_table_csv,
 )
+from dapalloc.dapa import SolverError
 from dapalloc.scenario import ScenarioConfig, two_ue_grid
 
 SMALL_SC = ScenarioConfig(n_users=4, m_antennas=64, p_max=0.1, seed=17)
@@ -53,16 +55,52 @@ def test_montecarlo_shape_and_order():
         assert 0.25 <= r.omega_max <= 1.0 + 1e-12
 
 
-def test_montecarlo_deterministic_across_workers():
+MODES = {
+    "run_montecarlo": lambda workers: (run_montecarlo(SMALL_SC, n_drops=6, workers=workers),),
+    "evaluate_rapp_mode": lambda workers: evaluate_rapp_mode(SMALL_SC, 6, workers=workers),
+    "evaluate_icsi_mode": lambda workers: evaluate_icsi_mode(SMALL_SC, 6, workers=workers),
+}
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_montecarlo_deterministic_across_workers(mode):
     """Worker count is an implementation detail: results must be identical."""
-    serial = run_montecarlo(SMALL_SC, n_drops=6, workers=1)
-    parallel = run_montecarlo(SMALL_SC, n_drops=6, workers=2)
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert a.drop_id == b.drop_id
-        assert a.algorithm == b.algorithm
-        assert a.sum_rate == b.sum_rate  # bitwise
-        assert np.array_equal(a.rates, b.rates)
+    for serial, parallel in zip(MODES[mode](1), MODES[mode](2), strict=True):
+        assert len(serial) == len(parallel)
+        for a, b in zip(serial, parallel):
+            assert a.drop_id == b.drop_id
+            assert a.algorithm == b.algorithm
+            assert a.sum_rate == b.sum_rate  # bitwise
+            assert np.array_equal(a.rates, b.rates)
+            assert (a.total_power_p, a.ibo_db, a.omega_max, a.error) == (
+                b.total_power_p, b.ibo_db, b.omega_max, b.error
+            )
+
+
+def _raise(exc):
+    def strategy(ues, cfg, delta=None):
+        raise exc
+
+    return strategy
+
+
+def test_solver_failure_becomes_nan_row(monkeypatch):
+    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-E", _raise(SolverError("no bracket")))
+    soft, rapp = evaluate_rapp_mode(SMALL_SC, n_drops=2)
+    for results in (soft, rapp):
+        assert len(results) == 2 * len(DEFAULT_ALGORITHMS)
+        for r in results:
+            if r.algorithm == "DAPA-E":
+                assert r.error == "no bracket"
+                assert math.isnan(r.sum_rate) and np.all(np.isnan(r.rates))
+            else:
+                assert r.error is None and math.isfinite(r.sum_rate)
+
+
+def test_programming_error_propagates(monkeypatch):
+    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-E", _raise(ValueError("a bug")))
+    with pytest.raises(ValueError, match="a bug"):
+        evaluate_rapp_mode(SMALL_SC, n_drops=2)
 
 
 def test_montecarlo_per_drop_dominance():

@@ -12,12 +12,9 @@ from dapalloc.metrics import (
     UeSet,
     csi_error_factor,
     evaluate,
-    operating_point,
     operating_point_at,
     rates,
-    sindr_mrt,
-    sindr_zf,
-    sindr_zf_icsi,
+    sindr,
 )
 from dapalloc.pa_model import PaModel, bussgang_gain_rapp
 
@@ -114,14 +111,6 @@ def test_operating_point_rapp_dispatch():
     assert op.lam == pytest.approx(bussgang_gain_rapp(1.0, 2.0), rel=1e-12)
 
 
-def test_operating_point_of_allocation_matches_total_power():
-    cfg = _cfg()
-    alloc = Allocation(0.37, np.array([0.25, 0.75]))
-    a = operating_point(cfg, alloc)
-    b = operating_point_at(cfg, 0.37)
-    assert a == b
-
-
 # -------------------------------------------------------------------- sindr
 
 
@@ -129,8 +118,8 @@ def test_zf_hand_recomputation():
     cfg = _cfg()
     ues = UeSet(beta=np.array([1e-10, 3e-12]), noise_w=7.165929069962951e-14)
     alloc = Allocation(0.2, np.array([0.4, 0.6]))
-    op = operating_point(cfg, alloc)
-    got = sindr_zf(cfg, ues, alloc, op)
+    op = operating_point_at(cfg, alloc.total_power_p)
+    got = sindr(cfg, ues, alloc, op)
     for k in range(2):
         num = (64 - 2) * op.lam * alloc.per_user_power[k] * ues.beta[k]
         den = ues.noise_w[k] + ues.beta[k] * op.effective_distortion
@@ -157,7 +146,7 @@ def test_zf_distortion_ceiling(k):
         psi = 10 ** (ibo_db / 10)
         total = cfg.m_antennas * cfg.p_max / psi
         alloc = Allocation(total, np.full(k, 1.0 / k))
-        got = sindr_zf(cfg, ues, alloc, operating_point(cfg, alloc))
+        got = sindr(cfg, ues, alloc, operating_point_at(cfg, alloc.total_power_p))
         np.testing.assert_allclose(10 * np.log10(got), want_db, rtol=1e-10)
 
 
@@ -167,9 +156,9 @@ def test_zf_scale_invariance_exact():
     beta = np.array([1e-10, 4e-12, 8e-11])
     noise = np.array([7e-14, 7e-14, 9e-14])
     alloc = Allocation(0.11, np.array([0.2, 0.5, 0.3]))
-    op = operating_point(cfg, alloc)
-    base = sindr_zf(cfg, UeSet(beta, noise), alloc, op)
-    scaled = sindr_zf(cfg, UeSet(beta * 1024.0, noise * 1024.0), alloc, op)
+    op = operating_point_at(cfg, alloc.total_power_p)
+    base = sindr(cfg, UeSet(beta, noise), alloc, op)
+    scaled = sindr(cfg, UeSet(beta * 1024.0, noise * 1024.0), alloc, op)
     assert np.array_equal(base, scaled)
 
 
@@ -179,8 +168,8 @@ def test_mrt_vs_zf_single_user():
     cfg = SystemConfig(m_antennas=64, n_users=1, p_max=0.01, bandwidth_hz=18e6)
     ues = UeSet(beta=np.array([1e-11]), noise_w=7.2e-14)
     alloc = Allocation(0.3, np.array([1.0]))
-    op = operating_point(cfg, alloc)
-    ratio = sindr_mrt(cfg, ues, alloc, op)[0] / sindr_zf(cfg, ues, alloc, op)[0]
+    op = operating_point_at(cfg, alloc.total_power_p)
+    ratio = sindr(cfg, ues, alloc, op, "mrt")[0] / sindr(cfg, ues, alloc, op)[0]
     assert ratio == pytest.approx(64.0 / 63.0, rel=1e-15)
 
 
@@ -188,10 +177,10 @@ def test_mrt_interference_hurts():
     cfg = _cfg(k=2)
     ues = UeSet(beta=np.array([1e-10, 1e-10]), noise_w=7.2e-14)
     alloc = Allocation(0.2, np.array([0.5, 0.5]))
-    op = operating_point(cfg, alloc)
+    op = operating_point_at(cfg, alloc.total_power_p)
     # with equal betas and strong signal the residual interference dominates:
     # MRT must come out below ZF here
-    assert np.all(sindr_mrt(cfg, ues, alloc, op) < sindr_zf(cfg, ues, alloc, op))
+    assert np.all(sindr(cfg, ues, alloc, op, "mrt") < sindr(cfg, ues, alloc, op))
 
 
 def test_icsi_zero_delta_is_bitwise_zf():
@@ -204,9 +193,9 @@ def test_icsi_zero_delta_is_bitwise_zf():
         total = 10 ** RNG.uniform(-3, 1)
         ues0 = UeSet(beta, noise, csi_delta=np.zeros(4))
         alloc = Allocation(total, omega)
-        op = operating_point(cfg_base, alloc)
-        perfect = sindr_zf(cfg_base, UeSet(beta, noise), alloc, op)
-        icsi = sindr_zf_icsi(cfg_base, ues0, alloc, op)
+        op = operating_point_at(cfg_base, alloc.total_power_p)
+        perfect = sindr(cfg_base, UeSet(beta, noise), alloc, op)
+        icsi = sindr(cfg_base, ues0, alloc, op, "zf_icsi")
         assert np.array_equal(perfect, icsi)
 
 
@@ -215,11 +204,11 @@ def test_icsi_positive_delta_strictly_below_zf():
     beta = np.array([1e-10, 1e-11, 1e-12])
     noise = np.full(3, 7.2e-14)
     alloc = Allocation(0.15, np.array([0.3, 0.3, 0.4]))
-    op = operating_point(cfg, alloc)
-    perfect = sindr_zf(cfg, UeSet(beta, noise), alloc, op)
+    op = operating_point_at(cfg, alloc.total_power_p)
+    perfect = sindr(cfg, UeSet(beta, noise), alloc, op)
     for delta in (1e-4, 0.1, 0.9):
         ues = UeSet(beta, noise, csi_delta=np.full(3, delta))
-        assert np.all(sindr_zf_icsi(cfg, ues, alloc, op) < perfect)
+        assert np.all(sindr(cfg, ues, alloc, op, "zf_icsi") < perfect)
 
 
 def test_icsi_requires_delta():
@@ -227,7 +216,7 @@ def test_icsi_requires_delta():
     ues = UeSet(beta=np.array([1e-10, 1e-12]), noise_w=7.2e-14)
     alloc = Allocation(0.1, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        sindr_zf_icsi(cfg, ues, alloc, operating_point(cfg, alloc))
+        sindr(cfg, ues, alloc, operating_point_at(cfg, alloc.total_power_p), "zf_icsi")
 
 
 def test_shape_mismatch_rejected():
@@ -235,7 +224,7 @@ def test_shape_mismatch_rejected():
     ues3 = UeSet(beta=np.array([1e-10, 1e-11, 1e-12]), noise_w=7.2e-14)
     alloc2 = Allocation(0.1, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        sindr_zf(cfg, ues3, alloc2, operating_point(cfg, alloc2))
+        sindr(cfg, ues3, alloc2, operating_point_at(cfg, alloc2.total_power_p))
 
 
 # ------------------------------------------------------------------- rates
@@ -258,7 +247,7 @@ def test_evaluate_report_consistency():
     np.testing.assert_array_equal(rep.rate, rates(cfg, rep.sindr))
     assert rep.ibo_db == rep.operating_point.ibo_db
     op = operating_point_at(cfg, 0.2)
-    np.testing.assert_array_equal(rep.sindr, sindr_zf(cfg, ues, alloc, op))
+    np.testing.assert_array_equal(rep.sindr, sindr(cfg, ues, alloc, op))
 
 
 def test_evaluate_unknown_precoder():
