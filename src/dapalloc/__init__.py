@@ -26,8 +26,6 @@ power.  On top of that model the package provides:
 """
 
 from dapalloc.numerics import (
-    QuadratureSpec,
-    DEFAULT_QUADRATURE,
     ConvergenceError,
     erfc,
     erfcx,
@@ -43,7 +41,6 @@ from dapalloc.pa_model import (
     distortion_coeff_soft,
     bussgang_gain_rapp,
     distortion_coeff_rapp,
-    effective_distortion,
 )
 from dapalloc.metrics import (
     SystemConfig,
@@ -62,7 +59,6 @@ from dapalloc.dapa import (
     power_balance,
     root_bounds,
     sum_rate_derivative,
-    sum_rate_derivative_sign,
     solve_dapa,
 )
 from dapalloc.fpda import (

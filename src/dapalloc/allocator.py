@@ -100,12 +100,11 @@ def alternating_optimize(
         result = solve_dapa(ues, omega, cfg, delta)
         power = result.total_power_p
         if prev_power is not None and power != prev_power:
-            # Ascent safeguard: never let the total-power step lose sum
-            # rate at the current fractions (can only trigger in the
-            # multi-root corner the bisection guard also covers).
-            keep = evaluate(cfg, ues, Allocation(prev_power, omega), "zf").sum_rate
+            # Ascent safeguard: the step must not lose sum rate against the
+            # last iterate, which holds (prev_power, omega); this can only
+            # trigger in the multi-root corner the bisection guard also covers.
             move = evaluate(cfg, ues, Allocation(power, omega), "zf").sum_rate
-            if move < keep:
+            if move < iterates[-1][2]:
                 power = prev_power
         op = operating_point_at(cfg, power)
         omega = solve_fpda(breakpoints(ues, cfg, power, op))

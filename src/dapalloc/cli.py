@@ -40,8 +40,6 @@ import numpy as np
 
 __all__ = ["main"]
 
-logger = logging.getLogger(__name__)
-
 _EXIT_ERROR = 2
 
 
@@ -53,6 +51,12 @@ def _load_config(path: Optional[str]) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError("config file must contain a JSON object")
     return cfg
+
+
+def _reject_unknown(cfg: dict, known: str) -> None:
+    unknown = set(cfg) - set(known.split())
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
 
 def _scenario_from(cfg: dict, seed: Optional[int]):
@@ -102,6 +106,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     if args.config is None:
         raise ValueError("solve requires --config")
+    _reject_unknown(cfg, "m_antennas p_max bandwidth_hz beta pl_db noise_w algorithm")
     ues = _ue_set_from(cfg)
     sys_cfg = SystemConfig(
         m_antennas=int(cfg["m_antennas"]),
@@ -138,6 +143,7 @@ def _cmd_sweep_homogeneous(args: argparse.Namespace) -> int:
     from dapalloc.bench import DEFAULT_ALGORITHMS, sweep_homogeneous, write_table_csv
 
     cfg = _load_config(args.config)
+    _reject_unknown(cfg, "scenario pl_db_grid algorithms")
     sc = _scenario_from(cfg, args.seed)
     grid = cfg.get("pl_db_grid")
     if grid is None:
@@ -172,6 +178,7 @@ def _cmd_grid_2ue(args: argparse.Namespace) -> int:
     from dapalloc.scenario import two_ue_grid
 
     cfg = _load_config(args.config)
+    _reject_unknown(cfg, "scenario pl_lo_db pl_hi_db pl_step_db")
     sc = _scenario_from(cfg, args.seed)
     lo = float(cfg.get("pl_lo_db", 60.0))
     hi = float(cfg.get("pl_hi_db", 150.0))
@@ -201,6 +208,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     from dapalloc import bench
 
     cfg = _load_config(args.config)
+    _reject_unknown(cfg, "scenario n_drops algorithms mode smoothness_p csi_delta")
     sc = _scenario_from(cfg, args.seed)
     n_drops = int(cfg.get("n_drops", 1000))
     algorithms = tuple(cfg.get("algorithms", bench.DEFAULT_ALGORITHMS))
@@ -246,7 +254,10 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 def _cmd_linklevel(args: argparse.Namespace) -> int:
     from dapalloc.linklevel import LinkSimConfig, simulate_sdr, write_sdr_csv
 
+    # a "linklevel" section or flat keys (LinkSimConfig rejects unknown ones)
     cfg = _load_config(args.config)
+    if "linklevel" in cfg:
+        _reject_unknown(cfg, "linklevel scenario")
     params = dict(cfg.get("linklevel", cfg))
     params.pop("scenario", None)
     if "ibo_grid_db" in params:
@@ -280,6 +291,7 @@ def _cmd_hessian_check(args: argparse.Namespace) -> int:
     )
 
     cfg = _load_config(args.config)
+    _reject_unknown(cfg, "n_points")
     n_points = int(cfg.get("n_points", 40))
     sys_cfg, ues = reference_two_user_setup()
     probes = scan_grid(sys_cfg, ues, n_points=n_points)
@@ -313,6 +325,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     """Self-contained invariant battery (no third-party test deps)."""
     from dapalloc import (
         Allocation,
+        SolverError,
         SystemConfig,
         UeSet,
         WaterfillProblem,
@@ -327,7 +340,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         lambert_w0,
         lambert_w0_of_log,
         ref_e,
-        root_bounds,
+        solve_dapa,
         solve_fpda,
         sum_rate_derivative,
     )
@@ -402,17 +415,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         noise_w=np.full(4, 7.2e-14),
     )
     omega = np.full(4, 0.25)
-    # the bracket solve_dapa uses: lower end from the user with the
-    # smallest noise-to-gain ratio, upper end from the largest
-    ratio = ues.noise_w / ues.beta
-    k_best, k_worst = int(np.argmin(ratio)), int(np.argmax(ratio))
-    lo, _ = root_bounds(float(ues.noise_w[k_best]), float(ues.beta[k_best]), cfg)
-    _, hi = root_bounds(float(ues.noise_w[k_worst]), float(ues.beta[k_worst]), cfg)
-    ok &= _check(
-        "optimizer bracket sign change",
-        sum_rate_derivative(lo, ues, omega, cfg) > 0
-        and sum_rate_derivative(hi, ues, omega, cfg) < 0,
-    )
+    detail = ""
+    try:
+        res = solve_dapa(ues, omega, cfg)
+        sign_change = (
+            sum_rate_derivative(res.bracket_lo, ues, omega, cfg) > 0
+            and sum_rate_derivative(res.bracket_hi, ues, omega, cfg) < 0
+        )
+    except SolverError as exc:
+        sign_change, detail = False, str(exc)
+    ok &= _check("optimizer bracket sign change", sign_change, detail)
     alloc, trace = alternating_optimize(ues, cfg)
     ref = ref_e(ues, cfg)
     gain = evaluate(cfg, ues, alloc, "zf").sum_rate / evaluate(cfg, ues, ref, "zf").sum_rate
@@ -455,24 +467,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Distortion-aware downlink power allocation toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "solve": _cmd_solve,
-        "sweep-homogeneous": _cmd_sweep_homogeneous,
-        "grid-2ue": _cmd_grid_2ue,
-        "montecarlo": _cmd_montecarlo,
-        "linklevel": _cmd_linklevel,
-        "hessian-check": _cmd_hessian_check,
-        "validate": _cmd_validate,
+    flags = {
+        "config": dict(type=str, default=None, help="JSON config file"),
+        "seed": dict(type=int, default=None, help="override scenario seed"),
+        "out": dict(type=str, default=".", help="output directory"),
+        "workers": dict(type=int, default=1, help="worker processes"),
+        "delta": dict(type=float, default=None, help="solver power tolerance (watts)"),
     }
-    for name, handler in commands.items():
+    # Each subcommand takes exactly the flags its handler reads.
+    commands = {
+        "solve": (_cmd_solve, "config out delta"),
+        "sweep-homogeneous": (_cmd_sweep_homogeneous, "config seed out delta"),
+        "grid-2ue": (_cmd_grid_2ue, "config seed out workers delta"),
+        "montecarlo": (_cmd_montecarlo, "config seed out workers delta"),
+        "linklevel": (_cmd_linklevel, "config seed out"),
+        "hessian-check": (_cmd_hessian_check, "config out"),
+        "validate": (_cmd_validate, ""),
+    }
+    for name, (handler, names) in commands.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        p.add_argument("--out", type=str, default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker processes")
-        p.add_argument(
-            "--delta", type=float, default=None, help="solver power tolerance (watts)"
-        )
+        for flag in names.split():
+            p.add_argument(f"--{flag}", **flags[flag])
         p.set_defaults(handler=handler)
     return parser
 
@@ -481,7 +496,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed < 2**64:
+    if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2**64:
         print(
             json.dumps({"error": {"type": "ValueError", "message": "seed must fit in u64"}})
         )

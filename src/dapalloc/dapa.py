@@ -45,7 +45,6 @@ __all__ = [
     "power_balance",
     "root_bounds",
     "sum_rate_derivative",
-    "sum_rate_derivative_sign",
     "solve_dapa",
 ]
 
@@ -197,14 +196,6 @@ def sum_rate_derivative(
     return float(np.sum(rate_factor * common * scale * balance))
 
 
-def sum_rate_derivative_sign(
-    total_power_p: float, ues: UeSet, omega: np.ndarray, cfg: SystemConfig
-) -> int:
-    """Sign (+1 / 0 / -1) of the sum-rate derivative in total power."""
-    value = sum_rate_derivative(total_power_p, ues, omega, cfg)
-    return int(np.sign(value))
-
-
 def _objective(
     total_power_p: float, ues: UeSet, omega: np.ndarray, cfg: SystemConfig
 ) -> float:
@@ -229,7 +220,7 @@ def _bisect_on_sign(
     mid = 0.5 * (lo + hi)
     while hi - lo > delta:
         mid = 0.5 * (lo + hi)
-        s = sum_rate_derivative_sign(mid, ues, omega, cfg)
+        s = int(np.sign(sum_rate_derivative(mid, ues, omega, cfg)))  # int(nan) raises
         if s > 0:
             lo = mid
         elif s < 0:

@@ -18,7 +18,6 @@ cross-validated in the tests:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -43,14 +42,12 @@ class WaterfillProblem:
     Attributes:
         breakpoints: per-user G_k in original user order; all positive
             and finite.
-        budget: total fraction budget to spend (1 for the simplex).
         order: indices sorting the breakpoints ascending (stable, so
             ties keep original order); carried so solutions can be
             mapped back to the original user indexing.
     """
 
     breakpoints: np.ndarray
-    budget: float = 1.0
     order: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -59,8 +56,6 @@ class WaterfillProblem:
             raise ValueError("breakpoints must be a non-empty 1-D array")
         if not np.all(np.isfinite(g)) or np.any(g < 0):
             raise ValueError("breakpoints must be finite and nonnegative")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
         object.__setattr__(self, "breakpoints", g)
         object.__setattr__(self, "order", np.argsort(g, kind="stable"))
 
@@ -89,16 +84,16 @@ def solve_fpda(problem: WaterfillProblem) -> np.ndarray:
     """Exact water-filling by breakpoint sweep.
 
     Sorts the breakpoints ascending, then finds the largest prefix S for
-    which the water level ``mu = (budget + sum_{k in S} G_k) / |S|``
-    sits strictly above the last breakpoint of S.  Every user below the
+    which the water level ``mu = (1 + sum_{k in S} G_k) / |S|`` sits
+    strictly above the last breakpoint of S.  Every user below the
     level receives ``mu - G_k``; the rest receive zero.  The result sums
-    to the budget within 1e-12 and satisfies the complementary-slackness
+    to 1 within 1e-12 and satisfies the complementary-slackness
     conditions exactly (up to that tolerance).
     """
     g_sorted = problem.breakpoints[problem.order]
     n = g_sorted.size
     prefix = np.cumsum(g_sorted)
-    levels = (problem.budget + prefix) / np.arange(1, n + 1)
+    levels = (1.0 + prefix) / np.arange(1, n + 1)
     # The prefix of size j is feasible iff its level exceeds its largest
     # breakpoint; feasibility is monotone, so take the largest such j.
     feasible = levels > g_sorted
@@ -118,10 +113,10 @@ def solve_fpda_bisect(
 
     The spent budget ``s(mu) = sum_k max(0, mu - G_k)`` is piecewise
     linear and strictly increasing once any user is active, so the level
-    solving ``s(mu) = budget`` is found by plain bisection.  (The level
+    solving ``s(mu) = 1`` is found by plain bisection.  (The level
     is the reciprocal of the simplex constraint's dual price, so this is
     equivalently a bisection on that multiplier.)  Stops when
-    ``|s(mu) - budget| <= tol``; if the interval collapses to
+    ``|s(mu) - 1| <= tol``; if the interval collapses to
     floating-point resolution first, the result is accepted only if the
     residual is already at the rounding floor of the summation,
     otherwise a :class:`SolverError` is raised.
@@ -131,15 +126,15 @@ def solve_fpda_bisect(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     g = problem.breakpoints
-    lo = float(np.min(g))  # spends 0 < budget
-    hi = float(np.max(g)) + problem.budget  # spends >= budget
+    lo = float(np.min(g))  # spends 0 < 1
+    hi = float(np.max(g)) + 1.0  # spends >= 1
     mu = 0.5 * (lo + hi)
     eps = np.finfo(np.float64).eps
     # Rounding floor of evaluating s(mu): K subtractions at scale mu.
     for _ in range(max_iters):
         mu = 0.5 * (lo + hi)
         spent = float(np.sum(np.maximum(0.0, mu - g)))
-        resid = spent - problem.budget
+        resid = spent - 1.0
         if abs(resid) <= tol:
             return np.maximum(0.0, mu - g)
         if resid > 0:

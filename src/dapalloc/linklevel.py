@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,8 +65,7 @@ class LinkSimConfig:
             counted like any the transmitter would emit.
         precoder: "zf" or "mrt".
         ibo_grid_db: back-off grid to sweep, in dB.
-        n_symbols: OFDM symbols measured per grid point.
-        constellation: "psk16" (the only shipped option).
+        n_symbols: OFDM symbols of random 16-PSK measured per grid point.
         seed: master seed; every grid point derives its own stream.
     """
 
@@ -78,7 +77,6 @@ class LinkSimConfig:
     cp_len: int = 32
     precoder: str = "zf"
     n_symbols: int = 200
-    constellation: str = "psk16"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -94,8 +92,6 @@ class LinkSimConfig:
             raise ValueError("cyclic prefix must be shorter than the FFT")
         if self.n_symbols < 2:
             raise ValueError("need at least 2 symbols for residual estimation")
-        if self.constellation != "psk16":
-            raise ValueError("only the psk16 constellation is shipped")
         if len(self.ibo_grid_db) == 0:
             raise ValueError("ibo_grid_db must be non-empty")
         object.__setattr__(self, "ibo_grid_db", tuple(float(v) for v in self.ibo_grid_db))

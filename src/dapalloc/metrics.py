@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from dapalloc.pa_model import (
     bussgang_gain_soft,
     distortion_coeff_rapp,
     distortion_coeff_soft,
-    effective_distortion,
     input_backoff,
 )
 
@@ -96,29 +95,6 @@ class SystemConfig:
             raise ValueError("bandwidth must be positive")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must be in (0, 1]")
-
-    @classmethod
-    def from_subcarriers(
-        cls,
-        m_antennas: int,
-        n_users: int,
-        p_max: float,
-        n_subcarriers: int,
-        delta_f_hz: float = 15e3,
-        eta: float = 2.0 / 3.0,
-        pa: Optional[PaModel] = None,
-    ) -> "SystemConfig":
-        """Build a config with bandwidth = n_subcarriers * delta_f."""
-        if n_subcarriers < 1 or delta_f_hz <= 0:
-            raise ValueError("need a positive subcarrier grid")
-        return cls(
-            m_antennas=m_antennas,
-            n_users=n_users,
-            p_max=p_max,
-            bandwidth_hz=n_subcarriers * delta_f_hz,
-            eta=eta,
-            pa=pa if pa is not None else PaModel(),
-        )
 
 
 @dataclass(frozen=True)
@@ -217,7 +193,7 @@ def operating_point_at(cfg: SystemConfig, total_power_p: float) -> PaOperatingPo
         coeff = distortion_coeff_rapp(psi, cfg.pa.smoothness_p)
     else:  # pragma: no cover - PaModel validates kind
         raise ValueError(f"unknown amplifier kind {cfg.pa.kind!r}")
-    dist = effective_distortion(coeff, total_power_p, cfg.eta)
+    dist = cfg.eta * coeff * total_power_p
     return PaOperatingPoint(psi, float(lam), float(coeff), dist)
 
 

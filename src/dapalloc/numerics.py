@@ -23,14 +23,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "ConvergenceError",
     "erfc",
     "erfcx",
@@ -42,34 +39,6 @@ __all__ = [
 
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its requested tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance / effort budget for the adaptive quadrature.
-
-    Attributes:
-        relative_tolerance: stop once the error estimate is below this
-            fraction of the accumulated integral.
-        absolute_tolerance: stop once the error estimate is below this
-            absolute value; also sets where the semi-infinite domain may
-            be truncated.
-        max_subdivisions: hard cap on interval splits before the
-            quadrature gives up with :class:`ConvergenceError`.
-    """
-
-    relative_tolerance: float = 1e-9
-    absolute_tolerance: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.relative_tolerance <= 0 or self.absolute_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +349,10 @@ def lambert_w0_of_log(log_x):
 # estimate, and the interval with the largest estimate is split first.
 # ---------------------------------------------------------------------------
 
+_QUAD_ABS_TOL = 1e-12
+_QUAD_REL_TOL = 1e-9
+_QUAD_MAX_SPLITS = 2000
+
 _KRONROD_NODES = np.array(
     [
         -0.991455371120813,
@@ -446,9 +419,7 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
     return kronrod, abs(kronrod - gauss)
 
 
-def integrate_semi_infinite(
-    f: Callable, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def integrate_semi_infinite(f: Callable) -> float:
     """Integrate a vectorized ``f`` over [0, inf).
 
     The integrand is assumed to decay at least like exp(-t^2) times a
@@ -456,13 +427,14 @@ def integrate_semi_infinite(
     Gaussian envelope falls below a tenth of the absolute tolerance; a
     fixed two-unit margin covers polynomial prefactors.  The finite part
     is then handled by adaptive 7/15 Gauss-Kronrod subdivision, always
-    splitting the interval with the largest error estimate.
+    splitting the interval with the largest error estimate, until the
+    error estimate is below 1e-12 absolute or 1e-9 relative.
 
     Raises:
         ConvergenceError: if the error estimate is still above tolerance
-            after ``spec.max_subdivisions`` splits.
+            after 2000 splits.
     """
-    upper = math.sqrt(math.log(10.0 / spec.absolute_tolerance)) + 2.0
+    upper = math.sqrt(math.log(10.0 / _QUAD_ABS_TOL)) + 2.0
 
     # Seed with a few intervals so sharply peaked integrands are noticed.
     seeds = np.linspace(0.0, upper, 5)
@@ -478,10 +450,8 @@ def integrate_semi_infinite(
         tie += 1
 
     splits = 0
-    while total_err > max(
-        spec.absolute_tolerance, spec.relative_tolerance * abs(total)
-    ):
-        if splits >= spec.max_subdivisions:
+    while total_err > max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(total)):
+        if splits >= _QUAD_MAX_SPLITS:
             raise ConvergenceError(
                 "quadrature error estimate "
                 f"{total_err:.3e} above tolerance after {splits} subdivisions"

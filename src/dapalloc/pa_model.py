@@ -15,13 +15,13 @@ Two amplifier laws are supported:
   in ``erfc``.
 * ``rapp`` -- smooth saturation with knee sharpness ``p``; the moments
   have no closed form and are computed by Gaussian-decay quadrature
-  (``numerics.DEFAULT_QUADRATURE``).
+  (``numerics.integrate_semi_infinite``).
   As ``p -> inf`` the Rapp curves converge to the soft limiter.
 
 The fraction ``dist_coeff`` returned here is normalized to the input
 power, so the distortion power seen by a receiver with precoder
-efficiency ``eta`` is ``eta * dist_coeff * P`` (see
-:func:`effective_distortion`).
+efficiency ``eta`` is ``eta * dist_coeff * P`` (the
+``effective_distortion`` of :class:`PaOperatingPoint`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "distortion_coeff_soft",
     "bussgang_gain_rapp",
     "distortion_coeff_rapp",
-    "effective_distortion",
 ]
 
 SOFT_LIMITER = "soft_limiter"
@@ -236,14 +235,3 @@ def distortion_coeff_rapp(psi, p: float = 2.0):
         vals.append(max(total - lam, 0.0))
     out = np.array(vals).reshape(np.shape(arr))
     return float(out) if np.ndim(psi) == 0 else out
-
-
-def effective_distortion(dist_coeff: float, total_power_p: float, eta: float) -> float:
-    """Distortion power after precoder-efficiency scaling: eta * c * P."""
-    if dist_coeff < 0:
-        raise ValueError("distortion coefficient must be nonnegative")
-    if total_power_p < 0:
-        raise ValueError("total power must be nonnegative")
-    if not 0 < eta <= 1:
-        raise ValueError("precoder efficiency eta must be in (0, 1]")
-    return eta * dist_coeff * total_power_p

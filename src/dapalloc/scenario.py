@@ -14,7 +14,6 @@ results.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -105,11 +104,6 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, path: str) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def path_loss_db(d_m, fc_ghz: float):

@@ -34,6 +34,19 @@ def test_validate_passes(capsys):
     assert "all checks passed" in out
 
 
+def test_validate_reports_solver_error_and_goes_on(monkeypatch, capsys):
+    import dapalloc
+
+    def fail(*args, **kwargs):
+        raise dapalloc.SolverError("no bracket")
+
+    monkeypatch.setattr(dapalloc, "solve_dapa", fail)
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL optimizer bracket sign change: no bracket" in out
+    assert "PASS scenario drops deterministic per (seed, drop)" in out
+
+
 def test_solve_outputs_allocation(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path,
@@ -295,3 +308,47 @@ def test_scenario_unknown_key_surfaces(tmp_path, capsys):
     )
     assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "oops" in _read_error(capsys)["message"]
+
+
+@pytest.mark.parametrize(
+    "command,payload,typo",
+    [
+        ("solve", {"algoritm": "REF-E"}, "algoritm"),
+        ("sweep-homogeneous", {**MC_SCENARIO, "pl_db_gird": [100.0]}, "pl_db_gird"),
+        ("grid-2ue", {**MC_SCENARIO, "pl_step": 5.0}, "pl_step"),
+        ("montecarlo", {**MC_SCENARIO, "mod": "rapp"}, "mod"),
+        ("linklevel", {"linklevel": {"m_antennas": 16, "n_users": 2,
+                                     "ibo_grid_db": [4.0]}, "seeds": 3}, "seeds"),
+        ("hessian-check", {"n_point": 4}, "n_point"),
+    ],
+)
+def test_unknown_config_key_rejected(tmp_path, capsys, command, payload, typo):
+    cfg = _write_cfg(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert typo in _read_error(capsys)["message"]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["linklevel", "--workers", "4"],
+        ["linklevel", "--delta", "1e-9"],
+        ["hessian-check", "--seed", "3"],
+        ["solve", "--workers", "2"],
+        ["sweep-homogeneous", "--workers", "2"],
+        ["validate", "--out", "x"],
+        ["validate", "--config", "cfg.json"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep-homogeneous", "grid-2ue", "linklevel"])
+def test_seed_must_fit_u64_wherever_it_is_taken(tmp_path, capsys, command):
+    assert main([command, "--seed", str(2**64), "--out", str(tmp_path)]) == 2
+    assert "u64" in _read_error(capsys)["message"]

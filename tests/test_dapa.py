@@ -7,6 +7,7 @@ import pytest
 import scipy.optimize
 import scipy.special
 
+from dapalloc import dapa
 from dapalloc.dapa import (
     DapaResult,
     SolverError,
@@ -14,7 +15,6 @@ from dapalloc.dapa import (
     root_bounds,
     solve_dapa,
     sum_rate_derivative,
-    sum_rate_derivative_sign,
 )
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
 
@@ -172,12 +172,19 @@ def test_derivative_sign_helper():
     ues = _homog_ues(1)
     omega = np.array([1.0])
     p_star = 0.64 / PSI_STAR[(0.01, 64)]
-    assert sum_rate_derivative_sign(0.5 * p_star, ues, omega, cfg) == 1
-    assert sum_rate_derivative_sign(2.0 * p_star, ues, omega, cfg) == -1
+    assert np.sign(sum_rate_derivative(0.5 * p_star, ues, omega, cfg)) == 1
+    assert np.sign(sum_rate_derivative(2.0 * p_star, ues, omega, cfg)) == -1
     with pytest.raises(ValueError):
         sum_rate_derivative(0.0, ues, omega, cfg)
     with pytest.raises(ValueError):
         sum_rate_derivative(0.1, ues, np.zeros(1), cfg)
+
+
+def test_nan_derivative_stops_the_solver(monkeypatch):
+    # a NaN derivative has no sign; bisection must fail, not pick a side
+    monkeypatch.setattr(dapa, "sum_rate_derivative", lambda *args: math.nan)
+    with pytest.raises(ValueError):
+        solve_dapa(_homog_ues(1), np.array([1.0]), _cfg(k=1))
 
 
 # -------------------------------------------------------------- solve_dapa

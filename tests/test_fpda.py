@@ -12,8 +12,8 @@ from dapalloc.metrics import SystemConfig, UeSet, operating_point_at
 RNG = np.random.default_rng(4242)
 
 
-def _wf(g, budget=1.0):
-    return WaterfillProblem(breakpoints=np.asarray(g, dtype=float), budget=budget)
+def _wf(g):
+    return WaterfillProblem(breakpoints=np.asarray(g, dtype=float))
 
 
 def test_frozen_two_user_case():
@@ -115,8 +115,6 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         _wf([0.1, -0.2])
     with pytest.raises(ValueError):
-        _wf([0.1], budget=0.0)
-    with pytest.raises(ValueError):
         solve_fpda_bisect(_wf([0.1]), tol=0.0)
     with pytest.raises(ValueError):
         solve_fpda_bisect(_wf([0.1]), max_iters=0)
@@ -129,9 +127,3 @@ def test_bisect_exhaustion_raises():
         solve_fpda_bisect(_wf([0.1, 0.5, 0.9]), tol=1e-15, max_iters=3)
     assert "last_residual" in exc.value.diagnostics
 
-
-def test_nonunit_budget():
-    omega = solve_fpda(_wf([0.0, 0.3], budget=2.0))
-    # level (2 + 0.3)/2 = 1.15
-    np.testing.assert_allclose(omega, [1.15, 0.85], rtol=1e-15)
-    assert float(np.sum(omega)) == pytest.approx(2.0, abs=1e-12)

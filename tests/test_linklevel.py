@@ -180,6 +180,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LinkSimConfig(**{**base, "n_symbols": 1})
     with pytest.raises(ValueError):
-        LinkSimConfig(**{**base, "constellation": "qam256"})
-    with pytest.raises(ValueError):
         LinkSimConfig(**{**base, "ibo_grid_db": ()})

@@ -43,14 +43,6 @@ def test_system_config_validation():
         _cfg(eta=1.5)
 
 
-def test_from_subcarriers():
-    cfg = SystemConfig.from_subcarriers(64, 2, 0.01, 1200, 15e3)
-    assert cfg.bandwidth_hz == 18e6
-    assert cfg.pa.kind == "soft_limiter"
-    with pytest.raises(ValueError):
-        SystemConfig.from_subcarriers(64, 2, 0.01, 0)
-
-
 def test_ueset_broadcast_and_validation():
     ues = UeSet(beta=np.array([1e-10, 1e-12]), noise_w=7e-14)
     assert ues.noise_w.shape == (2,)

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 import scipy.special
 
+from dapalloc import numerics
 from dapalloc.numerics import (
-    DEFAULT_QUADRATURE,
     ConvergenceError,
-    QuadratureSpec,
     erfc,
     erfcx,
     integrate_semi_infinite,
@@ -172,35 +171,14 @@ class TestQuadrature:
     def test_gaussian_moments(self, fn, want):
         assert integrate_semi_infinite(fn) == pytest.approx(want, rel=2e-11)
 
-    def test_tolerance_scales(self):
-        loose = QuadratureSpec(relative_tolerance=1e-4, absolute_tolerance=1e-6)
-        got = integrate_semi_infinite(lambda t: np.exp(-t * t), loose)
-        assert got == pytest.approx(0.8862269254527580136491, rel=1e-4)
-
     def test_non_vectorized_integrand_rejected(self):
         with pytest.raises(ValueError):
             integrate_semi_infinite(lambda t: 1.0)  # scalar, wrong shape
 
-    def test_subdivision_exhaustion(self):
-        # a sharp ridge the seed grid cannot resolve within one split
-        spec = QuadratureSpec(
-            relative_tolerance=1e-13, absolute_tolerance=1e-15, max_subdivisions=2
-        )
+    def test_subdivision_exhaustion(self, monkeypatch):
+        # a sharp ridge the seed grid cannot resolve within two splits
+        monkeypatch.setattr(numerics, "_QUAD_MAX_SPLITS", 2)
         with pytest.raises(ConvergenceError):
             integrate_semi_infinite(
-                lambda t: np.exp(-((t - 2.3) ** 2) * 1e6) + np.exp(-t * t) * np.sin(40 * t) ** 2,
-                spec,
+                lambda t: np.exp(-((t - 2.3) ** 2) * 1e6) + np.exp(-t * t) * np.sin(40 * t) ** 2
             )
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(relative_tolerance=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(absolute_tolerance=-1e-9)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-
-    def test_default_spec_frozen(self):
-        assert DEFAULT_QUADRATURE.relative_tolerance == 1e-9
-        with pytest.raises(Exception):
-            DEFAULT_QUADRATURE.relative_tolerance = 1.0  # type: ignore[misc]

@@ -12,7 +12,6 @@ from dapalloc.pa_model import (
     bussgang_gain_soft,
     distortion_coeff_rapp,
     distortion_coeff_soft,
-    effective_distortion,
     input_backoff,
 )
 
@@ -164,18 +163,6 @@ def test_input_backoff():
         input_backoff(0.1, 0, 0.01)
     with pytest.raises(ValueError):
         input_backoff(0.1, 64, 0.0)
-
-
-def test_effective_distortion_scaling():
-    c = distortion_coeff_soft(2.0)
-    assert effective_distortion(c, 0.9, 2.0 / 3.0) == pytest.approx(
-        (2.0 / 3.0) * c * 0.9, rel=1e-14
-    )
-    assert effective_distortion(c, 0.0, 2.0 / 3.0) == 0.0
-    with pytest.raises(ValueError):
-        effective_distortion(-1e-3, 0.1, 2.0 / 3.0)
-    with pytest.raises(ValueError):
-        effective_distortion(c, 0.1, 0.0)
 
 
 def test_pa_model_validation():

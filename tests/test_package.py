@@ -36,3 +36,18 @@ def test_heavier_layers_stay_behind_submodules():
 
     assert callable(dapalloc.cli.main)
     assert callable(dapalloc.bench.run_montecarlo)
+
+
+def test_benchmark_tracer_binds_and_restores(monkeypatch):
+    # perfbench/tracing.py rebinds public functions by name in the
+    # modules that call them; a renamed or deleted name breaks it here
+    from pathlib import Path
+
+    from dapalloc import dapa, numerics
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    with tracing.instrument(tracing.Tracer()):
+        assert dapa.erfc is not numerics.erfc
+    assert dapa.erfc is numerics.erfc

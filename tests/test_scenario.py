@@ -1,7 +1,5 @@
 """Placement, path loss, noise floor, and drop determinism."""
 
-import json
-
 import numpy as np
 import pytest
 import scipy.stats
@@ -74,13 +72,6 @@ def test_dict_round_trip():
     assert ScenarioConfig.from_dict(sc.to_dict()) == sc
     with pytest.raises(ValueError, match="unknown"):
         ScenarioConfig.from_dict({**sc.to_dict(), "typo_key": 1})
-
-
-def test_json_round_trip(tmp_path):
-    sc = _sc(seed=77)
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(sc.to_dict()))
-    assert ScenarioConfig.from_json(str(path)) == sc
 
 
 def test_drop_determinism_and_pins():
