@@ -65,7 +65,6 @@ from dapalloc.fpda import (
     WaterfillProblem,
     breakpoints,
     solve_fpda,
-    solve_fpda_bisect,
 )
 from dapalloc.allocator import (
     AoTrace,

@@ -32,7 +32,7 @@ from dapalloc.dapa import SolverError
 from dapalloc.metrics import SystemConfig, UeSet, evaluate
 from dapalloc.numerics import ConvergenceError
 from dapalloc.pa_model import RAPP, PaModel
-from dapalloc.scenario import ScenarioConfig, drop_ues, two_ue_grid
+from dapalloc.scenario import ScenarioConfig, drop_ues
 
 __all__ = [
     "DropResult",
@@ -105,7 +105,6 @@ def _solve_and_rate(
     ues: UeSet,
     cfg: SystemConfig,
     algorithms: Sequence[str],
-    delta: Optional[float],
     evaluators: Sequence[_Evaluator],
 ) -> list[list[DropResult]]:
     """Solve every strategy on one user set, rate it under every evaluator.
@@ -121,7 +120,7 @@ def _solve_and_rate(
     out: list[list[DropResult]] = [[] for _ in evaluators]
     for label in algorithms:
         try:
-            alloc = ALGORITHMS[label](ues, cfg, delta)
+            alloc = ALGORITHMS[label](ues, cfg)
         except (SolverError, ConvergenceError) as exc:
             logger.warning("drop %d, %s failed: %s", drop_id, label, exc)
             nan = math.nan
@@ -150,12 +149,11 @@ def _drop_task(
     drop_id: int,
     sc: ScenarioConfig,
     algorithms: Sequence[str],
-    delta: Optional[float],
     evaluators: Sequence[_Evaluator],
 ) -> list[list[DropResult]]:
     """Build one drop, then solve and rate it."""
     ues = drop_ues(sc, drop_id)
-    return _solve_and_rate(drop_id, ues, _system_config(sc), algorithms, delta, evaluators)
+    return _solve_and_rate(drop_id, ues, _system_config(sc), algorithms, evaluators)
 
 
 def _map(task, items: list, workers: int) -> list:
@@ -170,7 +168,6 @@ def _run(
     sc: ScenarioConfig,
     algorithms: Sequence[str],
     n_drops: int,
-    delta: Optional[float],
     workers: int,
     evaluators: Sequence[_Evaluator],
 ) -> list[list[DropResult]]:
@@ -185,7 +182,6 @@ def _run(
         _drop_task,
         sc=sc,
         algorithms=tuple(algorithms),
-        delta=delta,
         evaluators=tuple(evaluators),
     )
     per_drop = _map(task, list(range(n_drops)), workers)
@@ -196,7 +192,6 @@ def run_montecarlo(
     sc: ScenarioConfig,
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
     n_drops: int = 1000,
-    delta: Optional[float] = None,
     workers: int = 1,
 ) -> list[DropResult]:
     """Random drops -> allocations -> ideal-clipper evaluation.
@@ -206,7 +201,7 @@ def run_montecarlo(
     NaN results; the run continues.
     """
     evaluators = [(_system_config(sc), "zf", None)]
-    (results,) = _run(sc, algorithms, n_drops, delta, workers, evaluators)
+    (results,) = _run(sc, algorithms, n_drops, workers, evaluators)
     return results
 
 
@@ -215,7 +210,6 @@ def evaluate_rapp_mode(
     n_drops: int,
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
     smoothness_p: float = 2.0,
-    delta: Optional[float] = None,
     workers: int = 1,
 ) -> tuple[list[DropResult], list[DropResult]]:
     """Optimize for the ideal clipper, evaluate under both amplifier laws.
@@ -226,7 +220,7 @@ def evaluate_rapp_mode(
     """
     cfg_rapp = _system_config(sc, PaModel(kind=RAPP, smoothness_p=smoothness_p))
     evaluators = [(_system_config(sc), "zf", None), (cfg_rapp, "zf", None)]
-    soft, rapp = _run(sc, algorithms, n_drops, delta, workers, evaluators)
+    soft, rapp = _run(sc, algorithms, n_drops, workers, evaluators)
     return soft, rapp
 
 
@@ -235,7 +229,6 @@ def evaluate_icsi_mode(
     n_drops: int,
     delta_policy: Union[float, str] = 0.1,
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-    delta: Optional[float] = None,
     workers: int = 1,
 ) -> tuple[list[DropResult], list[DropResult]]:
     """Optimize with perfect channel knowledge, evaluate with and
@@ -257,7 +250,7 @@ def evaluate_icsi_mode(
         csi = np.full(sc.n_users, float(delta_policy))
     cfg = _system_config(sc)
     perfect, imperfect = _run(
-        sc, algorithms, n_drops, delta, workers, [(cfg, "zf", None), (cfg, "zf_icsi", csi)]
+        sc, algorithms, n_drops, workers, [(cfg, "zf", None), (cfg, "zf_icsi", csi)]
     )
     return perfect, imperfect
 
@@ -280,7 +273,6 @@ def sweep_homogeneous(
     sc: ScenarioConfig,
     pl_db_grid: Sequence[float],
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-    delta: Optional[float] = None,
 ) -> list[dict]:
     """All-users-equal path-loss sweep: one row per grid value.
 
@@ -293,7 +285,7 @@ def sweep_homogeneous(
     cfg = _system_config(sc)
     rows = []
     for index, (pl_db, ues) in enumerate(zip(pl_db_grid, homogeneous_sweep(pl_db_grid, sc))):
-        (results,) = _solve_and_rate(index, ues, cfg, algorithms, delta, [(cfg, "zf", None)])
+        (results,) = _solve_and_rate(index, ues, cfg, algorithms, [(cfg, "zf", None)])
         row: dict = {"pl_db": float(pl_db)}
         for r in results:
             row[f"{r.algorithm}_sum_rate"] = r.sum_rate
@@ -302,18 +294,14 @@ def sweep_homogeneous(
     return rows
 
 
-def _grid_cell(
-    cell: tuple[float, float, UeSet],
-    sc: ScenarioConfig,
-    delta: Optional[float],
-) -> dict:
+def _grid_cell(cell: tuple[float, float, UeSet], sc: ScenarioConfig) -> dict:
     from dapalloc.allocator import alternating_optimize, ref_e
 
     pl1_db, pl2_db, ues = cell
     cfg = _system_config(sc)
     row: dict = {"pl1_db": pl1_db, "pl2_db": pl2_db}
     try:
-        alloc, _ = alternating_optimize(ues, cfg, delta)
+        alloc, _ = alternating_optimize(ues, cfg)
         report = evaluate(cfg, ues, alloc, precoder="zf")
         ref_report = evaluate(cfg, ues, ref_e(ues, cfg), precoder="zf")
         row["sum_rate_ratio_vs_ref_e"] = report.sum_rate / ref_report.sum_rate
@@ -330,7 +318,6 @@ def _grid_cell(
 def grid_2ue(
     sc: ScenarioConfig,
     grid: tuple[np.ndarray, list[list[UeSet]]],
-    delta: Optional[float] = None,
     workers: int = 1,
 ) -> list[dict]:
     """Two-user path-loss grid: optimality gain, split, and back-off.
@@ -347,7 +334,7 @@ def grid_2ue(
         for i, row in enumerate(cells)
         for j, ues in enumerate(row)
     ]
-    return _map(partial(_grid_cell, sc=sc, delta=delta), items, workers)
+    return _map(partial(_grid_cell, sc=sc), items, workers)
 
 
 def _quartiles(values: np.ndarray) -> dict:

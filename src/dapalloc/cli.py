@@ -117,7 +117,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     label = cfg.get("algorithm", "DAPA-FPDA")
     if label not in ALGORITHMS:
         raise ValueError(f"unknown algorithm label {label!r}")
-    alloc = ALGORITHMS[label](ues, sys_cfg, args.delta)
+    alloc = ALGORITHMS[label](ues, sys_cfg)
     report = evaluate(sys_cfg, ues, alloc, precoder="zf")
     payload = {
         "algorithm": label,
@@ -149,7 +149,7 @@ def _cmd_sweep_homogeneous(args: argparse.Namespace) -> int:
     if grid is None:
         grid = np.arange(80.0, 130.0 + 1e-9, 2.5).tolist()
     algorithms = tuple(cfg.get("algorithms", DEFAULT_ALGORITHMS))
-    rows = sweep_homogeneous(sc, grid, algorithms, args.delta)
+    rows = sweep_homogeneous(sc, grid, algorithms)
     for label in algorithms:
         per_alg = [
             {
@@ -184,7 +184,7 @@ def _cmd_grid_2ue(args: argparse.Namespace) -> int:
     hi = float(cfg.get("pl_hi_db", 150.0))
     step = float(cfg.get("pl_step_db", 5.0))
     grid = two_ue_grid(lo, hi, step, sc)
-    rows = grid_2ue(sc, grid, args.delta, args.workers)
+    rows = grid_2ue(sc, grid, args.workers)
     write_table_csv(rows, _out_path(args.out, "grid_2ue.csv"))
     _write_json(
         _out_path(args.out, "grid_2ue_summary.json"),
@@ -215,19 +215,19 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     mode = cfg.get("mode", "plain")
 
     if mode == "plain":
-        results = bench.run_montecarlo(sc, algorithms, n_drops, args.delta, args.workers)
+        results = bench.run_montecarlo(sc, algorithms, n_drops, args.workers)
         paired: dict = {"montecarlo": results}
     elif mode == "rapp":
         soft, rapp = bench.evaluate_rapp_mode(
             sc, n_drops, algorithms,
             smoothness_p=float(cfg.get("smoothness_p", 2.0)),
-            delta=args.delta, workers=args.workers,
+            workers=args.workers,
         )
         paired = {"montecarlo": soft, "montecarlo_rapp": rapp}
     elif mode == "icsi":
         policy = cfg.get("csi_delta", 0.1)
         perfect, icsi = bench.evaluate_icsi_mode(
-            sc, n_drops, policy, algorithms, args.delta, args.workers
+            sc, n_drops, policy, algorithms, args.workers
         )
         paired = {"montecarlo": perfect, "montecarlo_icsi": icsi}
     else:
@@ -472,14 +472,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "seed": dict(type=int, default=None, help="override scenario seed"),
         "out": dict(type=str, default=".", help="output directory"),
         "workers": dict(type=int, default=1, help="worker processes"),
-        "delta": dict(type=float, default=None, help="solver power tolerance (watts)"),
     }
     # Each subcommand takes exactly the flags its handler reads.
     commands = {
-        "solve": (_cmd_solve, "config out delta"),
-        "sweep-homogeneous": (_cmd_sweep_homogeneous, "config seed out delta"),
-        "grid-2ue": (_cmd_grid_2ue, "config seed out workers delta"),
-        "montecarlo": (_cmd_montecarlo, "config seed out workers delta"),
+        "solve": (_cmd_solve, "config out"),
+        "sweep-homogeneous": (_cmd_sweep_homogeneous, "config seed out"),
+        "grid-2ue": (_cmd_grid_2ue, "config seed out workers"),
+        "montecarlo": (_cmd_montecarlo, "config seed out workers"),
         "linklevel": (_cmd_linklevel, "config seed out"),
         "hessian-check": (_cmd_hessian_check, "config out"),
         "validate": (_cmd_validate, ""),
@@ -489,6 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in names.split():
             p.add_argument(f"--{flag}", **flags[flag])
         p.set_defaults(handler=handler)
+    # solve prints its allocation; it writes solve.json only when --out is given
+    sub.choices["solve"].set_defaults(out=None)
     return parser
 
 

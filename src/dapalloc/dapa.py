@@ -215,19 +215,23 @@ def _bisect_on_sign(
     omega: np.ndarray,
     cfg: SystemConfig,
 ) -> tuple[float, int]:
-    """Plain sign bisection of the derivative; returns (midpoint, steps)."""
+    """Plain sign bisection of the derivative; returns (midpoint, steps).
+
+    Stops when the bracket is at most ``delta`` wide, or when a step
+    leaves it unchanged: at P > delta / eps the bracket reaches one
+    float ulp before it reaches ``delta``.
+    """
     iterations = 0
-    mid = 0.5 * (lo + hi)
     while hi - lo > delta:
         mid = 0.5 * (lo + hi)
         s = int(np.sign(sum_rate_derivative(mid, ues, omega, cfg)))  # int(nan) raises
-        if s > 0:
-            lo = mid
-        elif s < 0:
-            hi = mid
-        else:  # exact stationary point
+        if s == 0:  # exact stationary point
             return mid, iterations + 1
         iterations += 1
+        step = (mid, hi) if s > 0 else (lo, mid)
+        if step == (lo, hi):
+            break
+        lo, hi = step
     return 0.5 * (lo + hi), iterations
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -180,6 +180,19 @@ def hessian_eigs(
     )
 
 
+def _grid_probes(
+    cfg: SystemConfig, ues: UeSet, n_points: int, p_min: float, p_max: float
+) -> Iterator[HessianProbe]:
+    """The probes of :func:`scan_grid`, made one at a time in row order."""
+    grid = np.geomspace(p_min, p_max, n_points)
+    for p1 in grid:
+        for p2 in grid:
+            step = _DEFAULT_STEP_FACTOR * (p1 + p2)
+            if p1 <= 2.0 * step or p2 <= 2.0 * step:
+                continue
+            yield hessian_eigs((float(p1), float(p2)), cfg, ues)
+
+
 def scan_grid(
     cfg: SystemConfig,
     ues: UeSet,
@@ -192,15 +205,7 @@ def scan_grid(
     Grid points too close to the axes for the default step (coordinate
     ratio below ~2e-4) are skipped.
     """
-    grid = np.geomspace(p_min, p_max, n_points)
-    probes = []
-    for p1 in grid:
-        for p2 in grid:
-            step = _DEFAULT_STEP_FACTOR * (p1 + p2)
-            if p1 <= 2.0 * step or p2 <= 2.0 * step:
-                continue
-            probes.append(hessian_eigs((float(p1), float(p2)), cfg, ues))
-    return probes
+    return list(_grid_probes(cfg, ues, n_points, p_min, p_max))
 
 
 def find_indefinite_point(
@@ -216,7 +221,7 @@ def find_indefinite_point(
     Returns None when the scan finds no such point (which would mean the
     objective looked concave on the whole grid).
     """
-    for probe in scan_grid(cfg, ues, n_points, p_min, p_max):
+    for probe in _grid_probes(cfg, ues, n_points, p_min, p_max):
         if probe.flagged:
             continue
         lo, hi = probe.eigenvalues

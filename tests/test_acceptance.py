@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from fpda_reference import solve_fpda_bisect
 
 from dapalloc.allocator import ALGORITHMS, alternating_optimize, dapa_e, ref_e
 from dapalloc.bench import (
@@ -30,7 +31,7 @@ from dapalloc.bench import (
     run_montecarlo,
 )
 from dapalloc.dapa import power_balance, root_bounds
-from dapalloc.fpda import WaterfillProblem, breakpoints, solve_fpda, solve_fpda_bisect
+from dapalloc.fpda import WaterfillProblem, breakpoints, solve_fpda
 from dapalloc.linklevel import LinkSimConfig, simulate_sdr
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate, operating_point_at
 from dapalloc.nonconvexity import (

@@ -1,5 +1,7 @@
 """Alternating optimization and the fixed-back-off baselines."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from dapalloc.allocator import (
     ref_e,
     ref_fpda,
 )
+from dapalloc.dapa import solve_dapa
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
 
 NOISE_FULLBAND = 7.165929069962951e-14
@@ -86,7 +89,7 @@ def test_homogeneous_fpda_keeps_equal_split():
     cfg = _cfg(k=20, m=64)
     ues = UeSet(beta=np.full(20, 1e-10), noise_w=np.full(20, NOISE_FULLBAND))
     joint, _ = alternating_optimize(ues, cfg, delta=1e-9)
-    equal = dapa_e(ues, cfg, delta=1e-9)
+    equal = solve_dapa(ues, np.full(20, 0.05), cfg, delta=1e-9)
     np.testing.assert_allclose(joint.omega, 0.05, rtol=0, atol=1e-12)
     assert joint.total_power_p == pytest.approx(equal.total_power_p, abs=1e-8)
 
@@ -112,9 +115,10 @@ def test_max_iters_returns_best_iterate():
         alternating_optimize(ues, cfg, max_iters=0)
 
 
-def test_algorithms_accept_delta_kwarg():
+def test_algorithms_take_users_and_config():
     cfg = _cfg()
     ues = _mixed_ues(seed=2)
     for name, fn in ALGORITHMS.items():
-        alloc = fn(ues, cfg, delta=1e-7)
+        assert len(inspect.signature(fn).parameters) == 2, name
+        alloc = fn(ues, cfg)
         assert float(np.sum(alloc.omega)) == pytest.approx(1.0, abs=1e-9), name

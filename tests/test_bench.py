@@ -78,7 +78,7 @@ def test_montecarlo_deterministic_across_workers(mode):
 
 
 def _raise(exc):
-    def strategy(ues, cfg, delta=None):
+    def strategy(ues, cfg):
         raise exc
 
     return strategy

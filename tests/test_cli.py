@@ -69,6 +69,25 @@ def test_solve_outputs_allocation(tmp_path, capsys):
     assert on_disk == payload
 
 
+def test_solve_without_out_writes_no_file(tmp_path, monkeypatch, capsys):
+    cfg = _write_cfg(
+        tmp_path,
+        {
+            "m_antennas": 64,
+            "p_max": 0.01,
+            "bandwidth_hz": 18e6,
+            "pl_db": [100.0],
+            "noise_w": 7.165929069962951e-14,
+        },
+    )
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(["solve", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["total_power_p"] > 0
+    assert list(workdir.iterdir()) == []
+
+
 def test_solve_beta_equivalent_to_pl(tmp_path, capsys):
     common = {"m_antennas": 64, "p_max": 0.01, "bandwidth_hz": 18e6, "noise_w": 7.2e-14}
     cfg_pl = _write_cfg(tmp_path, {**common, "pl_db": [100.0]}, "pl.json")
@@ -339,6 +358,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys, command, payload, typo):
         ["sweep-homogeneous", "--workers", "2"],
         ["validate", "--out", "x"],
         ["validate", "--config", "cfg.json"],
+        ["solve", "--delta", "1e-9"],
+        ["sweep-homogeneous", "--delta", "1e-9"],
+        ["grid-2ue", "--delta", "1e-9"],
+        ["montecarlo", "--delta", "1e-9"],
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):

@@ -257,6 +257,31 @@ def test_solver_heterogeneous_interior_root():
     assert sum_rate_derivative(res.total_power_p * 1.01, ues, omega, cfg) < 0
 
 
+def test_bisection_stops_at_a_one_ulp_bracket(monkeypatch):
+    """At P > delta / eps the bracket reaches one float ulp before it
+    reaches delta; the bisection then stops instead of looping."""
+    cfg = _cfg(k=1)
+    r = 5.0e-8  # beta eta M p_max / sigma^2
+    beta = r * 7.2e-14 / (cfg.eta * cfg.m_antennas * cfg.p_max)
+    ues = UeSet(beta=np.array([beta]), noise_w=np.array([7.2e-14]))
+    calls = []
+    real = dapa.sum_rate_derivative
+
+    def counted(*args):
+        calls.append(args[0])
+        if len(calls) > 1000:
+            raise AssertionError("bisection does not terminate")
+        return real(*args)
+
+    monkeypatch.setattr(dapa, "sum_rate_derivative", counted)
+    res = solve_dapa(ues, np.array([1.0]), cfg)
+    delta = 1e-6 * cfg.m_antennas * cfg.p_max
+    assert res.total_power_p > delta / np.finfo(np.float64).eps
+    width = res.bracket_hi - res.bracket_lo
+    assert res.iterations <= math.ceil(math.log2(width / delta)) + 1
+    assert res.bracket_lo <= res.total_power_p <= res.bracket_hi
+
+
 def test_solver_validation():
     cfg = _cfg(k=2)
     ues = UeSet(beta=np.array([1e-10, 1e-11]), noise_w=np.full(2, NOISE_FULLBAND))

@@ -4,9 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from fpda_reference import solve_fpda_bisect
 
 from dapalloc.dapa import SolverError
-from dapalloc.fpda import WaterfillProblem, breakpoints, solve_fpda, solve_fpda_bisect
+from dapalloc.fpda import WaterfillProblem, breakpoints, solve_fpda
 from dapalloc.metrics import SystemConfig, UeSet, operating_point_at
 
 RNG = np.random.default_rng(4242)

@@ -96,6 +96,32 @@ def test_find_indefinite_point():
     assert again.eigenvalues[0] < 0.0 < again.eigenvalues[1]
 
 
+def test_find_indefinite_point_stops_at_the_first_witness(monkeypatch):
+    from dapalloc import nonconvexity
+
+    def indefinite(probe):
+        return not probe.flagged and probe.eigenvalues[0] < 0.0 < probe.eigenvalues[1]
+
+    def halved(probe):
+        return hessian_eigs((probe.p1, probe.p2), CFG, UES, step=0.5 * probe.step)
+
+    probes = scan_grid(CFG, UES, n_points=12)
+    expected = next(p for p in probes if indefinite(p) and indefinite(halved(p)))
+    index = probes.index(expected)
+    calls = []
+    real = nonconvexity.hessian_eigs
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nonconvexity, "hessian_eigs", counted)
+    assert find_indefinite_point(CFG, UES, n_points=12) == expected
+    # the grid up to the witness, plus one halved-step probe per candidate
+    rechecks = sum(indefinite(p) for p in probes[: index + 1])
+    assert len(calls) == index + 1 + rechecks < len(probes)
+
+
 def test_probes_csv(tmp_path):
     probes = scan_grid(CFG, UES, n_points=5)
     path = tmp_path / "probes.csv"
