@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from dapalloc.dapa import solve_dapa
+from dapalloc.dapa import default_delta, solve_dapa
 from dapalloc.fpda import breakpoints, solve_fpda
 from dapalloc.metrics import (
     Allocation,
@@ -30,6 +30,7 @@ from dapalloc.metrics import (
     UeSet,
     evaluate,
     operating_point_at,
+    zf_gain,
 )
 
 __all__ = [
@@ -79,8 +80,8 @@ def alternating_optimize(
     problem at the current fractions, then water-fills the fractions at
     the new total.  Convergence is declared when the total power moves
     by less than ``delta`` (defaulting to the solver's own
-    1e-6 * M * p_max); that is the only stop condition, and every run
-    starts from equal fractions.
+    :func:`~dapalloc.dapa.default_delta`); that is the only stop
+    condition, and every run starts from equal fractions.
 
     If ``max_iters`` runs out, the best iterate seen is returned with
     ``converged = False`` in the trace.
@@ -88,7 +89,7 @@ def alternating_optimize(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if delta is None:
-        delta = 1e-6 * cfg.m_antennas * cfg.p_max
+        delta = default_delta(cfg)
 
     n = ues.n_users
     iterates: list[tuple[float, np.ndarray, float]] = []
@@ -127,9 +128,8 @@ def alternating_optimize(
 
 def ref_e(ues: UeSet, cfg: SystemConfig) -> Allocation:
     """Fixed 6 dB back-off total power, equal per-user fractions."""
+    zf_gain(cfg, ues)  # rated with zero-forcing, so K < M
     n = ues.n_users
-    if n != cfg.n_users:
-        raise ValueError("user set size does not match SystemConfig.n_users")
     return Allocation(_ref_power(cfg), np.full(n, 1.0 / n))
 
 

@@ -88,7 +88,6 @@ class CcdfSeries:
 def _system_config(sc: ScenarioConfig, pa: Optional[PaModel] = None) -> SystemConfig:
     return SystemConfig(
         m_antennas=sc.m_antennas,
-        n_users=sc.n_users,
         p_max=sc.p_max,
         bandwidth_hz=sc.bandwidth_hz,
         pa=pa if pa is not None else PaModel(),

@@ -73,12 +73,6 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # solve
 
@@ -101,6 +95,7 @@ def _ue_set_from(cfg: dict):
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     from dapalloc.allocator import ALGORITHMS
+    from dapalloc.bench import write_summary_json
     from dapalloc.metrics import SystemConfig, evaluate
 
     cfg = _load_config(args.config)
@@ -110,7 +105,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     ues = _ue_set_from(cfg)
     sys_cfg = SystemConfig(
         m_antennas=int(cfg["m_antennas"]),
-        n_users=ues.beta.size,
         p_max=float(cfg["p_max"]),
         bandwidth_hz=float(cfg["bandwidth_hz"]),
     )
@@ -131,7 +125,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out is not None:
-        _write_json(_out_path(args.out, "solve.json"), payload)
+        write_summary_json(payload, _out_path(args.out, "solve.json"))
     return 0
 
 
@@ -140,7 +134,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_homogeneous(args: argparse.Namespace) -> int:
-    from dapalloc.bench import DEFAULT_ALGORITHMS, sweep_homogeneous, write_table_csv
+    from dapalloc.bench import DEFAULT_ALGORITHMS, sweep_homogeneous
+    from dapalloc.bench import write_summary_json, write_table_csv
 
     cfg = _load_config(args.config)
     _reject_unknown(cfg, "scenario pl_db_grid algorithms")
@@ -160,10 +155,10 @@ def _cmd_sweep_homogeneous(args: argparse.Namespace) -> int:
             for row in rows
         ]
         write_table_csv(per_alg, _out_path(args.out, f"sweep_homogeneous_{label}.csv"))
-    _write_json(
-        _out_path(args.out, "sweep_homogeneous_summary.json"),
+    write_summary_json(
         {"scenario": sc.to_dict(), "pl_db_grid": list(map(float, grid)),
          "algorithms": list(algorithms)},
+        _out_path(args.out, "sweep_homogeneous_summary.json"),
     )
     print(f"wrote {len(algorithms)} CSV file(s) to {args.out}")
     return 0
@@ -174,7 +169,7 @@ def _cmd_sweep_homogeneous(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid_2ue(args: argparse.Namespace) -> int:
-    from dapalloc.bench import grid_2ue, write_table_csv
+    from dapalloc.bench import grid_2ue, write_summary_json, write_table_csv
     from dapalloc.scenario import two_ue_grid
 
     cfg = _load_config(args.config)
@@ -186,10 +181,10 @@ def _cmd_grid_2ue(args: argparse.Namespace) -> int:
     grid = two_ue_grid(lo, hi, step, sc)
     rows = grid_2ue(sc, grid, args.workers)
     write_table_csv(rows, _out_path(args.out, "grid_2ue.csv"))
-    _write_json(
-        _out_path(args.out, "grid_2ue_summary.json"),
+    write_summary_json(
         {"scenario": sc.to_dict(), "pl_lo_db": lo, "pl_hi_db": hi,
          "pl_step_db": step, "n_cells": len(rows)},
+        _out_path(args.out, "grid_2ue_summary.json"),
     )
     print(f"wrote grid_2ue.csv ({len(rows)} cells) to {args.out}")
     return 0
@@ -283,6 +278,7 @@ def _cmd_linklevel(args: argparse.Namespace) -> int:
 
 
 def _cmd_hessian_check(args: argparse.Namespace) -> int:
+    from dapalloc.bench import write_summary_json
     from dapalloc.nonconvexity import (
         find_indefinite_point,
         probes_to_csv,
@@ -305,7 +301,7 @@ def _cmd_hessian_check(args: argparse.Namespace) -> int:
             "step": witness.step,
             "eigenvalues": list(witness.eigenvalues),
         }
-    _write_json(_out_path(args.out, "hessian_summary.json"), summary)
+    write_summary_json(summary, _out_path(args.out, "hessian_summary.json"))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -409,7 +405,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         and bool(np.all(g[wf == 0] >= mu - 1e-9)),
     )
 
-    cfg = SystemConfig(m_antennas=64, n_users=4, p_max=0.01, bandwidth_hz=18e6)
+    cfg = SystemConfig(m_antennas=64, p_max=0.01, bandwidth_hz=18e6)
     ues = UeSet(
         beta=np.array([1e-10, 3e-10, 1e-9, 5e-9]),
         noise_w=np.full(4, 7.2e-14),

@@ -7,7 +7,7 @@ and raises the distortion floor.  The derivative of the sum-rate in P
 factors (for the ideal-clipper amplifier) into a positive per-user
 factor, a positive common factor, and the scalar "power balance"
 
-    balance(P) = 2 sigma^2 / (sqrt(pi) beta eta M p_max)
+    balance(P) = 2 sigma^2 / (sqrt(pi) beta ETA M p_max)
                  - erfc(sqrt(psi)) / sqrt(psi),        psi = M p_max / P,
 
 which is strictly decreasing in P with exactly one root per user.  The
@@ -29,9 +29,12 @@ from typing import Optional
 
 import numpy as np
 
-from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
+from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate, zf_gain
 from dapalloc.numerics import erfc, erfcx, lambert_w0_of_log
 from dapalloc.pa_model import (
+    _ERFCX_SWITCH,
+    _SQRT_PI,
+    ETA,
     SOFT_LIMITER,
     PaModel,
     bussgang_gain_soft,
@@ -45,13 +48,10 @@ __all__ = [
     "power_balance",
     "root_bounds",
     "sum_rate_derivative",
+    "default_delta",
     "solve_dapa",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
-# Above this back-off, erfc(sqrt(psi)) underflows relative to the rest of
-# the expression and the scaled-erfcx route is used instead.
-_ERFCX_SWITCH = 25.0
 _GUARD_SAMPLES = 32
 
 
@@ -118,7 +118,7 @@ def power_balance(total_power_p: float, sigma2, beta, cfg: SystemConfig):
     psi = input_backoff(total_power_p, cfg.m_antennas, cfg.p_max)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    lead = 2.0 * sigma2 / (_SQRT_PI * beta * cfg.eta * cfg.m_antennas * cfg.p_max)
+    lead = 2.0 * sigma2 / (_SQRT_PI * beta * ETA * cfg.m_antennas * cfg.p_max)
     out = lead - _erfc_over_sqrt(psi)
     return float(out) if out.ndim == 0 else out
 
@@ -130,7 +130,7 @@ def root_bounds(sigma2: float, beta: float, cfg: SystemConfig) -> tuple[float, f
     equation into ``w * e^w = arg`` form, giving
 
         P_lower = 2 M p_max / W(pi/2 * r^2),
-        P_upper = 4 M p_max / W(e/2  * r^2),   r = beta eta M p_max / sigma^2.
+        P_upper = 4 M p_max / W(e/2  * r^2),   r = beta ETA M p_max / sigma^2.
 
     Both W arguments are passed as logarithms (r^2 overflows double
     precision for strong channels).  Scaling sigma2 and beta together
@@ -138,9 +138,7 @@ def root_bounds(sigma2: float, beta: float, cfg: SystemConfig) -> tuple[float, f
     """
     if sigma2 <= 0 or beta <= 0:
         raise ValueError("noise and channel gain must be positive")
-    log_ratio = math.log(beta * cfg.eta * cfg.m_antennas * cfg.p_max) - math.log(
-        sigma2
-    )
+    log_ratio = math.log(beta * ETA * cfg.m_antennas * cfg.p_max) - math.log(sigma2)
     log_arg_lower = math.log(math.pi / 2.0) + 2.0 * log_ratio
     log_arg_upper = 1.0 - math.log(2.0) + 2.0 * log_ratio
     w_lower = float(lambert_w0_of_log(log_arg_lower))
@@ -168,7 +166,7 @@ def sum_rate_derivative(
 
     # Amplifier state (ideal clipper).
     lam = bussgang_gain_soft(psi)
-    dist = cfg.eta * distortion_coeff_soft(psi) * total_power_p
+    dist = ETA * distortion_coeff_soft(psi) * total_power_p
 
     active = omega > 0.0
     if not np.any(active):
@@ -177,7 +175,7 @@ def sum_rate_derivative(
     sigma2 = ues.noise_w[active]
     w = omega[active]
 
-    array_gain = cfg.m_antennas - cfg.n_users
+    array_gain = zf_gain(cfg, ues)
     denom = sigma2 + beta * dist
     gamma = array_gain * lam * w * total_power_p * beta / denom
 
@@ -189,10 +187,11 @@ def sum_rate_derivative(
         * beta
         / denom**2
     )
+    # 1 - e^-psi - psi e^-psi ~ psi^2 / 2 at small psi; expm1 avoids the cancellation
     exp_neg = math.exp(-psi) if psi <= 700.0 else 0.0
-    common = math.sqrt(lam) * (1.0 - exp_neg - psi * exp_neg)
+    common = math.sqrt(lam) * (-math.expm1(-psi) - psi * exp_neg)
     balance = power_balance(total_power_p, sigma2, beta, cfg)
-    scale = (_SQRT_PI / 2.0) * beta * cfg.eta * cfg.m_antennas * cfg.p_max
+    scale = (_SQRT_PI / 2.0) * beta * ETA * cfg.m_antennas * cfg.p_max
     return float(np.sum(rate_factor * common * scale * balance))
 
 
@@ -235,6 +234,11 @@ def _bisect_on_sign(
     return 0.5 * (lo + hi), iterations
 
 
+def default_delta(cfg: SystemConfig) -> float:
+    """The solvers' default bracket-width stop, 1e-6 * M * p_max watts."""
+    return 1e-6 * cfg.m_antennas * cfg.p_max
+
+
 def solve_dapa(
     ues: UeSet,
     omega: np.ndarray,
@@ -249,7 +253,7 @@ def solve_dapa(
     derivative must be nonnegative at the left end and nonpositive at
     the right end; a violation raises :class:`SolverError` with
     diagnostics.  ``delta`` is the absolute bracket-width stop (watts),
-    defaulting to 1e-6 * M * p_max.
+    defaulting to :func:`default_delta`.
 
     After bisection the sum rate is sampled at 32 log-spaced points of
     the bracket; if any sample beats the bisection root (possible only
@@ -258,7 +262,7 @@ def solve_dapa(
     wins.  This guard keeps the common single-root case untouched.
     """
     if delta is None:
-        delta = 1e-6 * cfg.m_antennas * cfg.p_max
+        delta = default_delta(cfg)
     if delta <= 0:
         raise ValueError("delta must be positive")
     omega = np.asarray(omega, dtype=np.float64)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dapalloc.metrics import SystemConfig, UeSet
+from dapalloc.metrics import SystemConfig, UeSet, zf_gain
 from dapalloc.pa_model import PaOperatingPoint
 
 __all__ = [
@@ -67,9 +67,7 @@ def breakpoints(
     """
     if total_power_p <= 0:
         raise ValueError("total power must be positive")
-    if ues.n_users != cfg.n_users:
-        raise ValueError("user set size does not match SystemConfig.n_users")
-    array_gain = cfg.m_antennas - cfg.n_users
+    array_gain = zf_gain(cfg, ues)
     g = (ues.noise_w + ues.beta * op.effective_distortion) / (
         array_gain * op.lam * total_power_p * ues.beta
     )

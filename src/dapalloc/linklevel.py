@@ -3,7 +3,7 @@
 The analytic rate model rests on one claim: a precoded OFDM signal
 driven through per-antenna clippers behaves, in-band, like the same
 signal scaled by ``sqrt(lam(psi))`` plus uncorrelated distortion noise
-of power ``eta * dist_coeff(psi) * P``.  This module checks that claim
+of power ``ETA * dist_coeff(psi) * P``.  This module checks that claim
 end to end, with no analytic shortcuts on the signal path:
 
 1. draw i.i.d. unit-variance complex-Gaussian channel coefficients,
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dapalloc.pa_model import bussgang_gain_soft, distortion_coeff_soft
+from dapalloc.pa_model import ETA, bussgang_gain_soft, distortion_coeff_soft
 
 __all__ = [
     "LinkSimConfig",
@@ -48,7 +48,6 @@ __all__ = [
 _COND_LIMIT = 1e8
 _MAX_REDRAW_ROUNDS = 100
 _SYMBOL_CHUNK = 24
-_ETA = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,8 @@ def analytic_sdr_db(
 ) -> float:
     """Closed-form zero-noise SDR prediction at a back-off value.
 
-    ZF:  (M - K) * lam / (K * eta * c)
-    MRT:  M * lam / (K * eta * c + lam * (K - 1))
+    ZF:  (M - K) * lam / (K * ETA * c)
+    MRT:  M * lam / (K * ETA * c + lam * (K - 1))
 
     with lam and c the clipper gain/distortion at that back-off.  The
     value diverges (+inf dB) once c underflows at very large back-off.
@@ -135,10 +134,10 @@ def analytic_sdr_db(
     coeff = distortion_coeff_soft(psi)
     if precoder == "zf":
         num = (m_antennas - n_users) * lam
-        den = n_users * _ETA * coeff
+        den = n_users * ETA * coeff
     elif precoder == "mrt":
         num = m_antennas * lam
-        den = n_users * _ETA * coeff + lam * (n_users - 1)
+        den = n_users * ETA * coeff + lam * (n_users - 1)
     else:
         raise ValueError("precoder must be 'zf' or 'mrt'")
     if den == 0.0:

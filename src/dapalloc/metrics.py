@@ -5,9 +5,11 @@ The model: an M-antenna base station serves K single-antenna users over
 ``B = n_subcarriers * delta_f``).  Every antenna's amplifier clips at
 per-antenna saturation power ``p_max``; the Bussgang decomposition turns
 the clipping into a linear gain ``lam`` and an additive distortion of
-power ``D = eta * dist_coeff * P`` at the transmitter, where ``eta`` is
+power ``D = ETA * dist_coeff * P`` at the transmitter, where ``ETA`` is
 the precoder efficiency (2/3 for the precoders considered here) and
-``P`` the total transmit power split as ``p_k = omega_k * P``.
+``P`` the total transmit power split as ``p_k = omega_k * P``.  K is
+the length of the user set, so a :class:`SystemConfig` states only the
+base station.
 
 With large-scale channel gains ``beta_k``, per-user noise powers
 ``sigma_k^2`` and channel-estimation error fractions ``delta_k``, every
@@ -20,6 +22,7 @@ with array gain ``g`` and interference leakage ``l_k`` set by the
 precoder:
 
 * zero-forcing (``"zf"``):            g = M - K, l_k = 0, delta_k = 0
+  (:func:`zf_gain`)
 * maximum ratio (``"mrt"``):          g = M,     l_k = 1, delta_k = 0
 * zero-forcing, imperfect CSI
   (``"zf_icsi"``):                    g = M - K, l_k = delta_k
@@ -36,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from dapalloc.pa_model import (
+    ETA,
     RAPP,
     SOFT_LIMITER,
     PaModel,
@@ -53,6 +57,7 @@ __all__ = [
     "Allocation",
     "EvalReport",
     "operating_point_at",
+    "zf_gain",
     "sindr",
     "rates",
     "evaluate",
@@ -64,37 +69,29 @@ _OMEGA_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Static system parameters shared by all solvers and metrics.
+    """The base station, shared by all solvers and metrics.
+
+    The user count K is the length of the :class:`UeSet` it serves
+    (:func:`zf_gain` checks K < M) and the precoder efficiency is the
+    constant :data:`~dapalloc.pa_model.ETA`.
 
     Attributes:
         m_antennas: number of base-station antennas M.
-        n_users: number of served users K (must satisfy K < M so the
-            zero-forcing array gain M - K stays positive).
         p_max: per-antenna amplifier saturation power in watts.
         bandwidth_hz: total signal bandwidth B in Hz.
-        eta: precoder efficiency scaling the radiated distortion; 2/3
-            for both precoders used here.
         pa: amplifier law used when evaluating operating points.
     """
 
     m_antennas: int
-    n_users: int
     p_max: float
     bandwidth_hz: float
-    eta: float = 2.0 / 3.0
     pa: PaModel = field(default_factory=PaModel)
 
     def __post_init__(self) -> None:
-        if self.n_users < 1:
-            raise ValueError("need at least one user")
-        if self.m_antennas <= self.n_users:
-            raise ValueError("antenna count must exceed user count")
         if self.p_max <= 0:
             raise ValueError("p_max must be positive")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be positive")
-        if not 0 < self.eta <= 1:
-            raise ValueError("eta must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -114,6 +111,8 @@ class UeSet:
 
     def __post_init__(self) -> None:
         beta = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))
+        if beta.size == 0:
+            raise ValueError("need at least one user")
         noise = np.atleast_1d(np.asarray(self.noise_w, dtype=np.float64))
         if noise.size == 1 and beta.size > 1:
             noise = np.full(beta.shape, noise.item())
@@ -193,15 +192,16 @@ def operating_point_at(cfg: SystemConfig, total_power_p: float) -> PaOperatingPo
         coeff = distortion_coeff_rapp(psi, cfg.pa.smoothness_p)
     else:  # pragma: no cover - PaModel validates kind
         raise ValueError(f"unknown amplifier kind {cfg.pa.kind!r}")
-    dist = cfg.eta * coeff * total_power_p
+    dist = ETA * coeff * total_power_p
     return PaOperatingPoint(psi, float(lam), float(coeff), dist)
 
 
-def _check_shapes(cfg: SystemConfig, ues: UeSet, alloc: Allocation) -> None:
-    if ues.n_users != cfg.n_users:
-        raise ValueError("user set size does not match SystemConfig.n_users")
-    if alloc.omega.size != cfg.n_users:
-        raise ValueError("allocation size does not match SystemConfig.n_users")
+def zf_gain(cfg: SystemConfig, ues: UeSet) -> int:
+    """Zero-forcing array gain M - K of the base station serving ``ues``."""
+    gain = cfg.m_antennas - ues.n_users
+    if gain < 1:
+        raise ValueError("antenna count must exceed user count")
+    return gain
 
 
 def sindr(
@@ -221,8 +221,9 @@ def sindr(
     With ``delta_k = 0`` the imperfect-CSI SINDR is bitwise the
     zero-forcing one.
     """
-    _check_shapes(cfg, ues, alloc)
-    gain = cfg.m_antennas - cfg.n_users
+    if alloc.omega.size != ues.n_users:
+        raise ValueError("allocation size does not match the user set")
+    gain = zf_gain(cfg, ues)
     if precoder == "mrt":
         gain, delta, leak = cfg.m_antennas, 0.0, 1.0
     elif precoder == "zf_icsi":

@@ -22,7 +22,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
-from dapalloc.pa_model import PaModel
 
 __all__ = [
     "HessianProbe",
@@ -69,14 +68,7 @@ def reference_two_user_setup() -> tuple[SystemConfig, UeSet]:
     (110 dB path loss) and one strong user (70 dB), with the noise power
     pinned at 5.97e-14 W.
     """
-    cfg = SystemConfig(
-        m_antennas=64,
-        n_users=2,
-        p_max=0.01,
-        bandwidth_hz=18e6,
-        eta=2.0 / 3.0,
-        pa=PaModel(),
-    )
+    cfg = SystemConfig(m_antennas=64, p_max=0.01, bandwidth_hz=18e6)
     ues = UeSet(
         beta=np.array([1e-11, 1e-7]),
         noise_w=np.array([5.97e-14, 5.97e-14]),
@@ -144,7 +136,7 @@ def hessian_eigs(
     step-dependent (e.g. step below the rounding floor of the rate).
     """
     p1, p2 = float(probe_point[0]), float(probe_point[1])
-    if ues.n_users != 2 or cfg.n_users != 2:
+    if ues.n_users != 2:
         raise ValueError("curvature probes are defined for the 2-user problem")
     if step is None:
         step = _DEFAULT_STEP_FACTOR * (p1 + p2)

@@ -136,6 +136,20 @@ def _erfcx_large(y: np.ndarray) -> np.ndarray:
     return (_ONE_OVER_SQRT_PI - r) / y
 
 
+def _erfcx_tail(y: np.ndarray) -> np.ndarray:
+    """exp(y^2) * erfc(y) for y > 0.46875: the mid and large regions."""
+    # one-region arrays (every scalar call) skip the masked assembly
+    large = y > _REGION_MID
+    if not np.any(large):
+        return _erfcx_mid(y)
+    if np.all(large):
+        return _erfcx_large(y)
+    out = np.empty_like(y)
+    out[~large] = _erfcx_mid(y[~large])
+    out[large] = _erfcx_large(y[large])
+    return out
+
+
 def _exp_neg_sq(y: np.ndarray) -> np.ndarray:
     """exp(-y^2) with reduced rounding for large y.
 
@@ -172,23 +186,18 @@ def erfc(x):
         out = np.empty_like(y)
 
         small = y <= _REGION_SMALL
-        mid = (y > _REGION_SMALL) & (y <= _REGION_MID)
-        large = y > _REGION_MID
-
+        tail = ~small
         if np.any(small):
             out[small] = 1.0 - _erf_small(ax[small])
-        if np.any(mid):
-            ym = y[mid]
-            out[mid] = _erfcx_mid(ym) * _exp_neg_sq(ym)
-        if np.any(large):
-            yl = y[large]
+        if np.any(tail):
+            yt = y[tail]
             with np.errstate(under="ignore"):
-                out[large] = _erfcx_large(yl) * _exp_neg_sq(yl)
+                out[tail] = _erfcx_tail(yt) * _exp_neg_sq(yt)
 
         neg = ax < 0
         if np.any(neg):
             # erf is odd; the small-region branch already handled signs.
-            flip = neg & ~small
+            flip = neg & tail
             out[flip] = 2.0 - out[flip]
         return out
 
@@ -213,16 +222,12 @@ def erfcx(x):
         out = np.empty_like(ax)
 
         small = ax <= _REGION_SMALL
-        mid = (ax > _REGION_SMALL) & (ax <= _REGION_MID)
-        large = ax > _REGION_MID
-
+        tail = ~small
         if np.any(small):
             xs = ax[small]
             out[small] = np.exp(xs * xs) * (1.0 - _erf_small(xs))
-        if np.any(mid):
-            out[mid] = _erfcx_mid(ax[mid])
-        if np.any(large):
-            out[large] = _erfcx_large(ax[large])
+        if np.any(tail):
+            out[tail] = _erfcx_tail(ax[tail])
         return out
 
     return _dispatch_unary(x, core)

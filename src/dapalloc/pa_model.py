@@ -19,9 +19,9 @@ Two amplifier laws are supported:
   As ``p -> inf`` the Rapp curves converge to the soft limiter.
 
 The fraction ``dist_coeff`` returned here is normalized to the input
-power, so the distortion power seen by a receiver with precoder
-efficiency ``eta`` is ``eta * dist_coeff * P`` (the
-``effective_distortion`` of :class:`PaOperatingPoint`).
+power, so the distortion power seen by a receiver is
+``ETA * dist_coeff * P`` (the ``effective_distortion`` of
+:class:`PaOperatingPoint`), with :data:`ETA` the precoder efficiency.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from dapalloc.numerics import erfc, erfcx, integrate_semi_infinite
 
 __all__ = [
+    "ETA",
     "SOFT_LIMITER",
     "RAPP",
     "PaModel",
@@ -47,6 +48,10 @@ __all__ = [
 
 SOFT_LIMITER = "soft_limiter"
 RAPP = "rapp"
+
+# Precoder efficiency: the share of the amplifier distortion a user
+# receives, 2/3 for both the zero-forcing and the maximum-ratio precoder.
+ETA = 2.0 / 3.0
 
 # Beyond this back-off the closed forms are evaluated through erfcx to
 # dodge underflow of erfc(sqrt(psi)); see bussgang_gain_soft.
@@ -84,7 +89,7 @@ class PaOperatingPoint:
         lam: Bussgang linear gain factor (the power gain lambda, not the
             amplitude gain sqrt(lambda)).
         dist_coeff: distortion power as a fraction of the input power.
-        effective_distortion: eta * dist_coeff * P, the distortion power
+        effective_distortion: ETA * dist_coeff * P, the distortion power
             after precoder-efficiency scaling, in watts.
     """
 

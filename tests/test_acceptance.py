@@ -46,8 +46,8 @@ BW_HZ = 1200 * 15e3
 NOISE_W = noise_power_w(1200, 15e3)  # 7.165929069962951e-14 W full band
 
 
-def _homog_config(m: int, k: int, p_max: float) -> SystemConfig:
-    return SystemConfig(m_antennas=m, n_users=k, p_max=p_max, bandwidth_hz=BW_HZ)
+def _homog_config(m: int, p_max: float) -> SystemConfig:
+    return SystemConfig(m_antennas=m, p_max=p_max, bandwidth_hz=BW_HZ)
 
 
 def _homog_ues(pl_db: float, k: int, noise_w: float = NOISE_W) -> UeSet:
@@ -60,7 +60,7 @@ def _ibo_db(cfg: SystemConfig, alloc: Allocation) -> float:
 
 
 def _optimal_ibo_db(pl_db: float, m: int, k: int, p_max: float, noise_w: float = NOISE_W):
-    cfg = _homog_config(m, k, p_max)
+    cfg = _homog_config(m, p_max)
     alloc = dapa_e(_homog_ues(pl_db, k, noise_w), cfg)
     return _ibo_db(cfg, alloc), alloc
 
@@ -74,7 +74,7 @@ def _random_instances(rng: np.random.Generator, n: int):
         m = int(rng.choice([32, 64, 128, 512]))
         p_max = float(rng.choice([0.01, 0.1]))
         pl_db = rng.uniform(70.0, 150.0, size=k)
-        cfg = _homog_config(m, k, p_max)
+        cfg = _homog_config(m, p_max)
         ues = UeSet(beta=10.0 ** (-pl_db / 10.0), noise_w=NOISE_W)
         yield cfg, ues
 
@@ -185,7 +185,7 @@ def test_c05_two_user_gain_extreme_and_diagonal():
     the symmetric (100, 100) point gives a ratio in [0.98, 1.05]."""
 
     def ratio(pl1_db: float, pl2_db: float) -> float:
-        cfg = _homog_config(64, 2, 0.01)
+        cfg = _homog_config(64, 0.01)
         beta = 10.0 ** (-np.array([pl1_db, pl2_db]) / 10.0)
         ues = UeSet(beta=beta, noise_w=NOISE_W)
         best, _ = alternating_optimize(ues, cfg)
@@ -282,7 +282,7 @@ def test_c08_waterfill_bisect_and_grid_agreement():
 
     divisions = {2: 100, 3: 60, 4: 30}
     for k, n in divisions.items():
-        cfg = _homog_config(64, k, 0.1)
+        cfg = _homog_config(64, 0.1)
         total_p = 64 * 0.1 / 10.0 ** 0.6  # a 6 dB back-off operating point
         op = operating_point_at(cfg, total_p)
         grid = _simplex_grid(k, n)
@@ -314,7 +314,7 @@ def test_c09_root_bracket_soundness_1000_pairs():
     change on 1000 random (noise, channel-gain) pairs, at two array sizes."""
     rng = np.random.default_rng(1009)
     for m in (64, 512):
-        cfg = _homog_config(m, 2, 0.01)
+        cfg = _homog_config(m, 0.01)
         for _ in range(1000):
             beta = 10.0 ** rng.uniform(-16.0, -6.0)
             sigma2 = 10.0 ** rng.uniform(-15.0, -12.0)

@@ -20,8 +20,8 @@ from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
 NOISE_FULLBAND = 7.165929069962951e-14
 
 
-def _cfg(m=64, k=4, p_max=0.01):
-    return SystemConfig(m_antennas=m, n_users=k, p_max=p_max, bandwidth_hz=18e6)
+def _cfg(m=64, p_max=0.01):
+    return SystemConfig(m_antennas=m, p_max=p_max, bandwidth_hz=18e6)
 
 
 def _mixed_ues(k=4, seed=11):
@@ -37,7 +37,7 @@ def test_registry_contents():
 
 def test_ref_e_frozen_power():
     # M p_max / 10^0.6 at M = 64, p_max = 0.1 (mpmath)
-    cfg = _cfg(k=4, p_max=0.1)
+    cfg = _cfg(p_max=0.1)
     alloc = ref_e(_mixed_ues(), cfg)
     assert alloc.total_power_p == pytest.approx(1.6076073161661312711, rel=1e-14)
     np.testing.assert_allclose(alloc.omega, 0.25, rtol=0)
@@ -69,7 +69,7 @@ def test_ao_converges_with_monotone_trace():
 
 
 def test_dominance_ladder_on_one_instance():
-    cfg = _cfg(k=6)
+    cfg = _cfg()
     ues = _mixed_ues(k=6, seed=5)
 
     def rate(alloc):
@@ -86,7 +86,7 @@ def test_dominance_ladder_on_one_instance():
 def test_homogeneous_fpda_keeps_equal_split():
     """Identical users: water-filling has nothing to move, so the joint
     optimizer and the equal-split optimizer coincide."""
-    cfg = _cfg(k=20, m=64)
+    cfg = _cfg()
     ues = UeSet(beta=np.full(20, 1e-10), noise_w=np.full(20, NOISE_FULLBAND))
     joint, _ = alternating_optimize(ues, cfg, delta=1e-9)
     equal = solve_dapa(ues, np.full(20, 0.05), cfg, delta=1e-9)
@@ -95,7 +95,7 @@ def test_homogeneous_fpda_keeps_equal_split():
 
 
 def test_dapa_e_improves_on_ref_e_at_cell_edge():
-    cfg = _cfg(k=2)
+    cfg = _cfg()
     ues = UeSet(beta=np.full(2, 1e-13), noise_w=np.full(2, NOISE_FULLBAND))
     opt = dapa_e(ues, cfg)
     base = ref_e(ues, cfg)

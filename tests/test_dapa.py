@@ -17,12 +17,13 @@ from dapalloc.dapa import (
     sum_rate_derivative,
 )
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
+from dapalloc.pa_model import ETA
 
 NOISE_FULLBAND = 7.165929069962951e-14  # 1200 x 15 kHz thermal, watts
 
 
-def _cfg(m=64, k=20, p_max=0.01):
-    return SystemConfig(m_antennas=m, n_users=k, p_max=p_max, bandwidth_hz=18e6)
+def _cfg(m=64, p_max=0.01):
+    return SystemConfig(m_antennas=m, p_max=p_max, bandwidth_hz=18e6)
 
 
 def _homog_ues(k, beta=1e-10, noise=NOISE_FULLBAND):
@@ -78,7 +79,7 @@ def test_balance_tail_continuous_across_erfcx_switch():
 
 
 def test_balance_matches_brentq_root():
-    cfg = _cfg(k=1, p_max=0.1)
+    cfg = _cfg(p_max=0.1)
     lo, hi = root_bounds(7.2e-14, 1e-10, cfg)
     root = scipy.optimize.brentq(
         lambda p: power_balance(p, 7.2e-14, 1e-10, cfg), lo, hi, xtol=1e-12
@@ -136,7 +137,7 @@ def test_root_bounds_validation():
 def test_derivative_matches_finite_difference():
     """Analytic dR/dP against a central difference of the evaluated rate."""
     rng = np.random.default_rng(99)
-    cfg = _cfg(k=4)
+    cfg = _cfg()
     for _ in range(25):
         beta = 10 ** rng.uniform(-13, -9, size=4)
         ues = UeSet(beta=beta, noise_w=np.full(4, NOISE_FULLBAND))
@@ -152,14 +153,13 @@ def test_derivative_matches_finite_difference():
 
 
 def test_derivative_ignores_zero_fraction_users():
-    cfg = _cfg(k=3)
+    cfg = _cfg()
     ues = UeSet(
         beta=np.array([1e-10, 1e-11, 1e-15]), noise_w=np.full(3, NOISE_FULLBAND)
     )
     full = sum_rate_derivative(0.3, ues, np.array([0.6, 0.4, 0.0]), cfg)
-    cfg2 = _cfg(k=2)
     ues2 = UeSet(beta=ues.beta[:2], noise_w=ues.noise_w[:2])
-    two = sum_rate_derivative(0.3, ues2, np.array([0.6, 0.4]), cfg2)
+    two = sum_rate_derivative(0.3, ues2, np.array([0.6, 0.4]), cfg)
     # array gain differs (M-K), so only the structure is comparable; the
     # zero-fraction user must contribute nothing within the same config
     alt = sum_rate_derivative(0.3, ues, np.array([0.6, 0.4, 1e-300]), cfg)
@@ -168,7 +168,7 @@ def test_derivative_ignores_zero_fraction_users():
 
 
 def test_derivative_sign_helper():
-    cfg = _cfg(k=1)
+    cfg = _cfg()
     ues = _homog_ues(1)
     omega = np.array([1.0])
     p_star = 0.64 / PSI_STAR[(0.01, 64)]
@@ -184,7 +184,7 @@ def test_nan_derivative_stops_the_solver(monkeypatch):
     # a NaN derivative has no sign; bisection must fail, not pick a side
     monkeypatch.setattr(dapa, "sum_rate_derivative", lambda *args: math.nan)
     with pytest.raises(ValueError):
-        solve_dapa(_homog_ues(1), np.array([1.0]), _cfg(k=1))
+        solve_dapa(_homog_ues(1), np.array([1.0]), _cfg())
 
 
 # -------------------------------------------------------------- solve_dapa
@@ -220,7 +220,7 @@ def test_solver_iteration_bound_and_residual():
 
 
 def test_solver_matches_single_user_brentq():
-    cfg = _cfg(k=1, p_max=0.1)
+    cfg = _cfg(p_max=0.1)
     ues = UeSet(beta=np.array([1e-10]), noise_w=np.array([7.2e-14]))
     res = solve_dapa(ues, np.array([1.0]), cfg, delta=1e-11)
     root = scipy.optimize.brentq(
@@ -235,7 +235,7 @@ def test_solver_matches_single_user_brentq():
 def test_solver_result_is_bracket_optimum():
     """No log-spaced sample of the bracket may beat the returned power."""
     rng = np.random.default_rng(3)
-    cfg = _cfg(k=4)
+    cfg = _cfg()
     for _ in range(10):
         beta = 10 ** rng.uniform(-13, -9, size=4)
         ues = UeSet(beta=beta, noise_w=np.full(4, NOISE_FULLBAND))
@@ -249,7 +249,7 @@ def test_solver_result_is_bracket_optimum():
 
 def test_solver_heterogeneous_interior_root():
     # mixed channels: the optimum sits between each user's own root
-    cfg = _cfg(k=2)
+    cfg = _cfg()
     ues = UeSet(beta=np.array([1e-9, 1e-12]), noise_w=np.full(2, NOISE_FULLBAND))
     omega = np.array([0.5, 0.5])
     res = solve_dapa(ues, omega, cfg, delta=1e-10)
@@ -260,9 +260,9 @@ def test_solver_heterogeneous_interior_root():
 def test_bisection_stops_at_a_one_ulp_bracket(monkeypatch):
     """At P > delta / eps the bracket reaches one float ulp before it
     reaches delta; the bisection then stops instead of looping."""
-    cfg = _cfg(k=1)
-    r = 5.0e-8  # beta eta M p_max / sigma^2
-    beta = r * 7.2e-14 / (cfg.eta * cfg.m_antennas * cfg.p_max)
+    cfg = _cfg()
+    r = 5.0e-8  # beta ETA M p_max / sigma^2
+    beta = r * 7.2e-14 / (ETA * cfg.m_antennas * cfg.p_max)
     ues = UeSet(beta=np.array([beta]), noise_w=np.array([7.2e-14]))
     calls = []
     real = dapa.sum_rate_derivative
@@ -283,7 +283,7 @@ def test_bisection_stops_at_a_one_ulp_bracket(monkeypatch):
 
 
 def test_solver_validation():
-    cfg = _cfg(k=2)
+    cfg = _cfg()
     ues = UeSet(beta=np.array([1e-10, 1e-11]), noise_w=np.full(2, NOISE_FULLBAND))
     with pytest.raises(ValueError):
         solve_dapa(ues, np.array([0.5, 0.5]), cfg, delta=0.0)

@@ -94,7 +94,7 @@ def test_optimality_against_brute_force():
 
 
 def test_breakpoints_construction():
-    cfg = SystemConfig(m_antennas=64, n_users=2, p_max=0.01, bandwidth_hz=18e6)
+    cfg = SystemConfig(m_antennas=64, p_max=0.01, bandwidth_hz=18e6)
     ues = UeSet(beta=np.array([1e-10, 5e-12]), noise_w=7.165929069962951e-14)
     op = operating_point_at(cfg, 0.2)
     prob = breakpoints(ues, cfg, 0.2, op)

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from dapalloc.allocator import ALGORITHMS
+from dapalloc.dapa import solve_dapa, sum_rate_derivative
+from dapalloc.fpda import breakpoints
 from dapalloc.metrics import (
     Allocation,
     EvalReport,
@@ -21,8 +24,8 @@ from dapalloc.pa_model import PaModel, bussgang_gain_rapp
 RNG = np.random.default_rng(20240817)
 
 
-def _cfg(m=64, k=2, p_max=0.01, bw=18e6, **kw):
-    return SystemConfig(m_antennas=m, n_users=k, p_max=p_max, bandwidth_hz=bw, **kw)
+def _cfg(m=64, p_max=0.01, bw=18e6, **kw):
+    return SystemConfig(m_antennas=m, p_max=p_max, bandwidth_hz=bw, **kw)
 
 
 # ---------------------------------------------------------------- dataclasses
@@ -30,17 +33,31 @@ def _cfg(m=64, k=2, p_max=0.01, bw=18e6, **kw):
 
 def test_system_config_validation():
     with pytest.raises(ValueError):
-        _cfg(m=2, k=2)  # array gain would vanish
-    with pytest.raises(ValueError):
-        _cfg(k=0)
-    with pytest.raises(ValueError):
         _cfg(p_max=0.0)
     with pytest.raises(ValueError):
         _cfg(bw=-1.0)
-    with pytest.raises(ValueError):
-        _cfg(eta=0.0)
-    with pytest.raises(ValueError):
-        _cfg(eta=1.5)
+
+
+_TWO = UeSet(beta=np.full(2, 1e-10), noise_w=7.2e-14, csi_delta=np.full(2, 0.1))
+_HALF = np.full(2, 0.5)
+_USER_COUNT_CASES = {
+    "UeSet-empty": lambda cfg: UeSet(beta=np.array([]), noise_w=np.array([])),
+    "evaluate-zf": lambda cfg: evaluate(cfg, _TWO, Allocation(0.01, _HALF), "zf"),
+    "evaluate-mrt": lambda cfg: evaluate(cfg, _TWO, Allocation(0.01, _HALF), "mrt"),
+    "evaluate-zf_icsi": lambda cfg: evaluate(cfg, _TWO, Allocation(0.01, _HALF), "zf_icsi"),
+    "breakpoints": lambda cfg: breakpoints(_TWO, cfg, 0.01, operating_point_at(cfg, 0.01)),
+    "sum_rate_derivative": lambda cfg: sum_rate_derivative(0.01, _TWO, _HALF, cfg),
+    "solve_dapa": lambda cfg: solve_dapa(_TWO, _HALF, cfg),
+    **{label: (lambda cfg, run=run: run(_TWO, cfg)) for label, run in ALGORITHMS.items()},
+}
+
+
+@pytest.mark.parametrize("case", _USER_COUNT_CASES.values(), ids=list(_USER_COUNT_CASES))
+def test_user_count_is_checked(case):
+    # K is the user set's length: two users on two antennas leave no
+    # zero-forcing array gain, and a set needs at least one user
+    with pytest.raises(ValueError, match="user"):
+        case(_cfg(m=2))
 
 
 def test_ueset_broadcast_and_validation():
@@ -132,7 +149,7 @@ ZF_CEILING_DB = {
 @pytest.mark.parametrize("k", [1, 4])
 def test_zf_distortion_ceiling(k):
     """Vanishing noise leaves the closed-form distortion-limited SINDR."""
-    cfg = _cfg(k=k)
+    cfg = _cfg()
     ues = UeSet(beta=np.full(k, 1e-8), noise_w=np.full(k, 1e-45))
     for ibo_db, want_db in zip([-2, 0, 2, 4, 6, 8], ZF_CEILING_DB[k]):
         psi = 10 ** (ibo_db / 10)
@@ -144,7 +161,7 @@ def test_zf_distortion_ceiling(k):
 
 def test_zf_scale_invariance_exact():
     """Scaling beta and noise by the same power of two changes nothing."""
-    cfg = _cfg(k=3, m=32)
+    cfg = _cfg(m=32)
     beta = np.array([1e-10, 4e-12, 8e-11])
     noise = np.array([7e-14, 7e-14, 9e-14])
     alloc = Allocation(0.11, np.array([0.2, 0.5, 0.3]))
@@ -157,7 +174,7 @@ def test_zf_scale_invariance_exact():
 def test_mrt_vs_zf_single_user():
     # K = 1 has no multi-user interference; the precoders differ only in
     # array gain, M versus M - K
-    cfg = SystemConfig(m_antennas=64, n_users=1, p_max=0.01, bandwidth_hz=18e6)
+    cfg = SystemConfig(m_antennas=64, p_max=0.01, bandwidth_hz=18e6)
     ues = UeSet(beta=np.array([1e-11]), noise_w=7.2e-14)
     alloc = Allocation(0.3, np.array([1.0]))
     op = operating_point_at(cfg, alloc.total_power_p)
@@ -166,7 +183,7 @@ def test_mrt_vs_zf_single_user():
 
 
 def test_mrt_interference_hurts():
-    cfg = _cfg(k=2)
+    cfg = _cfg()
     ues = UeSet(beta=np.array([1e-10, 1e-10]), noise_w=7.2e-14)
     alloc = Allocation(0.2, np.array([0.5, 0.5]))
     op = operating_point_at(cfg, alloc.total_power_p)
@@ -177,7 +194,7 @@ def test_mrt_interference_hurts():
 
 def test_icsi_zero_delta_is_bitwise_zf():
     """delta = 0 must hit the exact same floats as the perfect-CSI path."""
-    cfg_base = _cfg(k=4, m=128)
+    cfg_base = _cfg(m=128)
     for _ in range(100):
         beta = 10 ** RNG.uniform(-16, -6, size=4)
         noise = 10 ** RNG.uniform(-15, -12, size=4)
@@ -192,7 +209,7 @@ def test_icsi_zero_delta_is_bitwise_zf():
 
 
 def test_icsi_positive_delta_strictly_below_zf():
-    cfg = _cfg(k=3, m=64)
+    cfg = _cfg()
     beta = np.array([1e-10, 1e-11, 1e-12])
     noise = np.full(3, 7.2e-14)
     alloc = Allocation(0.15, np.array([0.3, 0.3, 0.4]))
@@ -212,7 +229,7 @@ def test_icsi_requires_delta():
 
 
 def test_shape_mismatch_rejected():
-    cfg = _cfg(k=2)
+    cfg = _cfg()
     ues3 = UeSet(beta=np.array([1e-10, 1e-11, 1e-12]), noise_w=7.2e-14)
     alloc2 = Allocation(0.1, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):

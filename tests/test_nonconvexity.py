@@ -72,10 +72,9 @@ def test_step_validation():
         hessian_eigs((1e-2, 1e-1), CFG, UES, step=0.0)
     with pytest.raises(ValueError):
         hessian_eigs((1e-6, 1e-1), CFG, UES)  # p1 below 2*default step
-    bad_ues = type(UES)(beta=np.array([1e-10]), noise_w=np.array([1e-13]))
-    bad_cfg = type(CFG)(m_antennas=64, n_users=1, p_max=0.01, bandwidth_hz=18e6)
+    one_user = type(UES)(beta=np.array([1e-10]), noise_w=np.array([1e-13]))
     with pytest.raises(ValueError):
-        hessian_eigs((1e-2, 1e-1), bad_cfg, bad_ues)
+        hessian_eigs((1e-2, 1e-1), CFG, one_user)
 
 
 def test_scan_grid_skips_axis_hugging_points():
