@@ -17,8 +17,6 @@ linklevel
 hessian-check
     Curvature probes of the two-user sum rate; CSV plus a summary
     locating an indefinite point.
-validate
-    Fast self-contained invariant battery; PASS/FAIL per check.
 
 All commands exit 0 on success.  Any failure prints a single-line
 machine-readable JSON object ``{"error": {...}}`` on stdout and exits
@@ -31,7 +29,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from typing import Optional
@@ -203,11 +200,15 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     from dapalloc import bench
 
     cfg = _load_config(args.config)
-    _reject_unknown(cfg, "scenario n_drops algorithms mode smoothness_p csi_delta")
+    mode = cfg.get("mode", "plain")
+    # each mode's own key, accepted in that mode only
+    mode_keys = {"plain": "", "rapp": "smoothness_p", "icsi": "csi_delta"}
+    if not isinstance(mode, str) or mode not in mode_keys:
+        raise ValueError(f"unknown mode {mode!r}; expected plain, rapp, or icsi")
+    _reject_unknown(cfg, "scenario n_drops algorithms mode " + mode_keys[mode])
     sc = _scenario_from(cfg, args.seed)
     n_drops = int(cfg.get("n_drops", 1000))
     algorithms = tuple(cfg.get("algorithms", bench.DEFAULT_ALGORITHMS))
-    mode = cfg.get("mode", "plain")
 
     if mode == "plain":
         results = bench.run_montecarlo(sc, algorithms, n_drops, args.workers)
@@ -219,14 +220,12 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
         paired = {"montecarlo": soft, "montecarlo_rapp": rapp}
-    elif mode == "icsi":
+    else:
         policy = cfg.get("csi_delta", 0.1)
         perfect, icsi = bench.evaluate_icsi_mode(
             sc, n_drops, policy, algorithms, args.workers
         )
         paired = {"montecarlo": perfect, "montecarlo_icsi": icsi}
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected plain, rapp, or icsi")
 
     n_files = 0
     summary: dict = {"scenario": sc.to_dict(), "n_drops": n_drops, "mode": mode}
@@ -249,14 +248,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 def _cmd_linklevel(args: argparse.Namespace) -> int:
     from dapalloc.linklevel import LinkSimConfig, simulate_sdr, write_sdr_csv
 
-    # a "linklevel" section or flat keys (LinkSimConfig rejects unknown ones)
-    cfg = _load_config(args.config)
-    if "linklevel" in cfg:
-        _reject_unknown(cfg, "linklevel scenario")
-    params = dict(cfg.get("linklevel", cfg))
-    params.pop("scenario", None)
-    if "ibo_grid_db" in params:
-        params["ibo_grid_db"] = tuple(float(v) for v in params["ibo_grid_db"])
+    # the keys are LinkSimConfig's fields, which rejects any other
+    params = _load_config(args.config)
     if args.seed is not None:
         params["seed"] = args.seed
     try:
@@ -307,154 +300,6 @@ def _cmd_hessian_check(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# validate
-
-
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    tag = "PASS" if ok else "FAIL"
-    suffix = f": {detail}" if detail and not ok else ""
-    print(f"{tag} {name}{suffix}")
-    return ok
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    """Self-contained invariant battery (no third-party test deps)."""
-    from dapalloc import (
-        Allocation,
-        SolverError,
-        SystemConfig,
-        UeSet,
-        WaterfillProblem,
-        alternating_optimize,
-        bussgang_gain_rapp,
-        bussgang_gain_soft,
-        distortion_coeff_rapp,
-        distortion_coeff_soft,
-        erfc,
-        erfcx,
-        evaluate,
-        lambert_w0,
-        lambert_w0_of_log,
-        ref_e,
-        solve_dapa,
-        solve_fpda,
-        sum_rate_derivative,
-    )
-    from dapalloc.bench import ccdf
-    from dapalloc.scenario import ScenarioConfig, drop_ues
-
-    ok = True
-
-    ok &= _check(
-        "erfc anchor (x=1)",
-        abs(erfc(1.0) - 0.15729920705028513) <= 1e-15,
-    )
-    xs = np.linspace(0.05, 6.0, 40)
-    ok &= _check(
-        "erfcx consistency (erfcx*exp(-x^2) == erfc)",
-        bool(np.all(np.abs(erfcx(xs) * np.exp(-(xs**2)) - erfc(xs)) <= 1e-13)),
-    )
-    ok &= _check(
-        "Lambert W anchor (W(1))",
-        abs(lambert_w0(1.0) - 0.5671432904097838) <= 1e-14,
-    )
-    ws = lambert_w0(np.geomspace(1e-3, 1e3, 25))
-    ok &= _check(
-        "Lambert W round trip (w*exp(w) == x)",
-        bool(
-            np.all(
-                np.abs(ws * np.exp(ws) - np.geomspace(1e-3, 1e3, 25))
-                <= 1e-10 * np.geomspace(1e-3, 1e3, 25)
-            )
-        ),
-    )
-    w_log = lambert_w0_of_log(100.0)
-    ok &= _check(
-        "log-argument Lambert W (w + ln w = 100)",
-        abs(w_log + math.log(w_log) - 100.0) <= 1e-10,
-    )
-
-    psis = np.geomspace(0.3, 30.0, 12)
-    lam = bussgang_gain_soft(psis)
-    c = distortion_coeff_soft(psis)
-    ok &= _check(
-        "clipper power split (lambda + dist == 1 - exp(-psi))",
-        bool(np.all(np.abs(lam + c - (-np.expm1(-psis))) <= 1e-12)),
-    )
-    psi_probe = 10 ** 0.6
-    ok &= _check(
-        "smooth amplifier -> clipper limit (p = 200)",
-        abs(bussgang_gain_rapp(psi_probe, 200.0) - bussgang_gain_soft(psi_probe)) <= 1e-3
-        and abs(distortion_coeff_rapp(psi_probe, 200.0) - distortion_coeff_soft(psi_probe))
-        <= 1e-3,
-    )
-
-    wf = solve_fpda(WaterfillProblem(breakpoints=np.array([0.0, 0.3])))
-    ok &= _check(
-        "water-filling two-user anchor",
-        bool(np.allclose(wf, [0.65, 0.35], rtol=0, atol=1e-12)),
-    )
-    rng = np.random.default_rng(7)
-    g = rng.uniform(0.0, 5.0, size=16)
-    wf = solve_fpda(WaterfillProblem(breakpoints=g))
-    mu = np.max(g[wf > 0] + wf[wf > 0])
-    ok &= _check(
-        "water-filling budget and KKT",
-        abs(wf.sum() - 1.0) <= 1e-12
-        and bool(np.all(np.abs(np.where(wf > 0, g + wf - mu, 0.0)) <= 1e-9))
-        and bool(np.all(g[wf == 0] >= mu - 1e-9)),
-    )
-
-    cfg = SystemConfig(m_antennas=64, p_max=0.01, bandwidth_hz=18e6)
-    ues = UeSet(
-        beta=np.array([1e-10, 3e-10, 1e-9, 5e-9]),
-        noise_w=np.full(4, 7.2e-14),
-    )
-    omega = np.full(4, 0.25)
-    detail = ""
-    try:
-        res = solve_dapa(ues, omega, cfg)
-        sign_change = (
-            sum_rate_derivative(res.bracket_lo, ues, omega, cfg) > 0
-            and sum_rate_derivative(res.bracket_hi, ues, omega, cfg) < 0
-        )
-    except SolverError as exc:
-        sign_change, detail = False, str(exc)
-    ok &= _check("optimizer bracket sign change", sign_change, detail)
-    alloc, trace = alternating_optimize(ues, cfg)
-    ref = ref_e(ues, cfg)
-    gain = evaluate(cfg, ues, alloc, "zf").sum_rate / evaluate(cfg, ues, ref, "zf").sum_rate
-    ok &= _check(
-        "alternating optimizer converges and dominates fixed back-off",
-        trace.converged and gain >= 1.0 - 1e-9,
-    )
-    report = evaluate(cfg, ues, Allocation(alloc.total_power_p, alloc.omega), "zf")
-    ok &= _check(
-        "rate report finite and consistent",
-        math.isfinite(report.sum_rate)
-        and abs(report.sum_rate - float(np.sum(report.rate))) <= 1e-6 * report.sum_rate,
-    )
-
-    series = ccdf([1.0, 2.0, 3.0])
-    ok &= _check(
-        "ccdf definition",
-        bool(np.allclose(series.probabilities, [2 / 3, 1 / 3, 0.0], rtol=0, atol=1e-15)),
-    )
-
-    sc = ScenarioConfig(n_users=8, m_antennas=64, p_max=0.01, seed=123)
-    a = drop_ues(sc, 5)
-    b = drop_ues(sc, 5)
-    other = drop_ues(sc, 6)
-    ok &= _check(
-        "scenario drops deterministic per (seed, drop)",
-        bool(np.array_equal(a.beta, b.beta)) and not bool(np.array_equal(a.beta, other.beta)),
-    )
-
-    print("all checks passed" if ok else "some checks FAILED")
-    return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -477,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "montecarlo": (_cmd_montecarlo, "config seed out workers"),
         "linklevel": (_cmd_linklevel, "config seed out"),
         "hessian-check": (_cmd_hessian_check, "config out"),
-        "validate": (_cmd_validate, ""),
     }
     for name, (handler, names) in commands.items():
         p = sub.add_parser(name)

@@ -33,6 +33,7 @@ and the ergodic rate of user k is ``B * log2(1 + gamma_k)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,10 +89,12 @@ class SystemConfig:
     pa: PaModel = field(default_factory=PaModel)
 
     def __post_init__(self) -> None:
-        if self.p_max <= 0:
-            raise ValueError("p_max must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not isinstance(self.m_antennas, numbers.Integral) or self.m_antennas < 1:
+            raise ValueError("m_antennas must be a positive int")
+        if not 0.0 < self.p_max < math.inf:
+            raise ValueError("p_max must be positive and finite")
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ValueError("bandwidth_hz must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,18 @@ class UeSet:
             noise = np.full(beta.shape, noise.item())
         if beta.shape != noise.shape or beta.ndim != 1:
             raise ValueError("beta and noise_w must be 1-D arrays of equal length")
-        if np.any(beta <= 0) or np.any(noise <= 0):
-            raise ValueError("channel gains and noise powers must be positive")
+        # written so that NaN fails each comparison
+        if not np.all((beta > 0) & (beta < np.inf)):
+            raise ValueError("beta must be positive and finite")
+        if not np.all((noise > 0) & (noise < np.inf)):
+            raise ValueError("noise_w must be positive and finite")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "noise_w", noise)
         if self.csi_delta is not None:
             delta = np.atleast_1d(np.asarray(self.csi_delta, dtype=np.float64))
             if delta.shape != beta.shape:
                 raise ValueError("csi_delta must match beta in length")
-            if np.any(delta < 0) or np.any(delta >= 1):
+            if not np.all((delta >= 0) & (delta < 1)):
                 raise ValueError("csi_delta entries must lie in [0, 1)")
             object.__setattr__(self, "csi_delta", delta)
 
@@ -146,15 +152,16 @@ class Allocation:
     omega: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.total_power_p < 0:
-            raise ValueError("total power must be nonnegative")
+        # written so that NaN fails each comparison
+        if not 0.0 <= self.total_power_p < math.inf:
+            raise ValueError("total_power_p must be nonnegative and finite")
         omega = np.atleast_1d(np.asarray(self.omega, dtype=np.float64))
         if omega.ndim != 1:
             raise ValueError("omega must be one-dimensional")
-        if np.any(omega < 0):
-            raise ValueError("power fractions must be nonnegative")
-        if abs(float(np.sum(omega)) - 1.0) > _OMEGA_SUM_TOL:
-            raise ValueError("power fractions must sum to 1")
+        if not np.all(omega >= 0):
+            raise ValueError("omega entries must be nonnegative")
+        if not abs(float(np.sum(omega)) - 1.0) <= _OMEGA_SUM_TOL:
+            raise ValueError("omega entries must sum to 1")
         object.__setattr__(self, "omega", omega)
 
     @property

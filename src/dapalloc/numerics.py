@@ -155,11 +155,13 @@ def _exp_neg_sq(y: np.ndarray) -> np.ndarray:
 
     Splitting y into a 1/16-grid part and a remainder keeps the argument
     of each exponential small enough that the product loses less than an
-    ulp, which matters once y^2 is in the hundreds.
+    ulp, which matters once y^2 is in the hundreds.  The grid part is
+    capped at 128, where exp(-128^2) is 0 even in longdouble (whose
+    erfc underflows near y = 107), so y = inf gives 0, not inf - inf.
     """
-    ysq = np.trunc(y * 16.0) / 16.0
-    rem = (y - ysq) * (y + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-rem)
+    ysq = np.trunc(np.minimum(y, 128.0) * 16.0) / 16.0
+    # minus the remainder (y - ysq)(y + ysq), without a separate negation
+    return np.exp(-ysq * ysq) * np.exp((ysq - y) * (y + ysq))
 
 
 def _dispatch_unary(x, core) -> np.ndarray | float:

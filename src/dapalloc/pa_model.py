@@ -76,8 +76,8 @@ class PaModel:
     def __post_init__(self) -> None:
         if self.kind not in (SOFT_LIMITER, RAPP):
             raise ValueError(f"unknown amplifier kind {self.kind!r}")
-        if self.smoothness_p <= 0:
-            raise ValueError("smoothness_p must be positive")
+        if not 0.0 < self.smoothness_p < math.inf:
+            raise ValueError("smoothness_p must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,22 @@
 """Command-line interface, run in-process through main()."""
 
+import argparse
+import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dapalloc.cli import main
+from dapalloc.cli import _build_parser, main
 
 MC_SCENARIO = {
     "scenario": {"n_users": 3, "m_antennas": 16, "p_max": 0.1, "seed": 11},
     "n_drops": 3,
 }
+LL_FLAT = {"m_antennas": 16, "n_users": 2, "ibo_grid_db": [4.0]}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -24,27 +30,6 @@ def _read_error(capsys):
     payload = json.loads(out.strip().splitlines()[-1])
     assert "error" in payload
     return payload["error"]
-
-
-def test_validate_passes(capsys):
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 12
-    assert "all checks passed" in out
-
-
-def test_validate_reports_solver_error_and_goes_on(monkeypatch, capsys):
-    import dapalloc
-
-    def fail(*args, **kwargs):
-        raise dapalloc.SolverError("no bracket")
-
-    monkeypatch.setattr(dapalloc, "solve_dapa", fail)
-    assert main(["validate"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL optimizer bracket sign change: no bracket" in out
-    assert "PASS scenario drops deterministic per (seed, drop)" in out
 
 
 def test_solve_outputs_allocation(tmp_path, capsys):
@@ -294,8 +279,7 @@ def test_linklevel(tmp_path, capsys):
 
 
 def test_linklevel_rejects_unknown_key(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, {"m_antennas": 16, "n_users": 2,
-                                "ibo_grid_db": [4.0], "bogus": 1})
+    cfg = _write_cfg(tmp_path, {**LL_FLAT, "bogus": 1})
     assert main(["linklevel", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "bad linklevel config" in _read_error(capsys)["message"]
 
@@ -336,9 +320,16 @@ def test_scenario_unknown_key_surfaces(tmp_path, capsys):
         ("sweep-homogeneous", {**MC_SCENARIO, "pl_db_gird": [100.0]}, "pl_db_gird"),
         ("grid-2ue", {**MC_SCENARIO, "pl_step": 5.0}, "pl_step"),
         ("montecarlo", {**MC_SCENARIO, "mod": "rapp"}, "mod"),
-        ("linklevel", {"linklevel": {"m_antennas": 16, "n_users": 2,
-                                     "ibo_grid_db": [4.0]}, "seeds": 3}, "seeds"),
+        ("linklevel", {**LL_FLAT, "seeds": 3}, "seeds"),
         ("hessian-check", {"n_point": 4}, "n_point"),
+        # a key of another montecarlo mode
+        ("montecarlo", {**MC_SCENARIO, "smoothness_p": 3.0}, "smoothness_p"),
+        ("montecarlo", {**MC_SCENARIO, "csi_delta": 0.1}, "csi_delta"),
+        ("montecarlo", {**MC_SCENARIO, "mode": "rapp", "csi_delta": 0.1}, "csi_delta"),
+        ("montecarlo", {**MC_SCENARIO, "mode": "icsi", "smoothness_p": 3.0}, "smoothness_p"),
+        # linklevel takes flat keys only
+        ("linklevel", {"linklevel": LL_FLAT}, "'linklevel'"),
+        ("linklevel", {**LL_FLAT, "scenario": {"bogus": 1}}, "scenario"),
     ],
 )
 def test_unknown_config_key_rejected(tmp_path, capsys, command, payload, typo):
@@ -356,8 +347,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys, command, payload, typo):
         ["hessian-check", "--seed", "3"],
         ["solve", "--workers", "2"],
         ["sweep-homogeneous", "--workers", "2"],
-        ["validate", "--out", "x"],
-        ["validate", "--config", "cfg.json"],
+        ["hessian-check", "--workers", "2"],
+        ["solve", "--seed", "3"],
         ["solve", "--delta", "1e-9"],
         ["sweep-homogeneous", "--delta", "1e-9"],
         ["grid-2ue", "--delta", "1e-9"],
@@ -375,3 +366,22 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
 def test_seed_must_fit_u64_wherever_it_is_taken(tmp_path, capsys, command):
     assert main([command, "--seed", str(2**64), "--out", str(tmp_path)]) == 2
     assert "u64" in _read_error(capsys)["message"]
+
+
+def _readme_flag_table():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("| subcommand"))
+    table = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"), lines[header + 2:]):
+        (name,), flags = (re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|"))
+        table[name] = sorted(flags)
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    registered = {
+        name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert _readme_flag_table() == registered

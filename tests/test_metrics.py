@@ -36,6 +36,14 @@ def test_system_config_validation():
         _cfg(p_max=0.0)
     with pytest.raises(ValueError):
         _cfg(bw=-1.0)
+    with pytest.raises(ValueError, match="p_max"):
+        _cfg(p_max=math.nan)
+    with pytest.raises(ValueError, match="bandwidth_hz"):
+        _cfg(bw=math.nan)
+    with pytest.raises(ValueError, match="m_antennas"):
+        _cfg(m=0)
+    with pytest.raises(ValueError, match="m_antennas"):
+        _cfg(m=64.0)
 
 
 _TWO = UeSet(beta=np.full(2, 1e-10), noise_w=7.2e-14, csi_delta=np.full(2, 0.1))
@@ -74,6 +82,12 @@ def test_ueset_broadcast_and_validation():
         UeSet(beta=np.array([1e-10]), noise_w=1e-14, csi_delta=np.array([1.0]))
     with pytest.raises(ValueError):
         UeSet(beta=np.array([1e-10]), noise_w=1e-14, csi_delta=np.array([-0.1]))
+    with pytest.raises(ValueError, match="beta"):
+        UeSet(beta=np.array([math.nan]), noise_w=1e-14)
+    with pytest.raises(ValueError, match="noise_w"):
+        UeSet(beta=np.array([1e-10]), noise_w=math.nan)
+    with pytest.raises(ValueError, match="csi_delta"):
+        UeSet(beta=np.array([1e-10]), noise_w=1e-14, csi_delta=np.array([math.nan]))
 
 
 def test_allocation_validation():
@@ -85,6 +99,10 @@ def test_allocation_validation():
         Allocation(total_power_p=0.5, omega=np.array([0.7, 0.31]))
     with pytest.raises(ValueError):
         Allocation(total_power_p=0.5, omega=np.array([1.1, -0.1]))
+    with pytest.raises(ValueError, match="total_power_p"):
+        Allocation(total_power_p=math.nan, omega=np.array([1.0]))
+    with pytest.raises(ValueError, match="omega"):
+        Allocation(total_power_p=1.0, omega=np.array([math.nan]))
 
 
 # ------------------------------------------------------------ operating point

@@ -47,6 +47,9 @@ class TestErfc:
     def test_exact_endpoints(self):
         assert erfc(0.0) == 1.0
         assert erfc(40.0) == 0.0  # underflows cleanly, no warning
+        assert erfc(math.inf) == 0.0
+        assert erfc(-math.inf) == 2.0
+        np.testing.assert_array_equal(erfc(np.array([np.inf, -np.inf])), [0.0, 2.0])
 
     def test_against_scipy_dense(self):
         xs = np.concatenate([np.linspace(-6, 6, 401), np.geomspace(1e-8, 26.0, 200)])

@@ -139,6 +139,9 @@ def test_rapp_approaches_clipper():
     for psi, gap in [(0.1, 9.7e-8), (1.0, 1.1e-5), (10.0, 1.8e-7)]:
         d = abs(bussgang_gain_rapp(psi, 200.0) - bussgang_gain_soft(psi))
         assert d <= 2.0 * gap + 1e-12
+    for psi, gap in [(0.1, 2.7e-7), (1.0, 3.4e-6), (10.0, 3.1e-10)]:
+        d = abs(distortion_coeff_rapp(psi, 200.0) - distortion_coeff_soft(psi))
+        assert d <= 2.0 * gap + 1e-12
 
 
 def test_rapp_softer_than_clipper_at_p2():
@@ -172,6 +175,8 @@ def test_pa_model_validation():
         PaModel("class_ab")
     with pytest.raises(ValueError):
         PaModel("rapp", 0.0)
+    with pytest.raises(ValueError, match="smoothness_p"):
+        PaModel("rapp", math.nan)
 
 
 def test_operating_point_db_view():
