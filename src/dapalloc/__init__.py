@@ -29,7 +29,6 @@ from dapalloc.numerics import (
     ConvergenceError,
     erfc,
     erfcx,
-    lambert_w0,
     lambert_w0_of_log,
     integrate_semi_infinite,
 )

@@ -101,9 +101,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _reject_unknown(cfg, "m_antennas p_max bandwidth_hz beta pl_db noise_w algorithm")
     ues = _ue_set_from(cfg)
     sys_cfg = SystemConfig(
-        m_antennas=int(cfg["m_antennas"]),
-        p_max=float(cfg["p_max"]),
-        bandwidth_hz=float(cfg["bandwidth_hz"]),
+        m_antennas=cfg["m_antennas"], p_max=cfg["p_max"], bandwidth_hz=cfg["bandwidth_hz"]
     )
     label = cfg.get("algorithm", "DAPA-FPDA")
     if label not in ALGORITHMS:

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _GUARD_SAMPLES = 32
+_MIN_BRACKET_RATIO = 1e-13  # see root_bounds
 
 
 class SolverError(RuntimeError):
@@ -135,10 +136,22 @@ def root_bounds(sigma2: float, beta: float, cfg: SystemConfig) -> tuple[float, f
     Both W arguments are passed as logarithms (r^2 overflows double
     precision for strong channels).  Scaling sigma2 and beta together
     leaves the bounds unchanged.
+
+    Raises:
+        SolverError: if r < 1e-13.  There the lower bound's relative
+            margin over the root, about r, is below the rounding of the
+            W argument's log, so the bracket's sign is not guaranteed
+            (it fails for r up to ~6e-15).
     """
     if sigma2 <= 0 or beta <= 0:
         raise ValueError("noise and channel gain must be positive")
     log_ratio = math.log(beta * ETA * cfg.m_antennas * cfg.p_max) - math.log(sigma2)
+    if log_ratio < math.log(_MIN_BRACKET_RATIO):
+        ratio = math.exp(log_ratio)
+        raise SolverError(
+            f"r = {ratio:.3g} is below the Lambert-W bracket's floor {_MIN_BRACKET_RATIO:g}",
+            diagnostics={"ratio": ratio, "floor": _MIN_BRACKET_RATIO},
+        )
     log_arg_lower = math.log(math.pi / 2.0) + 2.0 * log_ratio
     log_arg_upper = 1.0 - math.log(2.0) + 2.0 * log_ratio
     w_lower = float(lambert_w0_of_log(log_arg_lower))

@@ -28,9 +28,6 @@ __all__ = [
     "solve_fpda",
 ]
 
-_KKT_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class WaterfillProblem:
     """A unit-budget water-filling instance.

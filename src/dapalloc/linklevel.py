@@ -111,7 +111,7 @@ class LinkSdrPoint:
     # Diagnostics beyond the CSV columns:
     expected_clip_fraction: float
     conditional_clip_fraction: float
-    n_clip_samples: int
+    n_samples: int
     mean_tx_power_per_antenna: float
     per_antenna_power: np.ndarray
     bussgang_gain_err: float
@@ -282,7 +282,7 @@ def _simulate_point(
         clip_fraction=clip_count / sample_count,
         expected_clip_fraction=math.exp(-psi),
         conditional_clip_fraction=cond_clip,
-        n_clip_samples=sample_count,
+        n_samples=sample_count,
         mean_tx_power_per_antenna=float(np.mean(per_antenna_power)),
         per_antenna_power=per_antenna_power,
         bussgang_gain_err=float(np.max(per_user_err)),

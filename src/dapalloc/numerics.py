@@ -7,10 +7,8 @@ module provides exactly what the power-allocation code needs:
 * ``erfc`` / ``erfcx`` -- complementary error function and its scaled
   variant, via Cody-style rational approximations (three argument
   regions, accurate to ~1e-16 relative in double precision),
-* ``lambert_w0`` -- principal branch of the Lambert W function via
-  Halley iteration,
-* ``lambert_w0_of_log`` -- solves ``w + ln w = log_x`` directly, which
-  equals ``W(exp(log_x))`` but never forms the (possibly overflowing)
+* ``lambert_w0_of_log`` -- principal Lambert W of ``exp(log_x)`` by
+  Newton iteration, which never forms the (possibly overflowing)
   exponential,
 * ``integrate_semi_infinite`` -- adaptive Gauss-Kronrod quadrature on
   ``[0, inf)`` for integrands with a Gaussian decay envelope.
@@ -31,7 +29,6 @@ __all__ = [
     "ConvergenceError",
     "erfc",
     "erfcx",
-    "lambert_w0",
     "lambert_w0_of_log",
     "integrate_semi_infinite",
 ]
@@ -236,115 +233,40 @@ def erfcx(x):
 
 
 # ---------------------------------------------------------------------------
-# Lambert W, principal branch.
+# Lambert W, principal branch, of a positive argument given by its log.
 # ---------------------------------------------------------------------------
 
-_INV_E = math.exp(-1.0)
-_MAX_HALLEY_ITERS = 64
-
-
-def _w0_initial(ax: np.ndarray) -> np.ndarray:
-    """Starting guess for Halley iteration on W0."""
-    w = np.empty_like(ax)
-
-    near_branch = ax < -0.3225
-    large = ax > 3.0
-    middle = ~near_branch & ~large
-
-    if np.any(near_branch):
-        # Series around the branch point x = -1/e, w = -1.
-        p = np.sqrt(2.0 * (np.e * ax[near_branch] + 1.0))
-        w[near_branch] = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    if np.any(large):
-        lx = np.log(ax[large])
-        w[large] = lx - np.log(lx)
-    if np.any(middle):
-        # Winitzki's approximation; fine anywhere with 1 + x > 0.
-        l1 = np.log1p(ax[middle])
-        w[middle] = l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
-    return w
-
-
-def lambert_w0(x):
-    """Principal branch W0 of the Lambert W function (w * e^w = x).
-
-    Halley iteration from a region-dependent starting guess; converges
-    to machine precision in a handful of steps everywhere on the domain
-    [-1/e, inf).
-
-    Raises:
-        ValueError: if any argument is below -1/e (no real solution).
-        ConvergenceError: if the final residual |w e^w - x| exceeds
-            1e-10 * max(1, |x|), which should not happen on the domain.
-    """
-
-    def core(ax: np.ndarray) -> np.ndarray:
-        eps = np.finfo(ax.dtype).eps
-        if np.any(ax < -_INV_E * (1.0 + 4.0 * eps)):
-            raise ValueError("lambert_w0 requires x >= -1/e")
-        ax = np.maximum(ax, -_INV_E)
-
-        w = _w0_initial(ax)
-        # Exact endpoints: W(0) = 0, W(-1/e) = -1.
-        w = np.where(ax == 0.0, 0.0, w)
-        w = np.where(ax == -_INV_E, -1.0, w)
-
-        for _ in range(_MAX_HALLEY_ITERS):
-            ew = np.exp(w)
-            f = w * ew - ax
-            wp1 = w + 1.0
-            # Halley step; guard the removable singularity at w = -1.
-            denom = ew * wp1 - (w + 2.0) * f / np.where(wp1 != 0.0, 2.0 * wp1, 1.0)
-            step = np.where(denom != 0.0, f / np.where(denom != 0.0, denom, 1.0), 0.0)
-            w = w - step
-            if np.all(np.abs(step) <= 4.0 * eps * (1.0 + np.abs(w))):
-                break
-
-        resid = np.abs(w * np.exp(w) - ax)
-        if np.any(resid > 1e-10 * np.maximum(1.0, np.abs(ax))):
-            raise ConvergenceError("lambert_w0 failed to meet residual tolerance")
-        return w
-
-    return _dispatch_unary(x, core)
+_MAX_NEWTON_ITERS = 64
 
 
 def lambert_w0_of_log(log_x):
-    """Solve ``w + ln w = log_x`` for w > 0, i.e. W0(exp(log_x)).
+    """Principal Lambert W of ``x = exp(log_x)``, the w with w e^w = x,
+    for any finite ``log_x``, without forming x where it would overflow.
 
-    Works directly in the log domain so that arguments like
-    ``log_x = 700`` (where exp(log_x) overflows double precision) are
-    handled exactly as cheaply as small ones.  For ``log_x < 1`` the
-    equation is better conditioned through the ordinary form, so the
-    routine falls back to ``lambert_w0(exp(log_x))`` there.
+    Newton's method from ``log(1 + x) >= W0(x)`` steps by ``r / (1 + w)``
+    with ``r = w - x e^-w`` for ``log_x < 0`` (x is representable) and
+    ``r = w (w + ln w - log_x)`` otherwise (``ln w - log_x`` does not
+    cancel).  Below exp's underflow, log_x < -745, the result is 0.
+
+    Raises:
+        ConvergenceError: if the step is still above 4 eps relative
+            after 64 iterations, which should not happen.
     """
 
     def core(lx: np.ndarray) -> np.ndarray:
         eps = np.finfo(lx.dtype).eps
-        w = np.empty_like(lx)
-
-        fallback = lx < 1.0
-        if np.any(fallback):
-            w[fallback] = lambert_w0(np.exp(lx[fallback]))
-
-        direct = ~fallback
-        if np.any(direct):
-            lv = lx[direct]
-            # For log_x >= 1 the solution satisfies 1 <= w <= log_x.
-            wd = np.where(lv > 2.0, lv - np.log(lv), np.maximum(lv * 0.5, 1.0))
-            for _ in range(_MAX_HALLEY_ITERS):
-                g = wd + np.log(wd) - lv
-                step = g * wd / (wd + 1.0)
-                wd = wd - step
-                wd = np.maximum(wd, 0.5)  # keep the iterate in-domain
-                if np.all(np.abs(step) <= 4.0 * eps * (1.0 + np.abs(wd))):
-                    break
-            resid = np.abs(wd + np.log(wd) - lv)
-            if np.any(resid > 1e-10 * np.maximum(1.0, np.abs(lv))):
-                raise ConvergenceError(
-                    "lambert_w0_of_log failed to meet residual tolerance"
-                )
-            w[direct] = wd
-        return w
+        below = lx < 0.0
+        x = np.exp(np.where(below, lx, 0.0))  # only read where below
+        w = np.logaddexp(0.0, lx)
+        # each side also evaluates the other's form, whose log(0) is discarded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_MAX_NEWTON_ITERS):
+                r = np.where(below, w - x * np.exp(-w), w * (w + np.log(w) - lx))
+                step = r / (1.0 + w)
+                w = w - step
+                if np.all(np.abs(step) <= 4.0 * eps * w):
+                    return w
+        raise ConvergenceError("lambert_w0_of_log failed to converge")
 
     return _dispatch_unary(log_x, core)
 

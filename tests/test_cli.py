@@ -15,6 +15,9 @@ MC_SCENARIO = {
     "scenario": {"n_users": 3, "m_antennas": 16, "p_max": 0.1, "seed": 11},
     "n_drops": 3,
 }
+SOLVE_CFG = {
+    "m_antennas": 64, "p_max": 0.01, "bandwidth_hz": 18e6, "beta": [1e-10], "noise_w": 7.2e-14
+}
 LL_FLAT = {"m_antennas": 16, "n_users": 2, "ibo_grid_db": [4.0]}
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -91,33 +94,13 @@ def test_solve_requires_config(capsys):
 
 
 def test_solve_rejects_bad_algorithm(tmp_path, capsys):
-    cfg = _write_cfg(
-        tmp_path,
-        {
-            "m_antennas": 64,
-            "p_max": 0.01,
-            "bandwidth_hz": 18e6,
-            "beta": [1e-10],
-            "noise_w": 7.2e-14,
-            "algorithm": "GENIE",
-        },
-    )
+    cfg = _write_cfg(tmp_path, {**SOLVE_CFG, "algorithm": "GENIE"})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "GENIE" in _read_error(capsys)["message"]
 
 
 def test_solve_rejects_beta_and_pl_together(tmp_path, capsys):
-    cfg = _write_cfg(
-        tmp_path,
-        {
-            "m_antennas": 64,
-            "p_max": 0.01,
-            "bandwidth_hz": 18e6,
-            "beta": [1e-10],
-            "pl_db": [100.0],
-            "noise_w": 7.2e-14,
-        },
-    )
+    cfg = _write_cfg(tmp_path, {**SOLVE_CFG, "pl_db": [100.0]})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "beta" in _read_error(capsys)["message"]
 
@@ -330,6 +313,9 @@ def test_scenario_unknown_key_surfaces(tmp_path, capsys):
         # linklevel takes flat keys only
         ("linklevel", {"linklevel": LL_FLAT}, "'linklevel'"),
         ("linklevel", {**LL_FLAT, "scenario": {"bogus": 1}}, "scenario"),
+        # solve hands its values to SystemConfig as given: a float M is rejected
+        ("solve", {**SOLVE_CFG, "m_antennas": 64.7}, "m_antennas"),
+        ("solve", {**SOLVE_CFG, "m_antennas": 64.0}, "m_antennas"),
     ],
 )
 def test_unknown_config_key_rejected(tmp_path, capsys, command, payload, typo):

@@ -129,6 +129,13 @@ def test_root_bounds_validation():
         root_bounds(0.0, 1e-10, _cfg())
     with pytest.raises(ValueError):
         root_bounds(1e-14, -1e-10, _cfg())
+    # r = beta ETA M p_max / sigma^2 = 1e-14, below the bracket's floor
+    cfg = _cfg()
+    beta = 1e-14 * 7.2e-14 / (ETA * cfg.m_antennas * cfg.p_max)
+    with pytest.raises(SolverError) as err:
+        root_bounds(7.2e-14, beta, cfg)
+    assert err.value.diagnostics["ratio"] == pytest.approx(1e-14, rel=1e-12)
+    assert err.value.diagnostics["floor"] == 1e-13
 
 
 # --------------------------------------------------------------- derivative

@@ -63,7 +63,7 @@ def test_clip_statistics():
     # per-sample clip probability at the *realized* per-antenna powers
     # (exp(-psi) itself is biased low by Jensen at finite M);
     # binomial three-sigma envelope around the conditional prediction
-    n = pt.n_clip_samples
+    n = pt.n_samples
     pvar = pt.conditional_clip_fraction * (1 - pt.conditional_clip_fraction) / n
     # antenna powers are not identical, so allow the envelope plus the
     # observed dispersion across antennas

@@ -6,6 +6,7 @@ scipy serves as a second, independent implementation on dense grids.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -16,7 +17,6 @@ from dapalloc.numerics import (
     erfc,
     erfcx,
     integrate_semi_infinite,
-    lambert_w0,
     lambert_w0_of_log,
 )
 
@@ -103,50 +103,40 @@ class TestErfcx:
         np.testing.assert_allclose(erfcx(xs), scipy.special.erfcx(xs), rtol=2e-13)
 
 
-class TestLambertW:
-    def test_anchors(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(math.e) == pytest.approx(1.0, rel=2e-15)
-        assert lambert_w0(1.0) == pytest.approx(0.567143290409783873, rel=2e-15)
-        assert lambert_w0(-1.0 / math.e) == -1.0
-        assert lambert_w0(5.6e7) == pytest.approx(15.1245434315799560504, rel=2e-15)
-
-    def test_round_trip(self):
-        xs = np.concatenate(
-            [np.geomspace(1e-9, 1e12, 200), -np.geomspace(1e-9, 0.3678, 60)]
-        )
-        w = lambert_w0(xs)
-        np.testing.assert_allclose(w * np.exp(w), xs, rtol=1e-12)
-
-    def test_against_scipy(self):
-        xs = np.geomspace(1e-6, 1e10, 150)
-        ref = scipy.special.lambertw(xs).real
-        np.testing.assert_allclose(lambert_w0(xs), ref, rtol=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            lambert_w0(-0.5)
-
-    def test_near_branch_point(self):
-        # tight but valid: a hair above -1/e
-        x = -1.0 / math.e * (1.0 - 1e-9)
-        w = lambert_w0(x)
-        assert w * math.exp(w) == pytest.approx(x, rel=1e-7)
-        assert w > -1.0
-
-
 class TestLambertWOfLog:
     @pytest.mark.parametrize(
         "log_x,want",
         [
+            (0.0, 0.567143290409783873),
             (1.0, 1.0),
             (10.0, 7.929420095019697348562),
+            (math.log(5.6e7), 15.1245434315799560504),
             (100.0, 95.44148664557583184017),
             (700.0, 693.4583088790254983367),
         ],
     )
     def test_anchors(self, log_x, want):
         assert lambert_w0_of_log(log_x) == pytest.approx(want, rel=2e-15)
+
+    def test_round_trip(self):
+        xs = np.geomspace(1e-9, 1e12, 200)
+        w = lambert_w0_of_log(np.log(xs))
+        np.testing.assert_allclose(w * np.exp(w), xs, rtol=1e-12)
+
+    def test_against_scipy(self):
+        xs = np.geomspace(1e-6, 1e10, 150)
+        ref = scipy.special.lambertw(xs).real
+        np.testing.assert_allclose(lambert_w0_of_log(np.log(xs)), ref, rtol=1e-12)
+
+    def test_against_mpmath(self):
+        """Both residual forms, from below exp's underflow to far past its overflow."""
+        log_x = np.concatenate([np.linspace(-740.0, 5000.0, 1200), np.linspace(-40.0, 40.0, 600)])
+        with mpmath.workdps(60):
+            ref = [float(mpmath.lambertw(mpmath.exp(mpmath.mpf(v))).real) for v in log_x]
+        np.testing.assert_allclose(lambert_w0_of_log(log_x), ref, rtol=4.5e-16, atol=0)
+        # e^log_x underflows to 0, and so does W
+        assert lambert_w0_of_log(-746.0) == 0.0
+        np.testing.assert_array_equal(lambert_w0_of_log(np.array([-800.0, -1e300])), 0.0)
 
     def test_defining_equation(self):
         """w + ln w = L, solved well past the overflow range of e^L."""
@@ -157,7 +147,7 @@ class TestLambertWOfLog:
     def test_matches_direct_form_when_representable(self):
         for log_x in (-2.0, 0.0, 3.0, 50.0):
             assert lambert_w0_of_log(log_x) == pytest.approx(
-                lambert_w0(math.exp(log_x)), rel=1e-12
+                scipy.special.lambertw(math.exp(log_x)).real, rel=1e-12
             )
 
 

@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import dapalloc
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dapalloc"
 
 
 def test_version():
@@ -10,7 +15,6 @@ def test_core_namespace():
     for name in (
         "erfc",
         "erfcx",
-        "lambert_w0",
         "bussgang_gain_soft",
         "distortion_coeff_soft",
         "SystemConfig",
@@ -51,3 +55,37 @@ def test_benchmark_tracer_binds_and_restores(monkeypatch):
     with tracing.instrument(tracing.Tracer()):
         assert dapa.erfc is not numerics.erfc
     assert dapa.erfc is numerics.erfc
+
+
+def _unread_module_names(path):
+    """Module-level names and imports of ``path`` that the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, exempt = {}, {"annotations"}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+            if path.name == "__init__.py":  # re-exports
+                exempt.update(names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            if "__all__" in names:
+                exempt.update(ast.literal_eval(node.value))
+        else:
+            continue
+        bound.update((name, node.lineno) for name in names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [
+        f"{path.name}:{line}: {name}"
+        for name, line in bound.items()
+        if name not in read and name not in exempt and not name.startswith("__")
+    ]
+
+
+def test_every_module_level_name_is_read():
+    # a stand-in for a linter's unused-name check; __all__ names and
+    # __init__ re-exports are read by importers, not by their module
+    unread = [entry for path in sorted(SRC.glob("*.py")) for entry in _unread_module_names(path)]
+    assert unread == []
