@@ -61,7 +61,6 @@ from dapalloc.dapa import (
     solve_dapa,
 )
 from dapalloc.fpda import (
-    WaterfillProblem,
     breakpoints,
     solve_fpda,
 )

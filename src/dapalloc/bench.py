@@ -67,13 +67,17 @@ class DropResult:
     sum_rate: float
     total_power_p: float
     ibo_db: float
-    omega_max: float
+    omega: np.ndarray
     rates: np.ndarray
     error: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm label {self.algorithm!r}")
+
+    @property
+    def omega_max(self) -> float:
+        return float(np.max(self.omega))
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,8 @@ def _solve_and_rate(
         except (SolverError, ConvergenceError) as exc:
             logger.warning("drop %d, %s failed: %s", drop_id, label, exc)
             nan = math.nan
-            rates = np.full(ues.n_users, nan)
-            failure = DropResult(drop_id, label, nan, nan, nan, nan, rates, str(exc))
+            unknown = np.full(ues.n_users, nan)
+            failure = DropResult(drop_id, label, nan, nan, nan, unknown, unknown, str(exc))
             for results in out:
                 results.append(failure)
             continue
@@ -137,7 +141,7 @@ def _solve_and_rate(
                     sum_rate=report.sum_rate,
                     total_power_p=alloc.total_power_p,
                     ibo_db=report.ibo_db,
-                    omega_max=float(np.max(alloc.omega)),
+                    omega=alloc.omega,
                     rates=report.rate,
                 )
             )
@@ -293,25 +297,18 @@ def sweep_homogeneous(
     return rows
 
 
-def _grid_cell(cell: tuple[float, float, UeSet], sc: ScenarioConfig) -> dict:
-    from dapalloc.allocator import alternating_optimize, ref_e
-
-    pl1_db, pl2_db, ues = cell
+def _grid_cell(cell: tuple[int, float, float, UeSet], sc: ScenarioConfig) -> dict:
+    index, pl1_db, pl2_db, ues = cell
     cfg = _system_config(sc)
-    row: dict = {"pl1_db": pl1_db, "pl2_db": pl2_db}
-    try:
-        alloc, _ = alternating_optimize(ues, cfg)
-        report = evaluate(cfg, ues, alloc, precoder="zf")
-        ref_report = evaluate(cfg, ues, ref_e(ues, cfg), precoder="zf")
-        row["sum_rate_ratio_vs_ref_e"] = report.sum_rate / ref_report.sum_rate
-        row["omega1"] = float(alloc.omega[0])
-        row["ibo_db"] = report.ibo_db
-    except (SolverError, ConvergenceError) as exc:
-        logger.warning("2-user cell (%g, %g) dB failed: %s", pl1_db, pl2_db, exc)
-        row["sum_rate_ratio_vs_ref_e"] = math.nan
-        row["omega1"] = math.nan
-        row["ibo_db"] = math.nan
-    return row
+    (results,) = _solve_and_rate(index, ues, cfg, ("DAPA-FPDA", "REF-E"), [(cfg, "zf", None)])
+    opt, ref = results
+    return {
+        "pl1_db": pl1_db,
+        "pl2_db": pl2_db,
+        "sum_rate_ratio_vs_ref_e": opt.sum_rate / ref.sum_rate,
+        "omega1": float(opt.omega[0]),
+        "ibo_db": opt.ibo_db,
+    }
 
 
 def grid_2ue(
@@ -325,11 +322,12 @@ def grid_2ue(
     :func:`dapalloc.scenario.two_ue_grid`; each ``cells[i][j]`` is rated
     as built.  Each record compares the alternating optimizer against
     the fixed-back-off equal-split baseline on one (path loss 1, path
-    loss 2) cell.
+    loss 2) cell; a failed solve gives NaN entries, logged under the
+    cell's row-major index.
     """
     grid_db, cells = grid
     items = [
-        (float(grid_db[i]), float(grid_db[j]), ues)
+        (i * len(row) + j, float(grid_db[i]), float(grid_db[j]), ues)
         for i, row in enumerate(cells)
         for j, ues in enumerate(row)
     ]

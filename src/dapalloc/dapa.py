@@ -22,7 +22,6 @@ strong channels.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +35,6 @@ from dapalloc.pa_model import (
     _SQRT_PI,
     ETA,
     SOFT_LIMITER,
-    PaModel,
     bussgang_gain_soft,
     distortion_coeff_soft,
     input_backoff,
@@ -54,6 +52,9 @@ __all__ = [
 
 _GUARD_SAMPLES = 32
 _MIN_BRACKET_RATIO = 1e-13  # see root_bounds
+# libm's log elementwise: numpy's SIMD log can differ from it in the last
+# bit, and the bracket ends seed every bisection midpoint.
+_log = np.vectorize(math.log, otypes=[np.float64])
 
 
 class SolverError(RuntimeError):
@@ -124,7 +125,7 @@ def power_balance(total_power_p: float, sigma2, beta, cfg: SystemConfig):
     return float(out) if out.ndim == 0 else out
 
 
-def root_bounds(sigma2: float, beta: float, cfg: SystemConfig) -> tuple[float, float]:
+def root_bounds(sigma2, beta, cfg: SystemConfig):
     """Closed-form bracket for the root of :func:`power_balance`.
 
     Bounding erfc by its standard exponential envelopes turns the root
@@ -135,29 +136,30 @@ def root_bounds(sigma2: float, beta: float, cfg: SystemConfig) -> tuple[float, f
 
     Both W arguments are passed as logarithms (r^2 overflows double
     precision for strong channels).  Scaling sigma2 and beta together
-    leaves the bounds unchanged.
+    leaves the bounds unchanged.  Per-user arrays ``sigma2`` and ``beta``
+    give per-user bounds; a scalar pair gives two floats.
 
     Raises:
-        SolverError: if r < 1e-13.  There the lower bound's relative
-            margin over the root, about r, is below the rounding of the
-            W argument's log, so the bracket's sign is not guaranteed
-            (it fails for r up to ~6e-15).
+        SolverError: if r < 1e-13 for any user.  There the lower bound's
+            relative margin over the root, about r, is below the
+            rounding of the W argument's log, so the bracket's sign is
+            not guaranteed (it fails for r up to ~6e-15).
     """
-    if sigma2 <= 0 or beta <= 0:
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    if not (np.all(sigma2 > 0) and np.all(beta > 0)):
         raise ValueError("noise and channel gain must be positive")
-    log_ratio = math.log(beta * ETA * cfg.m_antennas * cfg.p_max) - math.log(sigma2)
-    if log_ratio < math.log(_MIN_BRACKET_RATIO):
-        ratio = math.exp(log_ratio)
+    log_ratio = _log(beta * ETA * cfg.m_antennas * cfg.p_max) - _log(sigma2)
+    if np.any(log_ratio < math.log(_MIN_BRACKET_RATIO)):
+        ratio = math.exp(np.min(log_ratio))
         raise SolverError(
             f"r = {ratio:.3g} is below the Lambert-W bracket's floor {_MIN_BRACKET_RATIO:g}",
             diagnostics={"ratio": ratio, "floor": _MIN_BRACKET_RATIO},
         )
     log_arg_lower = math.log(math.pi / 2.0) + 2.0 * log_ratio
     log_arg_upper = 1.0 - math.log(2.0) + 2.0 * log_ratio
-    w_lower = float(lambert_w0_of_log(log_arg_lower))
-    w_upper = float(lambert_w0_of_log(log_arg_upper))
-    lower = 2.0 * cfg.m_antennas * cfg.p_max / w_lower
-    upper = 4.0 * cfg.m_antennas * cfg.p_max / w_upper
+    lower = 2.0 * cfg.m_antennas * cfg.p_max / lambert_w0_of_log(log_arg_lower)
+    upper = 4.0 * cfg.m_antennas * cfg.p_max / lambert_w0_of_log(log_arg_upper)
     return lower, upper
 
 
@@ -211,12 +213,7 @@ def sum_rate_derivative(
 def _objective(
     total_power_p: float, ues: UeSet, omega: np.ndarray, cfg: SystemConfig
 ) -> float:
-    # The optimizer's model is always the ideal clipper, even when the
-    # config carries a smooth amplifier for evaluation purposes.
-    if cfg.pa.kind != SOFT_LIMITER:
-        cfg = dataclasses.replace(cfg, pa=PaModel())
-    alloc = Allocation(total_power_p, omega)
-    return evaluate(cfg, ues, alloc, precoder="zf").sum_rate
+    return evaluate(cfg, ues, Allocation(total_power_p, omega), precoder="zf").sum_rate
 
 
 def _bisect_on_sign(
@@ -260,9 +257,8 @@ def solve_dapa(
 ) -> DapaResult:
     """Bisection for the total power maximizing the fixed-fraction sum rate.
 
-    The initial bracket joins the Lambert-W lower bound of the
-    best-channel user (smallest sigma^2/beta among users with positive
-    fraction) with the upper bound of the worst-channel user.  The
+    The initial bracket runs from the smallest Lambert-W lower bound to
+    the largest upper bound over the users with positive fraction.  The
     derivative must be nonnegative at the left end and nonpositive at
     the right end; a violation raises :class:`SolverError` with
     diagnostics.  ``delta`` is the absolute bracket-width stop (watts),
@@ -273,7 +269,12 @@ def solve_dapa(
     if the K-term derivative had several sign changes), bisection is
     re-run inside the best sample's sub-interval and the best candidate
     wins.  This guard keeps the common single-root case untouched.
+
+    ``cfg.pa`` must be the ideal clipper, the only amplifier the
+    derivative models; any other raises ``ValueError``.
     """
+    if cfg.pa.kind != SOFT_LIMITER:
+        raise ValueError(f"pa must be {SOFT_LIMITER!r}, the only amplifier the derivative models")
     if delta is None:
         delta = default_delta(cfg)
     if delta <= 0:
@@ -287,13 +288,8 @@ def solve_dapa(
 
     # Users with zero fraction have constant rate terms in P and do not
     # constrain the bracket.
-    ratio = ues.noise_w[active] / ues.beta[active]
-    k_best = int(np.argmin(ratio))
-    k_worst = int(np.argmax(ratio))
-    sigma2_a = ues.noise_w[active]
-    beta_a = ues.beta[active]
-    lo, _ = root_bounds(float(sigma2_a[k_best]), float(beta_a[k_best]), cfg)
-    _, hi = root_bounds(float(sigma2_a[k_worst]), float(beta_a[k_worst]), cfg)
+    lower, upper = root_bounds(ues.noise_w[active], ues.beta[active], cfg)
+    lo, hi = float(np.min(lower)), float(np.max(upper))
 
     d_lo = sum_rate_derivative(lo, ues, omega, cfg)
     d_hi = sum_rate_derivative(hi, ues, omega, cfg)

@@ -8,14 +8,13 @@ optimum is classic water-filling: each user k has a breakpoint
 
 (dimensionless inverse channel quality), and the optimal fraction is
 ``omega_k = max(0, mu - G_k)`` where the water level ``mu`` spends the
-whole unit budget.  :func:`solve_fpda` finds it exactly in a single pass
-over the sorted breakpoints; the tests check it against an independent
-bisection on the water level.
+whole unit budget.  :func:`breakpoints` returns the G_k as an array in
+user order, and :func:`solve_fpda` takes that array and finds the level
+exactly in a single pass over the sorted breakpoints; the tests check it
+against an independent bisection on the water level.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,40 +22,15 @@ from dapalloc.metrics import SystemConfig, UeSet, zf_gain
 from dapalloc.pa_model import PaOperatingPoint
 
 __all__ = [
-    "WaterfillProblem",
     "breakpoints",
     "solve_fpda",
 ]
 
-@dataclass(frozen=True)
-class WaterfillProblem:
-    """A unit-budget water-filling instance.
-
-    Attributes:
-        breakpoints: per-user G_k in original user order; all positive
-            and finite.
-        order: indices sorting the breakpoints ascending (stable, so
-            ties keep original order); carried so solutions can be
-            mapped back to the original user indexing.
-    """
-
-    breakpoints: np.ndarray
-    order: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        g = np.atleast_1d(np.asarray(self.breakpoints, dtype=np.float64))
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError("breakpoints must be a non-empty 1-D array")
-        if not np.all(np.isfinite(g)) or np.any(g < 0):
-            raise ValueError("breakpoints must be finite and nonnegative")
-        object.__setattr__(self, "breakpoints", g)
-        object.__setattr__(self, "order", np.argsort(g, kind="stable"))
-
 
 def breakpoints(
     ues: UeSet, cfg: SystemConfig, total_power_p: float, op: PaOperatingPoint
-) -> WaterfillProblem:
-    """Build the water-filling instance at a given operating point.
+) -> np.ndarray:
+    """The users' breakpoints G_k at a given operating point.
 
     ``op`` must describe the amplifier at ``total_power_p`` (gain ``lam``
     and effective distortion); the breakpoints keep the users' original
@@ -65,23 +39,30 @@ def breakpoints(
     if total_power_p <= 0:
         raise ValueError("total power must be positive")
     array_gain = zf_gain(cfg, ues)
-    g = (ues.noise_w + ues.beta * op.effective_distortion) / (
+    return (ues.noise_w + ues.beta * op.effective_distortion) / (
         array_gain * op.lam * total_power_p * ues.beta
     )
-    return WaterfillProblem(breakpoints=g)
 
 
-def solve_fpda(problem: WaterfillProblem) -> np.ndarray:
-    """Exact water-filling by breakpoint sweep.
+def solve_fpda(g) -> np.ndarray:
+    """Exact water-filling of a unit budget over breakpoints ``g``.
 
-    Sorts the breakpoints ascending, then finds the largest prefix S for
-    which the water level ``mu = (1 + sum_{k in S} G_k) / |S|`` sits
+    ``g`` holds one finite, nonnegative G_k per user, as
+    :func:`breakpoints` returns it.  Sorts the breakpoints ascending
+    (stably, so ties keep user order), then finds the largest prefix S
+    for which the water level ``mu = (1 + sum_{k in S} G_k) / |S|`` sits
     strictly above the last breakpoint of S.  Every user below the
     level receives ``mu - G_k``; the rest receive zero.  The result sums
     to 1 within 1e-12 and satisfies the complementary-slackness
     conditions exactly (up to that tolerance).
     """
-    g_sorted = problem.breakpoints[problem.order]
+    g = np.atleast_1d(np.asarray(g, dtype=np.float64))
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError("breakpoints must be a non-empty 1-D array")
+    if not np.all(np.isfinite(g)) or np.any(g < 0):
+        raise ValueError("breakpoints must be finite and nonnegative")
+    order = np.argsort(g, kind="stable")
+    g_sorted = g[order]
     n = g_sorted.size
     prefix = np.cumsum(g_sorted)
     levels = (1.0 + prefix) / np.arange(1, n + 1)
@@ -93,5 +74,5 @@ def solve_fpda(problem: WaterfillProblem) -> np.ndarray:
     omega_sorted = np.maximum(0.0, mu - g_sorted)
     omega_sorted[j:] = 0.0
     omega = np.empty_like(omega_sorted)
-    omega[problem.order] = omega_sorted
+    omega[order] = omega_sorted
     return omega

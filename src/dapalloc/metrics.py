@@ -91,10 +91,10 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.m_antennas, numbers.Integral) or self.m_antennas < 1:
             raise ValueError("m_antennas must be a positive int")
-        if not 0.0 < self.p_max < math.inf:
-            raise ValueError("p_max must be positive and finite")
-        if not 0.0 < self.bandwidth_hz < math.inf:
-            raise ValueError("bandwidth_hz must be positive and finite")
+        for name in ("p_max", "bandwidth_hz"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be a positive finite number")
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,8 @@ def lambert_w0_of_log(log_x):
     with ``r = w - x e^-w`` for ``log_x < 0`` (x is representable) and
     ``r = w (w + ln w - log_x)`` otherwise (``ln w - log_x`` does not
     cancel).  Below exp's underflow, log_x < -745, the result is 0.
+    Each element stops at its own convergence, so an array gives the
+    same bits as its elements passed one at a time.
 
     Raises:
         ConvergenceError: if the step is still above 4 eps relative
@@ -258,13 +260,15 @@ def lambert_w0_of_log(log_x):
         below = lx < 0.0
         x = np.exp(np.where(below, lx, 0.0))  # only read where below
         w = np.logaddexp(0.0, lx)
+        done = np.zeros(lx.shape, dtype=bool)
         # each side also evaluates the other's form, whose log(0) is discarded
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_MAX_NEWTON_ITERS):
                 r = np.where(below, w - x * np.exp(-w), w * (w + np.log(w) - lx))
                 step = r / (1.0 + w)
-                w = w - step
-                if np.all(np.abs(step) <= 4.0 * eps * w):
+                w = np.where(done, w, w - step)
+                done |= np.abs(step) <= 4.0 * eps * w
+                if np.all(done):
                     return w
         raise ConvergenceError("lambert_w0_of_log failed to converge")
 

@@ -198,6 +198,18 @@ def _rapp_moment(psi: float, p: float, exponent: float) -> float:
     return integrate_semi_infinite(integrand)
 
 
+def _rapp_per_point(psi, p: float, law):
+    """``law(float psi)`` at every point of ``psi``, shaped like ``psi``."""
+    if p <= 0:
+        raise ValueError("smoothness p must be positive")
+    arr = np.asarray(psi, dtype=np.float64)
+    if np.any(arr <= 0):
+        raise ValueError("back-off must be positive for the Rapp model")
+    vals = np.array([law(float(v)) for v in np.atleast_1d(arr).ravel()])
+    out = vals.reshape(np.shape(arr))
+    return float(out) if np.ndim(psi) == 0 else out
+
+
 def bussgang_gain_rapp(psi, p: float = 2.0):
     """Bussgang power gain of a Rapp amplifier with knee sharpness p.
 
@@ -205,17 +217,7 @@ def bussgang_gain_rapp(psi, p: float = 2.0):
 
     Converges to :func:`bussgang_gain_soft` as p -> inf.
     """
-    if p <= 0:
-        raise ValueError("smoothness p must be positive")
-    arr = np.asarray(psi, dtype=np.float64)
-    if np.any(arr <= 0):
-        raise ValueError("back-off must be positive for the Rapp model")
-    flat = np.atleast_1d(arr).ravel()
-    vals = np.array(
-        [_rapp_moment(float(v), p, -1.0 / (2.0 * p)) ** 2 for v in flat]
-    )
-    out = vals.reshape(np.shape(arr))
-    return float(out) if np.ndim(psi) == 0 else out
+    return _rapp_per_point(psi, p, lambda v: _rapp_moment(v, p, -1.0 / (2.0 * p)) ** 2)
 
 
 def distortion_coeff_rapp(psi, p: float = 2.0):
@@ -227,16 +229,10 @@ def distortion_coeff_rapp(psi, p: float = 2.0):
     coherent part lambda leaves the uncorrelated distortion.)  Clamped
     at 0 against quadrature-level cancellation for very large psi.
     """
-    if p <= 0:
-        raise ValueError("smoothness p must be positive")
-    arr = np.asarray(psi, dtype=np.float64)
-    if np.any(arr <= 0):
-        raise ValueError("back-off must be positive for the Rapp model")
-    flat = np.atleast_1d(arr).ravel()
-    vals = []
-    for v in flat:
-        total = _rapp_moment(float(v), p, -1.0 / p)
-        lam = _rapp_moment(float(v), p, -1.0 / (2.0 * p)) ** 2
-        vals.append(max(total - lam, 0.0))
-    out = np.array(vals).reshape(np.shape(arr))
-    return float(out) if np.ndim(psi) == 0 else out
+
+    def law(v: float) -> float:
+        total = _rapp_moment(v, p, -1.0 / p)
+        lam = _rapp_moment(v, p, -1.0 / (2.0 * p)) ** 2
+        return max(total - lam, 0.0)
+
+    return _rapp_per_point(psi, p, law)

@@ -8,12 +8,9 @@ independent way, by bisection on the water level.
 import numpy as np
 
 from dapalloc.dapa import SolverError
-from dapalloc.fpda import WaterfillProblem
 
 
-def solve_fpda_bisect(
-    problem: WaterfillProblem, tol: float = 1e-12, max_iters: int = 200
-) -> np.ndarray:
+def solve_fpda_bisect(g: np.ndarray, tol: float = 1e-12, max_iters: int = 200) -> np.ndarray:
     """Water-filling by bisection on the water level.
 
     The spent budget ``s(mu) = sum_k max(0, mu - G_k)`` is piecewise
@@ -30,7 +27,7 @@ def solve_fpda_bisect(
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    g = problem.breakpoints
+    g = np.asarray(g, dtype=np.float64)
     lo = float(np.min(g))  # spends 0 < 1
     hi = float(np.max(g)) + 1.0  # spends >= 1
     mu = 0.5 * (lo + hi)

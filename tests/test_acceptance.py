@@ -31,7 +31,7 @@ from dapalloc.bench import (
     run_montecarlo,
 )
 from dapalloc.dapa import power_balance, root_bounds
-from dapalloc.fpda import WaterfillProblem, breakpoints, solve_fpda
+from dapalloc.fpda import breakpoints, solve_fpda
 from dapalloc.linklevel import LinkSimConfig, simulate_sdr
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate, operating_point_at
 from dapalloc.nonconvexity import (
@@ -273,7 +273,7 @@ def test_c08_waterfill_bisect_and_grid_agreement():
     for _ in range(1000):
         k = int(rng.integers(1, 17))
         g = 10.0 ** rng.uniform(-4.0, 3.0, size=k)
-        problem = WaterfillProblem(breakpoints=g)
+        problem = g
         exact = solve_fpda(problem)
         iterative = solve_fpda_bisect(problem, tol=1e-12)
         worst_gap = max(worst_gap, float(np.max(np.abs(exact - iterative))))

@@ -192,6 +192,16 @@ def test_grid_2ue_records():
     )
 
 
+def test_grid_2ue_failed_cell_is_nan(monkeypatch, caplog):
+    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-FPDA", _raise(SolverError("no bracket")))
+    sc = ScenarioConfig(n_users=2, m_antennas=64, p_max=0.1, seed=17)
+    (record,) = grid_2ue(sc, two_ue_grid(100.0, 100.0, 10.0, sc))
+    assert record["pl1_db"] == record["pl2_db"] == 100.0
+    for key in ("sum_rate_ratio_vs_ref_e", "omega1", "ibo_db"):
+        assert math.isnan(record[key]), key
+    assert "drop 0, DAPA-FPDA failed: no bracket" in caplog.text
+
+
 def test_summarize_structure():
     results = run_montecarlo(SMALL_SC, n_drops=6)
     s = summarize(results)

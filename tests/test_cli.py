@@ -316,6 +316,7 @@ def test_scenario_unknown_key_surfaces(tmp_path, capsys):
         # solve hands its values to SystemConfig as given: a float M is rejected
         ("solve", {**SOLVE_CFG, "m_antennas": 64.7}, "m_antennas"),
         ("solve", {**SOLVE_CFG, "m_antennas": 64.0}, "m_antennas"),
+        ("solve", {**SOLVE_CFG, "p_max": "0.01"}, "p_max"),
     ],
 )
 def test_unknown_config_key_rejected(tmp_path, capsys, command, payload, typo):

@@ -8,6 +8,7 @@ import scipy.optimize
 import scipy.special
 
 from dapalloc import dapa
+from dapalloc.allocator import ALGORITHMS, dapa_e
 from dapalloc.dapa import (
     DapaResult,
     SolverError,
@@ -17,7 +18,7 @@ from dapalloc.dapa import (
     sum_rate_derivative,
 )
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
-from dapalloc.pa_model import ETA
+from dapalloc.pa_model import ETA, RAPP, PaModel
 
 NOISE_FULLBAND = 7.165929069962951e-14  # 1200 x 15 kHz thermal, watts
 
@@ -298,6 +299,25 @@ def test_solver_validation():
         solve_dapa(ues, np.array([0.0, 0.0]), cfg)
     with pytest.raises(ValueError):
         solve_dapa(ues, np.array([1.0]), cfg)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda ues, cfg: solve_dapa(ues, np.full(ues.n_users, 1.0 / ues.n_users), cfg),
+        dapa_e,
+        ALGORITHMS["DAPA-FPDA"],
+    ],
+    ids=["solve_dapa", "dapa_e", "DAPA-FPDA"],
+)
+def test_solvers_reject_a_rapp_config(solve):
+    # The derivative models the clipper only.  Solving on it while
+    # water-filling on the Rapp law would mix two amplifiers in one
+    # allocation.
+    cfg = SystemConfig(m_antennas=64, p_max=0.01, bandwidth_hz=18e6, pa=PaModel(RAPP, 2.0))
+    ues = UeSet(beta=np.array([1e-9, 1e-11, 1e-12]), noise_w=NOISE_FULLBAND)
+    with pytest.raises(ValueError, match="^pa must be"):
+        solve(ues, cfg)
 
 
 def test_solver_error_carries_diagnostics():

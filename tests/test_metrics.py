@@ -44,6 +44,11 @@ def test_system_config_validation():
         _cfg(m=0)
     with pytest.raises(ValueError, match="m_antennas"):
         _cfg(m=64.0)
+    # a number given as a string names its field
+    with pytest.raises(ValueError, match="p_max"):
+        _cfg(p_max="0.01")
+    with pytest.raises(ValueError, match="bandwidth_hz"):
+        _cfg(bw="0.01")
 
 
 _TWO = UeSet(beta=np.full(2, 1e-10), noise_w=7.2e-14, csi_delta=np.full(2, 0.1))

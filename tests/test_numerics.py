@@ -104,6 +104,11 @@ class TestErfcx:
 
 
 class TestLambertWOfLog:
+    # both residual forms, from below exp's underflow to far past its overflow
+    MPMATH_POINTS = np.concatenate(
+        [np.linspace(-740.0, 5000.0, 1200), np.linspace(-40.0, 40.0, 600)]
+    )
+
     @pytest.mark.parametrize(
         "log_x,want",
         [
@@ -129,14 +134,20 @@ class TestLambertWOfLog:
         np.testing.assert_allclose(lambert_w0_of_log(np.log(xs)), ref, rtol=1e-12)
 
     def test_against_mpmath(self):
-        """Both residual forms, from below exp's underflow to far past its overflow."""
-        log_x = np.concatenate([np.linspace(-740.0, 5000.0, 1200), np.linspace(-40.0, 40.0, 600)])
+        log_x = self.MPMATH_POINTS
         with mpmath.workdps(60):
             ref = [float(mpmath.lambertw(mpmath.exp(mpmath.mpf(v))).real) for v in log_x]
         np.testing.assert_allclose(lambert_w0_of_log(log_x), ref, rtol=4.5e-16, atol=0)
         # e^log_x underflows to 0, and so does W
         assert lambert_w0_of_log(-746.0) == 0.0
         np.testing.assert_array_equal(lambert_w0_of_log(np.array([-800.0, -1e300])), 0.0)
+
+    def test_array_equals_elementwise(self):
+        """Each element converges on its own, so batching moves no bit."""
+        spread = np.geomspace(1e-300, 1e300, 2001)
+        log_x = np.concatenate([self.MPMATH_POINTS, spread, -spread])
+        one_at_a_time = [lambert_w0_of_log(float(v)) for v in log_x]
+        np.testing.assert_array_equal(lambert_w0_of_log(log_x), one_at_a_time)
 
     def test_defining_equation(self):
         """w + ln w = L, solved well past the overflow range of e^L."""

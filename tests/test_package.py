@@ -89,3 +89,34 @@ def test_every_module_level_name_is_read():
     # __init__ re-exports are read by importers, not by their module
     unread = [entry for path in sorted(SRC.glob("*.py")) for entry in _unread_module_names(path)]
     assert unread == []
+
+
+def _unread_parameters(path):
+    """Function and lambda parameters of ``path`` that their body never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread += [
+            f"{path.name}:{node.lineno}: {name}({p.arg})"
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls")
+        ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a stand-in for a linter's unused-argument check
+    unread = [entry for path in sorted(SRC.glob("*.py")) for entry in _unread_parameters(path)]
+    assert unread == []

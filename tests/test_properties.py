@@ -1,4 +1,4 @@
-"""Properties of the total-power solver on generated inputs.
+"""Properties of the solvers and strategies on generated inputs.
 
 ``r = beta ETA M p_max / sigma^2`` is the one number the power balance
 depends on besides M and p_max, so the generated inputs draw it
@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dapalloc import dapa
+from dapalloc.allocator import ALGORITHMS, dapa_e
 from dapalloc.dapa import SolverError, default_delta, power_balance, root_bounds, solve_dapa
 from dapalloc.metrics import SystemConfig, UeSet
-from dapalloc.pa_model import ETA
+from dapalloc.pa_model import ETA, input_backoff
 
 SIGMA2 = 7.2e-14
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -99,3 +100,61 @@ def test_solve_dapa_returns_or_raises_solver_error(problem):
     width = res.bracket_hi - res.bracket_lo
     assert res.iterations <= math.ceil(math.log2(width / delta)) + 1
     assert res.bracket_lo <= res.total_power_p <= res.bracket_hi
+
+
+@st.composite
+def _user_sets(draw):
+    """Two to six users with mixed channels and noise powers."""
+    k = draw(st.integers(2, 6))
+    cfg = SystemConfig(
+        m_antennas=draw(st.integers(k + 1, 600)),
+        p_max=10.0 ** draw(log_p_max),
+        bandwidth_hz=18e6,
+    )
+    log_r = draw(st.lists(st.floats(-12.0, 20.0), min_size=k, max_size=k))
+    noise = 10.0 ** np.array(draw(st.lists(st.floats(-15.0, -11.0), min_size=k, max_size=k)))
+    return UeSet(beta=_beta(10.0 ** np.array(log_r), noise, cfg), noise_w=noise), cfg
+
+
+def _solved(strategy, ues, cfg):
+    try:
+        return strategy(ues, cfg)
+    except SolverError:
+        return None
+
+
+STRATEGY_PROPERTY = settings(PROPERTY, max_examples=60)
+
+
+@STRATEGY_PROPERTY
+@given(problem=_user_sets(), data=st.data())
+def test_strategies_are_permutation_equivariant(problem, data):
+    ues, cfg = problem
+    perm = np.array(data.draw(st.permutations(range(ues.n_users))))
+    permuted = UeSet(beta=ues.beta[perm], noise_w=ues.noise_w[perm])
+    for label, strategy in ALGORITHMS.items():
+        base = _solved(strategy, ues, cfg)
+        moved = _solved(strategy, permuted, cfg)
+        assert (base is None) == (moved is None), label
+        if base is not None:
+            np.testing.assert_allclose(moved.omega, base.omega[perm], rtol=0, atol=1e-9, err_msg=label)
+            assert abs(moved.total_power_p - base.total_power_p) <= default_delta(cfg), label
+
+
+@STRATEGY_PROPERTY
+@given(problem=_user_sets(), log_scale=st.floats(-3.0, 3.0))
+def test_dapa_e_backoff_is_invariant_to_joint_cap_and_noise_scaling(problem, log_scale):
+    # r = beta ETA M p_max / sigma^2 is unchanged, so the optimal
+    # back-off M p_max / P is too, to c03's 1e-9 dB.
+    ues, cfg = problem
+    scale = 10.0**log_scale
+    scaled_cfg = SystemConfig(cfg.m_antennas, cfg.p_max * scale, cfg.bandwidth_hz)
+    base = _solved(dapa_e, ues, cfg)
+    scaled = _solved(dapa_e, UeSet(beta=ues.beta, noise_w=ues.noise_w * scale), scaled_cfg)
+    assert (base is None) == (scaled is None)
+    if base is not None:
+        ibo_db = [
+            10.0 * math.log10(input_backoff(alloc.total_power_p, c.m_antennas, c.p_max))
+            for alloc, c in ((base, cfg), (scaled, scaled_cfg))
+        ]
+        assert abs(ibo_db[1] - ibo_db[0]) < 1e-9
