@@ -109,12 +109,13 @@ def _solve_and_rate(
     cfg: SystemConfig,
     algorithms: Sequence[str],
     evaluators: Sequence[_Evaluator],
+    unit: str = "drop",
 ) -> list[list[DropResult]]:
     """Solve every strategy on one user set, rate it under every evaluator.
 
     Returns one result list per evaluator, in strategy order.  A solver
-    failure gives the same NaN result in every list; any other error
-    propagates.
+    failure gives the same NaN result in every list and is logged under
+    ``unit`` (a drop, sweep point or grid cell); any other error propagates.
     """
     views = [
         ues if csi is None else UeSet(beta=ues.beta, noise_w=ues.noise_w, csi_delta=csi)
@@ -125,7 +126,7 @@ def _solve_and_rate(
         try:
             alloc = ALGORITHMS[label](ues, cfg)
         except (SolverError, ConvergenceError) as exc:
-            logger.warning("drop %d, %s failed: %s", drop_id, label, exc)
+            logger.warning("%s %d, %s failed: %s", unit, drop_id, label, exc)
             nan = math.nan
             unknown = np.full(ues.n_users, nan)
             failure = DropResult(drop_id, label, nan, nan, nan, unknown, unknown, str(exc))
@@ -281,14 +282,15 @@ def sweep_homogeneous(
 
     Each row holds the path loss plus every strategy's sum rate and
     back-off at that path loss (NaN where the solver failed; the
-    failure is logged under the grid index).
+    failure is logged as that sweep point).
     """
     from dapalloc.scenario import homogeneous_sweep
 
     cfg = _system_config(sc)
+    zf = [(cfg, "zf", None)]
     rows = []
     for index, (pl_db, ues) in enumerate(zip(pl_db_grid, homogeneous_sweep(pl_db_grid, sc))):
-        (results,) = _solve_and_rate(index, ues, cfg, algorithms, [(cfg, "zf", None)])
+        (results,) = _solve_and_rate(index, ues, cfg, algorithms, zf, "sweep point")
         row: dict = {"pl_db": float(pl_db)}
         for r in results:
             row[f"{r.algorithm}_sum_rate"] = r.sum_rate
@@ -300,7 +302,8 @@ def sweep_homogeneous(
 def _grid_cell(cell: tuple[int, float, float, UeSet], sc: ScenarioConfig) -> dict:
     index, pl1_db, pl2_db, ues = cell
     cfg = _system_config(sc)
-    (results,) = _solve_and_rate(index, ues, cfg, ("DAPA-FPDA", "REF-E"), [(cfg, "zf", None)])
+    algorithms, zf = ("DAPA-FPDA", "REF-E"), [(cfg, "zf", None)]
+    (results,) = _solve_and_rate(index, ues, cfg, algorithms, zf, "grid cell")
     opt, ref = results
     return {
         "pl1_db": pl1_db,

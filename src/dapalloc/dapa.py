@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate, zf_gain
+from dapalloc.metrics import Allocation, SystemConfig, UeSet, _sindr, evaluate, rates, zf_gain
 from dapalloc.numerics import erfc, erfcx, lambert_w0_of_log
 from dapalloc.pa_model import (
     _ERFCX_SWITCH,
@@ -37,7 +37,6 @@ from dapalloc.pa_model import (
     SOFT_LIMITER,
     bussgang_gain_soft,
     distortion_coeff_soft,
-    input_backoff,
 )
 
 __all__ = [
@@ -51,10 +50,13 @@ __all__ = [
 ]
 
 _GUARD_SAMPLES = 32
+_LOOKAHEAD_LEVELS = 5  # midpoint-tree levels per derivative call: 31 points
 _MIN_BRACKET_RATIO = 1e-13  # see root_bounds
-# libm's log elementwise: numpy's SIMD log can differ from it in the last
-# bit, and the bracket ends seed every bisection midpoint.
+# libm's log, exp and expm1 elementwise: numpy's SIMD versions can differ
+# from them in the last bit, which could move a bracket end or a step.
 _log = np.vectorize(math.log, otypes=[np.float64])
+_exp = np.vectorize(math.exp, otypes=[np.float64])
+_expm1 = np.vectorize(math.expm1, otypes=[np.float64])
 
 
 class SolverError(RuntimeError):
@@ -106,18 +108,18 @@ def _erfc_over_sqrt(psi):
     return out
 
 
-def power_balance(total_power_p: float, sigma2, beta, cfg: SystemConfig):
+def power_balance(total_power_p, sigma2, beta, cfg: SystemConfig):
     """The per-user power-balance function whose root is that user's
     optimal total power.
 
     Positive at small P (noise-limited: more power helps), negative at
     large P (distortion-limited: more power hurts), strictly decreasing
     in between.  ``sigma2`` and ``beta`` may be arrays (evaluated
-    elementwise for several users at the same P).
+    elementwise for several users at the same P, or a column of powers).
     """
-    if total_power_p <= 0:
+    if np.any(np.asarray(total_power_p) <= 0):
         raise ValueError("total power must be positive")
-    psi = input_backoff(total_power_p, cfg.m_antennas, cfg.p_max)
+    psi = cfg.m_antennas * cfg.p_max / total_power_p
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     lead = 2.0 * sigma2 / (_SQRT_PI * beta * ETA * cfg.m_antennas * cfg.p_max)
@@ -163,84 +165,92 @@ def root_bounds(sigma2, beta, cfg: SystemConfig):
     return lower, upper
 
 
-def sum_rate_derivative(
-    total_power_p: float, ues: UeSet, omega: np.ndarray, cfg: SystemConfig
-) -> float:
+def _clipper_state(power: np.ndarray, cfg: SystemConfig):
+    """Back-off, gain and distortion ETA c P, as operating_point_at computes them."""
+    psi = cfg.m_antennas * cfg.p_max / power
+    return psi, bussgang_gain_soft(psi), ETA * distortion_coeff_soft(psi) * power
+
+
+def sum_rate_derivative(total_power_p, ues: UeSet, omega: np.ndarray, cfg: SystemConfig):
     """d(sum rate)/dP at fixed fractions, ideal-clipper amplifier.
 
     Each user contributes (positive rate-curvature factor) x (common
     positive back-off factor) x (power balance); users with zero power
     fraction contribute nothing.  Units: bit/s per watt.  The solvers
     only consume the sign, but the full value is exposed for residual
-    reporting and finite-difference cross-checks.
+    reporting and finite-difference cross-checks.  A 1-D array of powers
+    gives one value per power, bitwise the scalar calls.
     """
-    if total_power_p <= 0:
-        raise ValueError("total power must be positive")
     omega = np.asarray(omega, dtype=np.float64)
-    psi = input_backoff(total_power_p, cfg.m_antennas, cfg.p_max)
-
-    # Amplifier state (ideal clipper).
-    lam = bussgang_gain_soft(psi)
-    dist = ETA * distortion_coeff_soft(psi) * total_power_p
-
     active = omega > 0.0
     if not np.any(active):
         raise ValueError("at least one power fraction must be positive")
     beta = ues.beta[active]
     sigma2 = ues.noise_w[active]
     w = omega[active]
+    column = np.asarray(total_power_p, dtype=np.float64)[..., np.newaxis]  # a row per power
+    balance = power_balance(column, sigma2, beta, cfg)  # raises unless every P > 0
+    psi, lam, dist = _clipper_state(column, cfg)
 
     array_gain = zf_gain(cfg, ues)
     denom = sigma2 + beta * dist
-    gamma = array_gain * lam * w * total_power_p * beta / denom
+    gamma = array_gain * lam * w * column * beta / denom
 
     rate_factor = (
-        cfg.bandwidth_hz
-        / (math.log(2.0) * (1.0 + gamma))
-        * array_gain
-        * w
-        * beta
-        / denom**2
+        cfg.bandwidth_hz / (math.log(2.0) * (1.0 + gamma)) * array_gain * w * beta / denom**2
     )
     # 1 - e^-psi - psi e^-psi ~ psi^2 / 2 at small psi; expm1 avoids the cancellation
-    exp_neg = math.exp(-psi) if psi <= 700.0 else 0.0
-    common = math.sqrt(lam) * (-math.expm1(-psi) - psi * exp_neg)
-    balance = power_balance(total_power_p, sigma2, beta, cfg)
+    exp_neg = np.where(psi <= 700.0, _exp(-psi), 0.0)
+    common = np.sqrt(lam) * (-_expm1(-psi) - psi * exp_neg)
     scale = (_SQRT_PI / 2.0) * beta * ETA * cfg.m_antennas * cfg.p_max
-    return float(np.sum(rate_factor * common * scale * balance))
+    out = np.sum(rate_factor * common * scale * balance, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def _objective(
-    total_power_p: float, ues: UeSet, omega: np.ndarray, cfg: SystemConfig
-) -> float:
-    return evaluate(cfg, ues, Allocation(total_power_p, omega), precoder="zf").sum_rate
+def _derivative_at(power: np.ndarray, ues: UeSet, omega: np.ndarray, cfg: SystemConfig):
+    """:func:`sum_rate_derivative` at every point of ``power``, shaped like it."""
+    return np.broadcast_to(sum_rate_derivative(power, ues, omega, cfg), power.shape)
+
+
+def _sum_rates(power: np.ndarray, ues: UeSet, omega: np.ndarray, cfg: SystemConfig):
+    """``evaluate(...).sum_rate`` (zero forcing) at every point of ``power``, bit for bit."""
+    column = power[:, np.newaxis]
+    _, lam, dist = _clipper_state(column, cfg)
+    return np.sum(rates(cfg, _sindr(cfg, ues, omega, column, lam, dist, "zf")), axis=-1)
 
 
 def _bisect_on_sign(
-    lo: float,
-    hi: float,
-    delta: float,
-    ues: UeSet,
-    omega: np.ndarray,
-    cfg: SystemConfig,
+    lo: float, hi: float, delta: float, ues: UeSet, omega: np.ndarray, cfg: SystemConfig
 ) -> tuple[float, int]:
     """Plain sign bisection of the derivative; returns (midpoint, steps).
 
     Stops when the bracket is at most ``delta`` wide, or when a step
     leaves it unchanged: at P > delta / eps the bracket reaches one
     float ulp before it reaches ``delta``.
+
+    Look-ahead: one derivative call covers the next ``_LOOKAHEAD_LEVELS``
+    levels of midpoints (31 points), and the walk reads only its own path's
+    signs, so its bits, and any NaN it meets, are those of one call per step.
     """
     iterations = 0
     while hi - lo > delta:
-        mid = 0.5 * (lo + hi)
-        s = int(np.sign(sum_rate_derivative(mid, ues, omega, cfg)))  # int(nan) raises
-        if s == 0:  # exact stationary point
-            return mid, iterations + 1
-        iterations += 1
-        step = (mid, hi) if s > 0 else (lo, mid)
-        if step == (lo, hi):
-            break
-        lo, hi = step
+        ends = np.array([lo, hi])
+        for _ in range(_LOOKAHEAD_LEVELS):
+            ends = np.insert(ends, np.arange(1, ends.size), 0.5 * (ends[:-1] + ends[1:]))
+        values = _derivative_at(ends[1:-1], ues, omega, cfg)
+        a, b = 0, ends.size - 1  # (lo, hi) == (ends[a], ends[b]); midpoint ends[(a + b) // 2]
+        while b - a > 1 and hi - lo > delta:
+            m = (a + b) // 2
+            mid = float(ends[m])
+            s = int(np.sign(values[m - 1]))  # int(nan) raises
+            if s == 0:  # exact stationary point
+                return mid, iterations + 1
+            iterations += 1
+            step = (mid, hi) if s > 0 else (lo, mid)
+            if step == (lo, hi):  # one ulp wide: mid is lo or hi
+                return mid, iterations
+            lo, hi = step
+            a, b = (m, b) if s > 0 else (a, m)
     return 0.5 * (lo + hi), iterations
 
 
@@ -268,7 +278,10 @@ def solve_dapa(
     the bracket; if any sample beats the bisection root (possible only
     if the K-term derivative had several sign changes), bisection is
     re-run inside the best sample's sub-interval and the best candidate
-    wins.  This guard keeps the common single-root case untouched.
+    wins.  This guard keeps the common single-root case untouched.  Both
+    stages batch their points: bisection evaluates five levels of
+    midpoints per derivative call, and the guard rates its 32 samples in
+    one call.  Every bit is that of one scalar call per point.
 
     ``cfg.pa`` must be the ideal clipper, the only amplifier the
     derivative models; any other raises ``ValueError``.
@@ -291,8 +304,7 @@ def solve_dapa(
     lower, upper = root_bounds(ues.noise_w[active], ues.beta[active], cfg)
     lo, hi = float(np.min(lower)), float(np.max(upper))
 
-    d_lo = sum_rate_derivative(lo, ues, omega, cfg)
-    d_hi = sum_rate_derivative(hi, ues, omega, cfg)
+    d_lo, d_hi = map(float, _derivative_at(np.array([lo, hi]), ues, omega, cfg))
     if d_lo < 0.0 or d_hi > 0.0:
         raise SolverError(
             "derivative sign condition violated at the initial bracket",
@@ -309,18 +321,18 @@ def solve_dapa(
 
     root, iterations = _bisect_on_sign(lo, hi, delta, ues, omega, cfg)
     best_p = root
-    best_obj = _objective(root, ues, omega, cfg)
+    best_obj = evaluate(cfg, ues, Allocation(root, omega)).sum_rate
 
     # Multi-root guard: scan the bracket for a better objective.
     samples = np.geomspace(lo, hi, _GUARD_SAMPLES)
-    sample_obj = np.array([_objective(float(p), ues, omega, cfg) for p in samples])
+    sample_obj = _sum_rates(samples, ues, omega, cfg)
     i_best = int(np.argmax(sample_obj))
     if sample_obj[i_best] > best_obj:
         sub_lo = float(samples[max(i_best - 1, 0)])
         sub_hi = float(samples[min(i_best + 1, _GUARD_SAMPLES - 1)])
         sub_root, iterations = _bisect_on_sign(sub_lo, sub_hi, delta, ues, omega, cfg)
         for candidate in (sub_root, float(samples[i_best])):
-            obj = _objective(candidate, ues, omega, cfg)
+            obj = evaluate(cfg, ues, Allocation(candidate, omega)).sum_rate
             if obj > best_obj:
                 best_obj = obj
                 best_p = candidate

@@ -230,6 +230,12 @@ def sindr(
     """
     if alloc.omega.size != ues.n_users:
         raise ValueError("allocation size does not match the user set")
+    lam, dist = op.lam, op.effective_distortion
+    return _sindr(cfg, ues, alloc.omega, alloc.total_power_p, lam, dist, precoder)
+
+
+def _sindr(cfg, ues, omega, total_power_p, lam, dist, precoder):
+    """:func:`sindr` on bare operands; columns of P, lam and dist give a row per P."""
     gain = zf_gain(cfg, ues)
     if precoder == "mrt":
         gain, delta, leak = cfg.m_antennas, 0.0, 1.0
@@ -239,13 +245,13 @@ def sindr(
         delta = leak = ues.csi_delta
     elif precoder != "zf":
         raise ValueError(f"unknown precoder {precoder!r}")
-    p_k = alloc.per_user_power
-    signal = gain * op.lam * p_k * ues.beta
-    floor = ues.noise_w + ues.beta * op.effective_distortion
+    p_k = omega * total_power_p
+    signal = gain * lam * p_k * ues.beta
+    floor = ues.noise_w + ues.beta * dist
     if precoder == "zf":
         # delta = leak = 0: skip the two vanishing terms on the hot path
         return signal / floor
-    leakage = op.lam * ues.beta * leak * (alloc.total_power_p - p_k)
+    leakage = lam * ues.beta * leak * (total_power_p - p_k)
     return signal * (1.0 - delta) / (floor + leakage)
 
 

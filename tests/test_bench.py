@@ -199,7 +199,17 @@ def test_grid_2ue_failed_cell_is_nan(monkeypatch, caplog):
     assert record["pl1_db"] == record["pl2_db"] == 100.0
     for key in ("sum_rate_ratio_vs_ref_e", "omega1", "ibo_db"):
         assert math.isnan(record[key]), key
-    assert "drop 0, DAPA-FPDA failed: no bracket" in caplog.text
+    assert "grid cell 0, DAPA-FPDA failed: no bracket" in caplog.text
+
+
+def test_sweep_failed_point_is_nan_and_logged_as_a_sweep_point(monkeypatch, caplog):
+    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-E", _raise(SolverError("no bracket")))
+    rows = sweep_homogeneous(SMALL_SC, [90.0, 100.0], algorithms=("DAPA-E", "REF-E"))
+    for row in rows:
+        assert math.isnan(row["DAPA-E_sum_rate"]) and math.isnan(row["DAPA-E_ibo_db"])
+        assert math.isfinite(row["REF-E_sum_rate"])
+    assert "sweep point 1, DAPA-E failed: no bracket" in caplog.text
+    assert "drop " not in caplog.text
 
 
 def test_summarize_structure():

@@ -19,6 +19,7 @@ from dapalloc.dapa import (
 )
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
 from dapalloc.pa_model import ETA, RAPP, PaModel
+from dapa_reference import bisect_on_sign, sum_rate_derivative_scalar
 
 NOISE_FULLBAND = 7.165929069962951e-14  # 1200 x 15 kHz thermal, watts
 
@@ -195,6 +196,67 @@ def test_nan_derivative_stops_the_solver(monkeypatch):
         solve_dapa(_homog_ues(1), np.array([1.0]), _cfg())
 
 
+def _mixed_problems(n_sets, k, seed):
+    """Random user sets with about a fifth of the fractions zero."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_sets):
+        ues = UeSet(beta=10 ** rng.uniform(-14, -9, size=k), noise_w=NOISE_FULLBAND)
+        omega = rng.dirichlet(np.ones(k))
+        omega[rng.random(k) < 0.2] = 0.0
+        omega[0] += 1e-3  # keep one user active
+        yield ues, omega / omega.sum()
+
+
+def test_nan_off_the_visited_path_is_never_read(monkeypatch):
+    # The look-ahead evaluates midpoints the walk may never visit; a NaN
+    # there must not change the result.
+    cfg = _cfg()
+    real = dapa.sum_rate_derivative
+    for ues, omega in _mixed_problems(3, 8, seed=11):
+        monkeypatch.setattr(dapa, "sum_rate_derivative", real)
+        expected = solve_dapa(ues, omega, cfg)
+        visited = []
+
+        def recording(p, *rest):
+            visited.append(p)
+            return real(p, *rest)
+
+        monkeypatch.setattr(dapa, "sum_rate_derivative", recording)
+        bisect_on_sign(
+            expected.bracket_lo, expected.bracket_hi, dapa.default_delta(cfg), ues, omega, cfg
+        )
+        on_path = visited + [expected.bracket_lo, expected.bracket_hi]
+        injected = []
+
+        def nan_off_path(p, *rest):
+            values = real(p, *rest)
+            if np.ndim(p) == 1:
+                values = np.where(np.isin(p, on_path), values, math.nan)
+                injected.append(int(np.isnan(values).sum()))
+            return values
+
+        monkeypatch.setattr(dapa, "sum_rate_derivative", nan_off_path)
+        assert solve_dapa(ues, omega, cfg) == expected
+        assert sum(injected) > 0
+
+
+def test_batched_derivative_and_guard_rates_are_bitwise():
+    """One call on a vector of powers gives the one-power values bit for
+    bit: the derivative matches its scalar calls and the libm reference,
+    and the guard's sum rates match ``evaluate``.  The powers span the
+    erfcx switch and the exp cutoff (psi from 6e-4 to 6e3)."""
+    cfg = _cfg(p_max=0.1)
+    powers = np.geomspace(1e-3, 1e4, 150)
+    for ues, omega in _mixed_problems(4, 12, seed=5):
+        batched = sum_rate_derivative(powers, ues, omega, cfg)
+        scalar = [sum_rate_derivative(float(p), ues, omega, cfg) for p in powers]
+        reference = [sum_rate_derivative_scalar(float(p), ues, omega, cfg) for p in powers]
+        assert batched.tobytes() == np.array(scalar).tobytes() == np.array(reference).tobytes()
+        rates = dapa._sum_rates(powers, ues, omega, cfg)
+        evaluated = [evaluate(cfg, ues, Allocation(float(p), omega)).sum_rate for p in powers]
+        assert rates.tobytes() == np.array(evaluated).tobytes()
+
+
 # -------------------------------------------------------------- solve_dapa
 
 # P* = M p_max / psi*, same mpmath roots as above
@@ -272,12 +334,12 @@ def test_bisection_stops_at_a_one_ulp_bracket(monkeypatch):
     r = 5.0e-8  # beta ETA M p_max / sigma^2
     beta = r * 7.2e-14 / (ETA * cfg.m_antennas * cfg.p_max)
     ues = UeSet(beta=np.array([beta]), noise_w=np.array([7.2e-14]))
-    calls = []
+    points = [0]
     real = dapa.sum_rate_derivative
 
     def counted(*args):
-        calls.append(args[0])
-        if len(calls) > 1000:
+        points[0] += np.size(args[0])
+        if points[0] > 1000:
             raise AssertionError("bisection does not terminate")
         return real(*args)
 

@@ -18,6 +18,7 @@ from dapalloc.allocator import ALGORITHMS, dapa_e
 from dapalloc.dapa import SolverError, default_delta, power_balance, root_bounds, solve_dapa
 from dapalloc.metrics import SystemConfig, UeSet
 from dapalloc.pa_model import ETA, input_backoff
+from dapa_reference import bisect_on_sign
 
 SIGMA2 = 7.2e-14
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -80,14 +81,14 @@ _ULP_BRACKET = (
 def test_solve_dapa_returns_or_raises_solver_error(problem):
     ues, omega, cfg = problem
     # A hang shows as a failure: a terminating solve evaluates the
-    # derivative once per bisection step plus three times, a few hundred
-    # times at most.
-    calls = []
+    # derivative at 31 points per five bisection steps plus three more,
+    # a few hundred points at most.
+    points = [0]
     real = dapa.sum_rate_derivative
 
     def counted(*args):
-        calls.append(args[0])
-        if len(calls) > 2000:
+        points[0] += np.size(args[0])
+        if points[0] > 2000:
             raise AssertionError("bisection does not terminate")
         return real(*args)
 
@@ -100,6 +101,62 @@ def test_solve_dapa_returns_or_raises_solver_error(problem):
     width = res.bracket_hi - res.bracket_lo
     assert res.iterations <= math.ceil(math.log2(width / delta)) + 1
     assert res.bracket_lo <= res.total_power_p <= res.bracket_hi
+
+
+@PROPERTY
+@given(problem=_problems())
+@example(problem=_ULP_BRACKET)
+def test_lookahead_bisection_is_bitwise_sequential(problem):
+    ues, omega, cfg = problem
+    active = omega > 0.0
+    try:
+        lower, upper = root_bounds(ues.noise_w[active], ues.beta[active], cfg)
+    except SolverError:
+        return
+    args = (float(np.min(lower)), float(np.max(upper)), default_delta(cfg), ues, omega, cfg)
+    fast, slow = dapa._bisect_on_sign(*args), bisect_on_sign(*args)
+    assert np.float64(fast[0]).tobytes() == np.float64(slow[0]).tobytes()
+    assert fast[1] == slow[1]
+
+
+@settings(PROPERTY, max_examples=400)
+@given(
+    lo=st.floats(1e-6, 1e6),
+    log_width=st.floats(-12.0, 6.0),
+    log2_steps=st.floats(0.0, 64.0),
+    depth=st.integers(0, 64),
+    turns=st.integers(0, 2**64 - 1),
+    exact=st.booleans(),
+)
+def test_lookahead_bisection_matches_on_stub_derivatives(
+    lo, log_width, log2_steps, depth, turns, exact
+):
+    # ``target`` is the midpoint that ``depth`` steps lead to (bit i of
+    # ``turns`` set: keep the right half).  With ``exact`` the derivative
+    # is exactly 0 there; without, it is +1 up to ``target`` and -1 past
+    # it, so no midpoint is a zero and a small ``delta`` drives the
+    # bracket to the one-ulp stop.  ``delta`` allows about ``log2_steps``
+    # steps; both bisections together evaluate a few hundred points.
+    hi = lo + 10.0**log_width
+    a, b = lo, hi
+    for i in range(depth):
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if turns >> i & 1 else (a, mid)
+    target = 0.5 * (a + b)
+    points = [0]
+
+    def stub(p, *rest):
+        points[0] += np.size(p)
+        if points[0] > 2000:
+            raise AssertionError("bisection does not terminate")
+        p = np.asarray(p)
+        return np.sign(target - p) if exact else np.where(p <= target, 1.0, -1.0)
+
+    args = (lo, hi, (hi - lo) / 2.0**log2_steps, None, None, None)
+    with mock.patch.object(dapa, "sum_rate_derivative", stub):
+        fast, slow = dapa._bisect_on_sign(*args), bisect_on_sign(*args)
+    assert np.float64(fast[0]).tobytes() == np.float64(slow[0]).tobytes()
+    assert fast[1] == slow[1]
 
 
 @st.composite
