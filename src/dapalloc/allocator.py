@@ -1,6 +1,8 @@
 """End-to-end power-allocation strategies.
 
-Four strategies, all producing an :class:`~dapalloc.metrics.Allocation`:
+Four strategies, all producing an :class:`~dapalloc.metrics.Allocation`
+for one user set, or a list of them for a chunk of sets solved in
+lockstep (see :data:`ALGORITHMS`):
 
 * ``DAPA-FPDA`` -- :func:`alternating_optimize`: block-coordinate ascent
   alternating the total-power bisection (fractions fixed) with
@@ -22,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from dapalloc.dapa import default_delta, solve_dapa
+from dapalloc.dapa import _clipper_state, _unwrap, default_delta, solve_dapa
 from dapalloc.fpda import breakpoints, solve_fpda
 from dapalloc.metrics import (
     Allocation,
@@ -32,6 +34,7 @@ from dapalloc.metrics import (
     operating_point_at,
     zf_gain,
 )
+from dapalloc.pa_model import PaOperatingPoint
 
 __all__ = [
     "AoTrace",
@@ -39,6 +42,7 @@ __all__ = [
     "ref_e",
     "ref_fpda",
     "dapa_e",
+    "dapa_fpda",
     "ALGORITHMS",
     "REF_BACKOFF_DB",
 ]
@@ -68,6 +72,14 @@ def _ref_power(cfg: SystemConfig) -> float:
     return cfg.m_antennas * cfg.p_max / _REF_BACKOFF_LINEAR
 
 
+def _one_or_chunk(solve_rows, ues, cfg: SystemConfig):
+    """``solve_rows`` on one user set (its allocation, or its error
+    raised) or on a chunk of sets (a list of allocations and errors)."""
+    if isinstance(ues, UeSet):
+        return _unwrap(solve_rows([ues], cfg))
+    return solve_rows(list(ues), cfg)
+
+
 def alternating_optimize(
     ues: UeSet,
     cfg: SystemConfig,
@@ -84,39 +96,74 @@ def alternating_optimize(
     condition, and every run starts from equal fractions.
 
     If ``max_iters`` runs out, the best iterate seen is returned with
-    ``converged = False`` in the trace.
+    ``converged = False`` in the trace.  This is the one-row case of
+    the lockstep kernel that DAPA-FPDA runs on a chunk of user sets.
+    """
+    return _unwrap(_ao_rows([ues], cfg, delta, max_iters))
+
+
+def _ao_rows(
+    ues_rows: list, cfg: SystemConfig, delta: Optional[float] = None, max_iters: int = 100
+) -> list:
+    """:func:`alternating_optimize` on a chunk of user sets in lockstep.
+
+    Every round solves the total power of each open row in one chunked
+    :func:`~dapalloc.dapa.solve_dapa` call, and computes every row's
+    operating point in one call; each row keeps its own fractions,
+    iterates, stop rule and best iterate.  Returns one (Allocation,
+    AoTrace) pair, or the solver error, per row.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if delta is None:
         delta = default_delta(cfg)
 
-    n = ues.n_users
-    iterates: list[tuple[float, np.ndarray, float]] = []
-    converged = False
-    prev_power: Optional[float] = None
-    omega = np.full(n, 1.0 / n)
+    n_rows = len(ues_rows)
+    outcomes: list = [None] * n_rows
+    iterates: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in range(n_rows)]
+    omega = [np.full(ues.n_users, 1.0 / ues.n_users) for ues in ues_rows]
+    prev_power: list[Optional[float]] = [None] * n_rows
+    open_rows = list(range(n_rows))
 
     for _ in range(max_iters):
-        result = solve_dapa(ues, omega, cfg, delta)
-        power = result.total_power_p
-        if prev_power is not None and power != prev_power:
-            # Ascent safeguard: the step must not lose sum rate against the
-            # last iterate, which holds (prev_power, omega); this can only
-            # trigger in the multi-root corner the bisection guard also covers.
-            move = evaluate(cfg, ues, Allocation(power, omega), "zf").sum_rate
-            if move < iterates[-1][2]:
-                power = prev_power
-        op = operating_point_at(cfg, power)
-        omega = solve_fpda(breakpoints(ues, cfg, power, op))
-        report = evaluate(cfg, ues, Allocation(power, omega), precoder="zf")
-        iterates.append((power, omega.copy(), report.sum_rate))
-
-        if prev_power is not None and abs(prev_power - power) < delta:
-            converged = True
+        results = solve_dapa([ues_rows[r] for r in open_rows], [omega[r] for r in open_rows], cfg, delta)
+        solved, powers = [], []
+        for r, result in zip(open_rows, results):
+            if isinstance(result, Exception):
+                outcomes[r] = result
+                continue
+            power = result.total_power_p
+            # Ascent safeguard: the step, rated by the solve at (power, omega),
+            # must not lose sum rate against the last iterate, which holds
+            # (prev_power, omega); this can only trigger in the multi-root
+            # corner the bisection guard also covers.
+            if prev_power[r] is not None and power != prev_power[r]:
+                if result.sum_rate < iterates[r][-1][2]:
+                    power = prev_power[r]
+            solved.append(r)
+            powers.append(power)
+        open_rows = []
+        if solved:
+            psi, lam, coeff, dist = _clipper_state(np.array(powers), cfg)
+        for i, (r, power) in enumerate(zip(solved, powers)):
+            op = PaOperatingPoint(float(psi[i]), float(lam[i]), float(coeff[i]), float(dist[i]))
+            omega[r] = solve_fpda(breakpoints(ues_rows[r], cfg, power, op))
+            report = evaluate(cfg, ues_rows[r], Allocation(power, omega[r]), precoder="zf")
+            iterates[r].append((power, omega[r].copy(), report.sum_rate))
+            if prev_power[r] is not None and abs(prev_power[r] - power) < delta:
+                outcomes[r] = _ao_outcome(iterates[r], converged=True)
+            else:
+                prev_power[r] = power
+                open_rows.append(r)
+        if not open_rows:
             break
-        prev_power = power
+    for r in open_rows:
+        outcomes[r] = _ao_outcome(iterates[r], converged=False)
+    return outcomes
 
+
+def _ao_outcome(iterates: list, converged: bool) -> tuple[Allocation, AoTrace]:
+    """The last iterate if converged, else the best one, with the trace."""
     if converged:
         power, omega, _ = iterates[-1]
     else:
@@ -126,35 +173,67 @@ def alternating_optimize(
     )
 
 
-def ref_e(ues: UeSet, cfg: SystemConfig) -> Allocation:
-    """Fixed 6 dB back-off total power, equal per-user fractions."""
-    zf_gain(cfg, ues)  # rated with zero-forcing, so K < M
-    n = ues.n_users
-    return Allocation(_ref_power(cfg), np.full(n, 1.0 / n))
+def ref_e(ues, cfg: SystemConfig):
+    """Fixed 6 dB back-off total power, equal per-user fractions.
+
+    ``ues`` may be one user set or a chunk of them, as for every
+    strategy in :data:`ALGORITHMS`.
+    """
+    return _one_or_chunk(_ref_e_rows, ues, cfg)
 
 
-def ref_fpda(ues: UeSet, cfg: SystemConfig) -> Allocation:
+def _ref_e_rows(ues_rows: list, cfg: SystemConfig) -> list:
+    for ues in ues_rows:
+        zf_gain(cfg, ues)  # rated with zero-forcing, so K < M
+    return [Allocation(_ref_power(cfg), np.full(ues.n_users, 1.0 / ues.n_users)) for ues in ues_rows]
+
+
+def ref_fpda(ues, cfg: SystemConfig):
     """Fixed 6 dB back-off total power, water-filled fractions."""
+    return _one_or_chunk(_ref_fpda_rows, ues, cfg)
+
+
+def _ref_fpda_rows(ues_rows: list, cfg: SystemConfig) -> list:
     power = _ref_power(cfg)
-    op = operating_point_at(cfg, power)
-    omega = solve_fpda(breakpoints(ues, cfg, power, op))
-    return Allocation(power, omega)
+    op = operating_point_at(cfg, power)  # one power for every row
+    return [Allocation(power, solve_fpda(breakpoints(ues, cfg, power, op))) for ues in ues_rows]
 
 
-def dapa_e(ues: UeSet, cfg: SystemConfig) -> Allocation:
+def dapa_e(ues, cfg: SystemConfig):
     """Optimal total power with fractions pinned at 1/K."""
-    n = ues.n_users
-    omega = np.full(n, 1.0 / n)
-    result = solve_dapa(ues, omega, cfg)
-    return Allocation(result.total_power_p, omega)
+    return _one_or_chunk(_dapa_e_rows, ues, cfg)
+
+
+def _dapa_e_rows(ues_rows: list, cfg: SystemConfig) -> list:
+    omega = [np.full(ues.n_users, 1.0 / ues.n_users) for ues in ues_rows]
+    return [
+        result if isinstance(result, Exception) else Allocation(result.total_power_p, w)
+        for result, w in zip(solve_dapa(ues_rows, omega, cfg), omega)
+    ]
+
+
+def dapa_fpda(ues, cfg: SystemConfig):
+    """The alternating optimizer's allocation (DAPA-FPDA).
+
+    One user set goes through :func:`alternating_optimize`, looked up
+    at each call so that a rebinding of that name (as the benchmark
+    tracer does) is seen; a chunk runs the lockstep kernel.
+    """
+    if isinstance(ues, UeSet):
+        return alternating_optimize(ues, cfg)[0]
+    return [
+        outcome if isinstance(outcome, Exception) else outcome[0]
+        for outcome in _ao_rows(list(ues), cfg)
+    ]
 
 
 # Canonical strategy labels, as used in result records and CSV output.
-# Each entry maps (ues, cfg) to an Allocation.  DAPA-FPDA looks
-# ``alternating_optimize`` up at each call, so a rebinding of that name
-# (as the benchmark tracer does) is seen.
-ALGORITHMS: dict[str, Callable[[UeSet, SystemConfig], Allocation]] = {
-    "DAPA-FPDA": lambda ues, cfg: alternating_optimize(ues, cfg)[0],
+# Each entry maps (ues, cfg) to an Allocation, raising SolverError or
+# ConvergenceError on failure; given a chunk (a sequence of user sets
+# sharing cfg) it solves them in lockstep and returns a list holding
+# each row's Allocation or error.
+ALGORITHMS: dict[str, Callable] = {
+    "DAPA-FPDA": dapa_fpda,
     "DAPA-E": dapa_e,
     "REF-FPDA": ref_fpda,
     "REF-E": ref_e,

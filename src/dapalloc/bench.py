@@ -5,14 +5,18 @@ per-drop results, computes empirical survival functions (CCDF) and
 quartile summaries, and serializes everything as diff-able CSV (17
 significant digits) plus a JSON summary.
 
-One loop serves every Monte-Carlo mode: a per-drop task builds the
-drop once, solves every strategy, and rates each allocation under a
-list of (config, precoder, csi) evaluators.  Solver failures become NaN
-rows carrying the error; any other exception propagates.
+One loop serves every Monte-Carlo mode: it builds each drop once, and
+each task takes a chunk of ``CHUNK_SIZE`` drops, solves every strategy
+on the whole chunk in lockstep, and rates each allocation under a list
+of (config, precoder, csi) evaluators.  The homogeneous sweep and the
+two-user grid hand their points and cells to the same chunked path.
+Solver failures become NaN rows carrying the error; any other
+exception propagates.
 
-Determinism: a drop is a pure function of (scenario seed, drop id), and
+Determinism: a drop is a pure function of (scenario seed, drop id),
+each row of a lockstep solve is bitwise its own one-set solve, and
 results are collected in drop order, so the output is byte-identical
-for any worker count.
+for any worker count and any chunking.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_ALGORITHMS = ("DAPA-FPDA", "DAPA-E", "REF-FPDA", "REF-E")
+CHUNK_SIZE = 16  # user sets (drops, sweep points, grid cells) solved in lockstep per task
 
 
 @dataclass(frozen=True)
@@ -104,68 +109,58 @@ _Evaluator = tuple[SystemConfig, str, Optional[np.ndarray]]
 
 
 def _solve_and_rate(
-    drop_id: int,
-    ues: UeSet,
+    ids: Sequence[int],
+    chunk: Sequence[UeSet],
     cfg: SystemConfig,
     algorithms: Sequence[str],
     evaluators: Sequence[_Evaluator],
     unit: str = "drop",
 ) -> list[list[DropResult]]:
-    """Solve every strategy on one user set, rate it under every evaluator.
+    """Solve every strategy on a chunk of user sets, rate each allocation
+    under every evaluator.
 
-    Returns one result list per evaluator, in strategy order.  A solver
-    failure gives the same NaN result in every list and is logged under
-    ``unit`` (a drop, sweep point or grid cell); any other error propagates.
+    Each strategy solves the whole chunk in lockstep.  Returns one result
+    list per evaluator, ordered by (set, strategy).  A solver failure gives
+    the same NaN result in every list and is logged, in that order, under
+    ``unit`` (a drop, sweep point or grid cell) and the set's id; any
+    other error propagates.
     """
-    views = [
-        ues if csi is None else UeSet(beta=ues.beta, noise_w=ues.noise_w, csi_delta=csi)
-        for _, _, csi in evaluators
-    ]
-    out: list[list[DropResult]] = [[] for _ in evaluators]
+    outcomes = {}
     for label in algorithms:
         try:
-            alloc = ALGORITHMS[label](ues, cfg)
+            outcomes[label] = ALGORITHMS[label](chunk, cfg)
         except (SolverError, ConvergenceError) as exc:
-            logger.warning("%s %d, %s failed: %s", unit, drop_id, label, exc)
-            nan = math.nan
-            unknown = np.full(ues.n_users, nan)
-            failure = DropResult(drop_id, label, nan, nan, nan, unknown, unknown, str(exc))
-            for results in out:
-                results.append(failure)
-            continue
-        for results, view, (eval_cfg, precoder, _) in zip(out, views, evaluators):
-            report = evaluate(eval_cfg, view, alloc, precoder=precoder)
-            results.append(
-                DropResult(
-                    drop_id=drop_id,
-                    algorithm=label,
-                    sum_rate=report.sum_rate,
-                    total_power_p=alloc.total_power_p,
-                    ibo_db=report.ibo_db,
-                    omega=alloc.omega,
-                    rates=report.rate,
+            outcomes[label] = [exc] * len(chunk)
+    out: list[list[DropResult]] = [[] for _ in evaluators]
+    for row, (set_id, ues) in enumerate(zip(ids, chunk, strict=True)):
+        views = [
+            ues if csi is None else UeSet(beta=ues.beta, noise_w=ues.noise_w, csi_delta=csi)
+            for _, _, csi in evaluators
+        ]
+        for label in algorithms:
+            alloc = outcomes[label][row]
+            if isinstance(alloc, Exception):
+                logger.warning("%s %d, %s failed: %s", unit, set_id, label, alloc)
+                nan = math.nan
+                unknown = np.full(ues.n_users, nan)
+                failure = DropResult(set_id, label, nan, nan, nan, unknown, unknown, str(alloc))
+                for results in out:
+                    results.append(failure)
+                continue
+            for results, view, (eval_cfg, precoder, _) in zip(out, views, evaluators):
+                report = evaluate(eval_cfg, view, alloc, precoder=precoder)
+                results.append(
+                    DropResult(
+                        drop_id=set_id,
+                        algorithm=label,
+                        sum_rate=report.sum_rate,
+                        total_power_p=alloc.total_power_p,
+                        ibo_db=report.ibo_db,
+                        omega=alloc.omega,
+                        rates=report.rate,
+                    )
                 )
-            )
     return out
-
-
-def _drop_task(
-    drop_id: int,
-    sc: ScenarioConfig,
-    algorithms: Sequence[str],
-    evaluators: Sequence[_Evaluator],
-) -> list[list[DropResult]]:
-    """Build one drop, then solve and rate it."""
-    ues = drop_ues(sc, drop_id)
-    return _solve_and_rate(drop_id, ues, _system_config(sc), algorithms, evaluators)
-
-
-def _map(task, items: list, workers: int) -> list:
-    """``task`` over ``items`` in order, in a process pool if workers > 1."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, items))
-    return [task(item) for item in items]
 
 
 def _run(
@@ -182,14 +177,32 @@ def _run(
             raise ValueError(f"unknown algorithm label {label!r}")
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
+    sets = [drop_ues(sc, drop_id) for drop_id in range(n_drops)]
+    return _rate_sets(sets, _system_config(sc), algorithms, evaluators, "drop", workers)
+
+
+def _rate_sets(
+    sets: list[UeSet],
+    cfg: SystemConfig,
+    algorithms: Sequence[str],
+    evaluators: Sequence[_Evaluator],
+    unit: str,
+    workers: int = 1,
+) -> list[list[DropResult]]:
+    """:func:`_solve_and_rate` over ``sets``, one task per chunk of
+    ``CHUNK_SIZE`` sets, in a process pool if workers > 1; one result list
+    per evaluator, ordered by (set, algorithm)."""
     task = partial(
-        _drop_task,
-        sc=sc,
-        algorithms=tuple(algorithms),
-        evaluators=tuple(evaluators),
+        _solve_and_rate, cfg=cfg, algorithms=tuple(algorithms), evaluators=tuple(evaluators), unit=unit
     )
-    per_drop = _map(task, list(range(n_drops)), workers)
-    return [[r for drop in per_drop for r in drop[i]] for i in range(len(evaluators))]
+    spans = [range(i, min(i + CHUNK_SIZE, len(sets))) for i in range(0, len(sets), CHUNK_SIZE)]
+    chunks = [sets[span.start:span.stop] for span in spans]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_chunk = list(pool.map(task, spans, chunks))
+    else:
+        per_chunk = list(map(task, spans, chunks))
+    return [[r for chunk in per_chunk for r in chunk[i]] for i in range(len(evaluators))]
 
 
 def run_montecarlo(
@@ -287,31 +300,16 @@ def sweep_homogeneous(
     from dapalloc.scenario import homogeneous_sweep
 
     cfg = _system_config(sc)
-    zf = [(cfg, "zf", None)]
+    sets = homogeneous_sweep(pl_db_grid, sc)
+    (results,) = _rate_sets(sets, cfg, algorithms, [(cfg, "zf", None)], "sweep point")
     rows = []
-    for index, (pl_db, ues) in enumerate(zip(pl_db_grid, homogeneous_sweep(pl_db_grid, sc))):
-        (results,) = _solve_and_rate(index, ues, cfg, algorithms, zf, "sweep point")
+    for index, pl_db in enumerate(pl_db_grid):
         row: dict = {"pl_db": float(pl_db)}
-        for r in results:
+        for r in results[index * len(algorithms):(index + 1) * len(algorithms)]:
             row[f"{r.algorithm}_sum_rate"] = r.sum_rate
             row[f"{r.algorithm}_ibo_db"] = r.ibo_db
         rows.append(row)
     return rows
-
-
-def _grid_cell(cell: tuple[int, float, float, UeSet], sc: ScenarioConfig) -> dict:
-    index, pl1_db, pl2_db, ues = cell
-    cfg = _system_config(sc)
-    algorithms, zf = ("DAPA-FPDA", "REF-E"), [(cfg, "zf", None)]
-    (results,) = _solve_and_rate(index, ues, cfg, algorithms, zf, "grid cell")
-    opt, ref = results
-    return {
-        "pl1_db": pl1_db,
-        "pl2_db": pl2_db,
-        "sum_rate_ratio_vs_ref_e": opt.sum_rate / ref.sum_rate,
-        "omega1": float(opt.omega[0]),
-        "ibo_db": opt.ibo_db,
-    }
 
 
 def grid_2ue(
@@ -329,12 +327,23 @@ def grid_2ue(
     cell's row-major index.
     """
     grid_db, cells = grid
-    items = [
-        (i * len(row) + j, float(grid_db[i]), float(grid_db[j]), ues)
-        for i, row in enumerate(cells)
-        for j, ues in enumerate(row)
+    cfg = _system_config(sc)
+    path_loss = [
+        (float(grid_db[i]), float(grid_db[j])) for i, row in enumerate(cells) for j in range(len(row))
     ]
-    return _map(partial(_grid_cell, sc=sc), items, workers)
+    sets = [ues for row in cells for ues in row]
+    algorithms = ("DAPA-FPDA", "REF-E")
+    (results,) = _rate_sets(sets, cfg, algorithms, [(cfg, "zf", None)], "grid cell", workers)
+    return [
+        {
+            "pl1_db": pl1_db,
+            "pl2_db": pl2_db,
+            "sum_rate_ratio_vs_ref_e": opt.sum_rate / ref.sum_rate,
+            "omega1": float(opt.omega[0]),
+            "ibo_db": opt.ibo_db,
+        }
+        for (pl1_db, pl2_db), opt, ref in zip(path_loss, results[0::2], results[1::2], strict=True)
+    ]
 
 
 def _quartiles(values: np.ndarray) -> dict:

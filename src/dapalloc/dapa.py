@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, _sindr, evaluate, rates, zf_gain
-from dapalloc.numerics import erfc, erfcx, lambert_w0_of_log
+from dapalloc.numerics import ConvergenceError, erfc, erfcx, lambert_w0_of_log
 from dapalloc.pa_model import (
     _ERFCX_SWITCH,
     _SQRT_PI,
@@ -84,6 +84,8 @@ class DapaResult:
         derivative_residual: |d(sum rate)/dP| at the returned P divided
             by its value at bracket_lo -- a dimensionless stationarity
             measure that shrinks with delta.
+        sum_rate: the zero-forcing sum rate at the returned P, bitwise
+            ``evaluate(...).sum_rate``; the guard compared it.
     """
 
     total_power_p: float
@@ -91,6 +93,7 @@ class DapaResult:
     bracket_hi: float
     iterations: int
     derivative_residual: float
+    sum_rate: float
 
 
 def _erfc_over_sqrt(psi):
@@ -122,9 +125,13 @@ def power_balance(total_power_p, sigma2, beta, cfg: SystemConfig):
     psi = cfg.m_antennas * cfg.p_max / total_power_p
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    lead = 2.0 * sigma2 / (_SQRT_PI * beta * ETA * cfg.m_antennas * cfg.p_max)
-    out = lead - _erfc_over_sqrt(psi)
+    out = _balance_lead(sigma2, beta, cfg) - _erfc_over_sqrt(psi)
     return float(out) if out.ndim == 0 else out
+
+
+def _balance_lead(sigma2, beta, cfg: SystemConfig):
+    """The power balance's constant term 2 sigma^2 / (sqrt(pi) beta ETA M p_max)."""
+    return 2.0 * sigma2 / (_SQRT_PI * beta * ETA * cfg.m_antennas * cfg.p_max)
 
 
 def root_bounds(sigma2, beta, cfg: SystemConfig):
@@ -166,92 +173,166 @@ def root_bounds(sigma2, beta, cfg: SystemConfig):
 
 
 def _clipper_state(power: np.ndarray, cfg: SystemConfig):
-    """Back-off, gain and distortion ETA c P, as operating_point_at computes them."""
+    """Back-off, gain, distortion coefficient and distortion ETA c P, as
+    operating_point_at computes them, at every point of ``power``."""
     psi = cfg.m_antennas * cfg.p_max / power
-    return psi, bussgang_gain_soft(psi), ETA * distortion_coeff_soft(psi) * power
+    coeff = distortion_coeff_soft(psi)
+    return psi, bussgang_gain_soft(psi), coeff, ETA * coeff * power
 
 
-def sum_rate_derivative(total_power_p, ues: UeSet, omega: np.ndarray, cfg: SystemConfig):
+def _active(ues: UeSet, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channel gains, noise powers and fractions of the users with positive fraction."""
+    omega = np.asarray(omega, dtype=np.float64)
+    active = omega > 0.0
+    if not np.any(active):
+        raise ValueError("at least one power fraction must be positive")
+    return ues.beta[active], ues.noise_w[active], omega[active]
+
+
+def sum_rate_derivative(total_power_p, ues, omega, cfg: SystemConfig):
     """d(sum rate)/dP at fixed fractions, ideal-clipper amplifier.
 
     Each user contributes (positive rate-curvature factor) x (common
     positive back-off factor) x (power balance); users with zero power
     fraction contribute nothing.  Units: bit/s per watt.  The solvers
     only consume the sign, but the full value is exposed for residual
-    reporting and finite-difference cross-checks.  A 1-D array of powers
-    gives one value per power, bitwise the scalar calls.
+    reporting and finite-difference cross-checks.
+
+    A 1-D array of powers gives one value per power, bitwise the scalar
+    calls.  A chunk -- ``ues`` and ``omega`` sequences of N user sets and
+    fractions, ``total_power_p`` an (N, n) array -- gives an (N, n)
+    array whose row r is bitwise the call on row r alone.
     """
-    omega = np.asarray(omega, dtype=np.float64)
-    active = omega > 0.0
-    if not np.any(active):
-        raise ValueError("at least one power fraction must be positive")
-    beta = ues.beta[active]
-    sigma2 = ues.noise_w[active]
-    w = omega[active]
-    column = np.asarray(total_power_p, dtype=np.float64)[..., np.newaxis]  # a row per power
-    balance = power_balance(column, sigma2, beta, cfg)  # raises unless every P > 0
-    psi, lam, dist = _clipper_state(column, cfg)
+    if isinstance(ues, UeSet):  # one user set: the chunk with N = 1
+        power = np.asarray(total_power_p, dtype=np.float64)
+        out = _derivative_rows(power.reshape(1, -1), [ues], [omega], cfg)
+        return float(out[0, 0]) if power.ndim == 0 else out.reshape(power.shape)
+    return _derivative_rows(np.asarray(total_power_p, dtype=np.float64), ues, omega, cfg)
 
-    array_gain = zf_gain(cfg, ues)
-    denom = sigma2 + beta * dist
-    gamma = array_gain * lam * w * column * beta / denom
 
-    rate_factor = (
-        cfg.bandwidth_hz / (math.log(2.0) * (1.0 + gamma)) * array_gain * w * beta / denom**2
-    )
+def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig) -> np.ndarray:
+    """:func:`sum_rate_derivative` on a chunk: row r of ``power`` on row r's users.
+
+    The terms that depend on P alone are computed once over every row's
+    points; each row's user algebra and user sum run on its own active
+    users, so each sum has that row's length and bits.
+    """
+    if np.any(power <= 0):
+        raise ValueError("total power must be positive")
+    psi, lam, _, dist = _clipper_state(power, cfg)
+    tail = _erfc_over_sqrt(psi)
     # 1 - e^-psi - psi e^-psi ~ psi^2 / 2 at small psi; expm1 avoids the cancellation
     exp_neg = np.where(psi <= 700.0, _exp(-psi), 0.0)
     common = np.sqrt(lam) * (-_expm1(-psi) - psi * exp_neg)
-    scale = (_SQRT_PI / 2.0) * beta * ETA * cfg.m_antennas * cfg.p_max
-    out = np.sum(rate_factor * common * scale * balance, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    out = np.empty(power.shape)
+    for r, (ues, omega) in enumerate(zip(ues_rows, omega_rows)):
+        beta, sigma2, w = _active(ues, omega)
+        column, lam_r, dist_r = power[r, :, None], lam[r, :, None], dist[r, :, None]
+        array_gain = zf_gain(cfg, ues)
+        denom = sigma2 + beta * dist_r
+        gamma = array_gain * lam_r * w * column * beta / denom
+        rate_factor = (
+            cfg.bandwidth_hz / (math.log(2.0) * (1.0 + gamma)) * array_gain * w * beta / denom**2
+        )
+        balance = _balance_lead(sigma2, beta, cfg) - tail[r, :, None]
+        scale = (_SQRT_PI / 2.0) * beta * ETA * cfg.m_antennas * cfg.p_max
+        out[r] = np.sum(rate_factor * common[r, :, None] * scale * balance, axis=-1)
+    return out
 
 
-def _derivative_at(power: np.ndarray, ues: UeSet, omega: np.ndarray, cfg: SystemConfig):
-    """:func:`sum_rate_derivative` at every point of ``power``, shaped like it."""
-    return np.broadcast_to(sum_rate_derivative(power, ues, omega, cfg), power.shape)
+def _derivative_at(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig) -> np.ndarray:
+    """``dapa.sum_rate_derivative`` at an (N, n) array of powers, shaped like it.
+
+    Read through the module name, so a test may replace it; one row is
+    passed as the one-set form, a 1-D array of powers.
+    """
+    if len(ues_rows) == 1:
+        values = sum_rate_derivative(power[0], ues_rows[0], omega_rows[0], cfg)
+    else:
+        values = sum_rate_derivative(power, ues_rows, omega_rows, cfg)
+    return np.broadcast_to(values, power.shape)
 
 
-def _sum_rates(power: np.ndarray, ues: UeSet, omega: np.ndarray, cfg: SystemConfig):
-    """``evaluate(...).sum_rate`` (zero forcing) at every point of ``power``, bit for bit."""
-    column = power[:, np.newaxis]
-    _, lam, dist = _clipper_state(column, cfg)
-    return np.sum(rates(cfg, _sindr(cfg, ues, omega, column, lam, dist, "zf")), axis=-1)
+def _sum_rates(power: np.ndarray, ues, omega, cfg: SystemConfig) -> np.ndarray:
+    """``evaluate(...).sum_rate`` (zero forcing) at every point of ``power``, bit for bit.
+
+    ``power`` is 1-D for one user set, or (N, n) for a chunk of N sets
+    and fractions, with the P-only terms computed once for the chunk.
+    """
+    if isinstance(ues, UeSet):
+        return _sum_rates(power[np.newaxis], [ues], [omega], cfg)[0]
+    _, lam, _, dist = _clipper_state(power, cfg)
+    out = np.empty(power.shape)
+    for r, (ues_r, omega_r) in enumerate(zip(ues, omega)):
+        sindr = _sindr(cfg, ues_r, omega_r, power[r, :, None], lam[r, :, None], dist[r, :, None], "zf")
+        out[r] = np.sum(rates(cfg, sindr), axis=-1)
+    return out
 
 
-def _bisect_on_sign(
-    lo: float, hi: float, delta: float, ues: UeSet, omega: np.ndarray, cfg: SystemConfig
-) -> tuple[float, int]:
-    """Plain sign bisection of the derivative; returns (midpoint, steps).
+def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each row's next ``_LOOKAHEAD_LEVELS`` levels of midpoints between
+    its (lo, hi), as one sorted row of 2^levels + 1 bracket ends."""
+    ends = np.stack([lo, hi], axis=1)
+    for _ in range(_LOOKAHEAD_LEVELS):
+        finer = np.empty((ends.shape[0], 2 * ends.shape[1] - 1))
+        finer[:, ::2] = ends
+        finer[:, 1::2] = 0.5 * (ends[:, :-1] + ends[:, 1:])
+        ends = finer
+    return ends
 
-    Stops when the bracket is at most ``delta`` wide, or when a step
-    leaves it unchanged: at P > delta / eps the bracket reaches one
-    float ulp before it reaches ``delta``.
+
+def _bisect_on_sign(lo, hi, delta: float, ues_rows, omega_rows, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Sign bisection of the derivative on a chunk of N brackets in
+    lockstep; returns (midpoints, steps), one per row.
+
+    Each row stops on its own: at an exact zero of the derivative, when
+    its bracket is at most ``delta`` wide, or when a step leaves it
+    unchanged (at P > delta / eps the bracket reaches one float ulp
+    before it reaches ``delta``).
 
     Look-ahead: one derivative call covers the next ``_LOOKAHEAD_LEVELS``
-    levels of midpoints (31 points), and the walk reads only its own path's
-    signs, so its bits, and any NaN it meets, are those of one call per step.
+    levels of midpoints (31 points) of every open row, and each row's walk
+    reads only its own path's signs, so its bits, and any NaN it meets,
+    are those of one call per step.
     """
-    iterations = 0
-    while hi - lo > delta:
-        ends = np.array([lo, hi])
-        for _ in range(_LOOKAHEAD_LEVELS):
-            ends = np.insert(ends, np.arange(1, ends.size), 0.5 * (ends[:-1] + ends[1:]))
-        values = _derivative_at(ends[1:-1], ues, omega, cfg)
-        a, b = 0, ends.size - 1  # (lo, hi) == (ends[a], ends[b]); midpoint ends[(a + b) // 2]
-        while b - a > 1 and hi - lo > delta:
-            m = (a + b) // 2
-            mid = float(ends[m])
-            s = int(np.sign(values[m - 1]))  # int(nan) raises
-            if s == 0:  # exact stationary point
-                return mid, iterations + 1
-            iterations += 1
-            step = (mid, hi) if s > 0 else (lo, mid)
-            if step == (lo, hi):  # one ulp wide: mid is lo or hi
-                return mid, iterations
-            lo, hi = step
-            a, b = (m, b) if s > 0 else (a, m)
-    return 0.5 * (lo + hi), iterations
+    lo = np.array(lo, dtype=np.float64)
+    hi = np.array(hi, dtype=np.float64)
+    root = 0.5 * (lo + hi)
+    steps = np.zeros(lo.size, dtype=np.int64)
+    open_rows = np.flatnonzero(hi - lo > delta)
+    while open_rows.size:
+        ends = _ladder(lo[open_rows], hi[open_rows])
+        values = _derivative_at(
+            ends[:, 1:-1], [ues_rows[r] for r in open_rows], [omega_rows[r] for r in open_rows], cfg
+        )
+        still_open = []
+        for i, r in enumerate(open_rows):
+            row_lo, row_hi, n = float(lo[r]), float(hi[r]), int(steps[r])
+            a, b = 0, ends.shape[1] - 1  # (lo, hi) == (ends[a], ends[b])
+            stop = None
+            while b - a > 1 and row_hi - row_lo > delta:
+                m = (a + b) // 2
+                mid = float(ends[i, m])
+                s = int(np.sign(values[i, m - 1]))  # int(nan) raises
+                if s == 0:  # exact stationary point
+                    stop, n = mid, n + 1
+                    break
+                n += 1
+                step = (mid, row_hi) if s > 0 else (row_lo, mid)
+                if step == (row_lo, row_hi):  # one ulp wide: mid is lo or hi
+                    stop = mid
+                    break
+                row_lo, row_hi = step
+                a, b = (m, b) if s > 0 else (a, m)
+            lo[r], hi[r], steps[r] = row_lo, row_hi, n
+            if stop is not None:
+                root[r] = stop
+            elif row_hi - row_lo > delta:
+                still_open.append(r)
+            else:
+                root[r] = 0.5 * (row_lo + row_hi)
+        open_rows = np.array(still_open, dtype=np.intp)
+    return root, steps
 
 
 def default_delta(cfg: SystemConfig) -> float:
@@ -259,12 +340,7 @@ def default_delta(cfg: SystemConfig) -> float:
     return 1e-6 * cfg.m_antennas * cfg.p_max
 
 
-def solve_dapa(
-    ues: UeSet,
-    omega: np.ndarray,
-    cfg: SystemConfig,
-    delta: Optional[float] = None,
-) -> DapaResult:
+def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None):
     """Bisection for the total power maximizing the fixed-fraction sum rate.
 
     The initial bracket runs from the smallest Lambert-W lower bound to
@@ -283,66 +359,129 @@ def solve_dapa(
     midpoints per derivative call, and the guard rates its 32 samples in
     one call.  Every bit is that of one scalar call per point.
 
+    A chunk -- ``ues`` and ``omega`` sequences of N user sets and
+    fractions sharing ``cfg`` and ``delta`` -- is solved in lockstep and
+    gives a list of N outcomes: a :class:`DapaResult`, or the
+    :class:`SolverError` or :class:`~dapalloc.numerics.ConvergenceError`
+    that row raised.  Each row is bitwise its own one-set solve.
+
     ``cfg.pa`` must be the ideal clipper, the only amplifier the
     derivative models; any other raises ``ValueError``.
     """
+    if isinstance(ues, UeSet):  # one user set: the chunk with N = 1
+        return _unwrap(_solve_rows([ues], [omega], cfg, delta))
+    return _solve_rows(list(ues), list(omega), cfg, delta)
+
+
+def _unwrap(outcomes: list):
+    """The one outcome of a one-row chunk: its value, or its error raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _brackets(users: list, cfg: SystemConfig) -> list:
+    """Each row's (lo, hi) bracket over its active ``(beta, sigma2, w)``
+    users, or the error its Lambert-W bounds raised.
+
+    One :func:`root_bounds` call covers every row; it is elementwise, so
+    each row gets the bits of its own call.  If it fails, each row is
+    bounded alone to tell which rows fail.
+    """
+    try:
+        lower, upper = root_bounds(
+            np.concatenate([sigma2 for _, sigma2, _ in users]),
+            np.concatenate([beta for beta, _, _ in users]),
+            cfg,
+        )
+    except (SolverError, ConvergenceError) as exc:
+        if len(users) == 1:
+            return [exc]
+        return [bracket for row in users for bracket in _brackets([row], cfg)]
+    cuts = np.cumsum([beta.size for beta, _, _ in users])[:-1]
+    return [
+        (float(np.min(row_lower)), float(np.max(row_upper)))
+        for row_lower, row_upper in zip(np.split(lower, cuts), np.split(upper, cuts))
+    ]
+
+
+def _solve_rows(ues_rows: list, omega_rows: list, cfg: SystemConfig, delta) -> list:
+    """:func:`solve_dapa` on a chunk, every stage in lockstep over its rows."""
     if cfg.pa.kind != SOFT_LIMITER:
         raise ValueError(f"pa must be {SOFT_LIMITER!r}, the only amplifier the derivative models")
     if delta is None:
         delta = default_delta(cfg)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.size != ues.n_users:
-        raise ValueError("omega length must match the user set")
-    active = omega > 0.0
-    if not np.any(active):
-        raise ValueError("at least one power fraction must be positive")
+    omega_rows = [np.asarray(omega, dtype=np.float64) for omega in omega_rows]
+    for ues, omega in zip(ues_rows, omega_rows, strict=True):
+        if omega.size != ues.n_users:
+            raise ValueError("omega length must match the user set")
+        Allocation(1.0, omega)  # the fractions evaluate checks: nonnegative, summing to 1
 
     # Users with zero fraction have constant rate terms in P and do not
     # constrain the bracket.
-    lower, upper = root_bounds(ues.noise_w[active], ues.beta[active], cfg)
-    lo, hi = float(np.min(lower)), float(np.max(upper))
-
-    d_lo, d_hi = map(float, _derivative_at(np.array([lo, hi]), ues, omega, cfg))
-    if d_lo < 0.0 or d_hi > 0.0:
-        raise SolverError(
+    users = [_active(ues, omega) for ues, omega in zip(ues_rows, omega_rows)]
+    outcomes: list = _brackets(users, cfg)  # errors stay, the rest are replaced
+    rows = [r for r, bracket in enumerate(outcomes) if not isinstance(bracket, Exception)]
+    if not rows:
+        return outcomes
+    lo, hi = np.array([outcomes[r] for r in rows]).T
+    ues_rows = [ues_rows[r] for r in rows]
+    omega_rows = [omega_rows[r] for r in rows]
+    d_lo, d_hi = _derivative_at(np.column_stack([lo, hi]), ues_rows, omega_rows, cfg).T
+    violated = (d_lo < 0.0) | (d_hi > 0.0)
+    for i in np.flatnonzero(violated):
+        outcomes[rows[i]] = SolverError(
             "derivative sign condition violated at the initial bracket",
             diagnostics={
-                "bracket_lo": lo,
-                "bracket_hi": hi,
-                "derivative_lo": d_lo,
-                "derivative_hi": d_hi,
+                "bracket_lo": float(lo[i]),
+                "bracket_hi": float(hi[i]),
+                "derivative_lo": float(d_lo[i]),
+                "derivative_hi": float(d_hi[i]),
                 "delta": delta,
                 "m_antennas": cfg.m_antennas,
                 "p_max": cfg.p_max,
             },
         )
+    keep = np.flatnonzero(~violated)
+    if not keep.size:
+        return outcomes
+    rows = [rows[i] for i in keep]
+    ues_rows = [ues_rows[i] for i in keep]
+    omega_rows = [omega_rows[i] for i in keep]
+    lo, hi, d_lo = lo[keep], hi[keep], d_lo[keep]
 
-    root, iterations = _bisect_on_sign(lo, hi, delta, ues, omega, cfg)
-    best_p = root
-    best_obj = evaluate(cfg, ues, Allocation(root, omega)).sum_rate
+    roots, iterations = _bisect_on_sign(lo, hi, delta, ues_rows, omega_rows, cfg)
+    # Multi-root guard: scan each bracket for a better objective.  Column
+    # 0 rates the root, as evaluate would.
+    samples = np.array([np.geomspace(a, b, _GUARD_SAMPLES) for a, b in zip(lo, hi)])
+    rated = _sum_rates(np.column_stack([roots, samples]), ues_rows, omega_rows, cfg)
+    best_p, best_obj = roots, rated[:, 0]
+    i_best = np.argmax(rated[:, 1:], axis=1)
+    fired = np.flatnonzero(rated[np.arange(len(rows)), 1 + i_best] > best_obj)
+    if fired.size:
+        sub_lo = samples[fired, np.maximum(i_best[fired] - 1, 0)]
+        sub_hi = samples[fired, np.minimum(i_best[fired] + 1, _GUARD_SAMPLES - 1)]
+        sub_roots, iterations[fired] = _bisect_on_sign(
+            sub_lo, sub_hi, delta, [ues_rows[i] for i in fired], [omega_rows[i] for i in fired], cfg
+        )
+        for i, sub_root in zip(fired, sub_roots):
+            for candidate in (float(sub_root), float(samples[i, i_best[i]])):
+                obj = evaluate(cfg, ues_rows[i], Allocation(candidate, omega_rows[i])).sum_rate
+                if obj > best_obj[i]:
+                    best_obj[i] = obj
+                    best_p[i] = candidate
 
-    # Multi-root guard: scan the bracket for a better objective.
-    samples = np.geomspace(lo, hi, _GUARD_SAMPLES)
-    sample_obj = _sum_rates(samples, ues, omega, cfg)
-    i_best = int(np.argmax(sample_obj))
-    if sample_obj[i_best] > best_obj:
-        sub_lo = float(samples[max(i_best - 1, 0)])
-        sub_hi = float(samples[min(i_best + 1, _GUARD_SAMPLES - 1)])
-        sub_root, iterations = _bisect_on_sign(sub_lo, sub_hi, delta, ues, omega, cfg)
-        for candidate in (sub_root, float(samples[i_best])):
-            obj = evaluate(cfg, ues, Allocation(candidate, omega)).sum_rate
-            if obj > best_obj:
-                best_obj = obj
-                best_p = candidate
-
-    d_root = abs(sum_rate_derivative(best_p, ues, omega, cfg))
-    residual = d_root / abs(d_lo) if d_lo != 0.0 else d_root
-    return DapaResult(
-        total_power_p=best_p,
-        bracket_lo=lo,
-        bracket_hi=hi,
-        iterations=iterations,
-        derivative_residual=residual,
-    )
+    d_root = np.abs(_derivative_rows(best_p[:, np.newaxis], ues_rows, omega_rows, cfg)[:, 0])
+    for i, r in enumerate(rows):
+        outcomes[r] = DapaResult(
+            total_power_p=float(best_p[i]),
+            bracket_lo=float(lo[i]),
+            bracket_hi=float(hi[i]),
+            iterations=int(iterations[i]),
+            derivative_residual=float(d_root[i] / abs(d_lo[i]) if d_lo[i] != 0.0 else d_root[i]),
+            sum_rate=float(best_obj[i]),
+        )
+    return outcomes

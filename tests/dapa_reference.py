@@ -2,7 +2,8 @@
 
 :func:`dapalloc.dapa._bisect_on_sign` evaluates several levels of its
 midpoint tree per derivative call; :func:`bisect_on_sign` here is the
-plain form it must match bit for bit, one derivative call per step.
+plain form it must match bit for bit, one derivative call per step, on
+every row of a lockstep chunk.
 :func:`sum_rate_derivative_scalar` is the one-power derivative with a
 libm ``exp``/``expm1`` call per power, which the batched derivative must
 match bit for bit.
@@ -24,18 +25,25 @@ def bisect_on_sign(lo, hi, delta, ues, omega, cfg):
     leaves it unchanged (one float ulp).  The derivative is looked up on
     the module at every step, so a test may replace it.
     """
+    return bisect_walk(lo, hi, delta, ues, omega, cfg)[:2]
+
+
+def bisect_walk(lo, hi, delta, ues, omega, cfg):
+    """:func:`bisect_on_sign` plus the rule that stopped it: ``"zero"``
+    (an exact zero of the derivative), ``"ulp"`` (a one-ulp bracket) or
+    ``"delta"`` (a bracket at most ``delta`` wide)."""
     iterations = 0
     while hi - lo > delta:
         mid = 0.5 * (lo + hi)
         s = int(np.sign(dapa.sum_rate_derivative(mid, ues, omega, cfg)))  # int(nan) raises
         if s == 0:  # exact stationary point
-            return mid, iterations + 1
+            return mid, iterations + 1, "zero"
         iterations += 1
         step = (mid, hi) if s > 0 else (lo, mid)
         if step == (lo, hi):
-            break
+            return 0.5 * (lo + hi), iterations, "ulp"
         lo, hi = step
-    return 0.5 * (lo + hi), iterations
+    return 0.5 * (lo + hi), iterations, "delta"
 
 
 def sum_rate_derivative_scalar(total_power_p, ues, omega, cfg):

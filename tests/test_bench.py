@@ -56,25 +56,33 @@ def test_montecarlo_shape_and_order():
 
 
 MODES = {
-    "run_montecarlo": lambda workers: (run_montecarlo(SMALL_SC, n_drops=6, workers=workers),),
-    "evaluate_rapp_mode": lambda workers: evaluate_rapp_mode(SMALL_SC, 6, workers=workers),
-    "evaluate_icsi_mode": lambda workers: evaluate_icsi_mode(SMALL_SC, 6, workers=workers),
+    "run_montecarlo": lambda workers, n: (run_montecarlo(SMALL_SC, n_drops=n, workers=workers),),
+    "evaluate_rapp_mode": lambda workers, n: evaluate_rapp_mode(SMALL_SC, n, workers=workers),
+    "evaluate_icsi_mode": lambda workers, n: evaluate_icsi_mode(SMALL_SC, n, workers=workers),
 }
 
 
 @pytest.mark.parametrize("mode", list(MODES))
 def test_montecarlo_deterministic_across_workers(mode):
-    """Worker count is an implementation detail: results must be identical."""
-    for serial, parallel in zip(MODES[mode](1), MODES[mode](2), strict=True):
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.drop_id == b.drop_id
-            assert a.algorithm == b.algorithm
-            assert a.sum_rate == b.sum_rate  # bitwise
-            assert np.array_equal(a.rates, b.rates)
-            assert (a.total_power_p, a.ibo_db, a.omega_max, a.error) == (
-                b.total_power_p, b.ibo_db, b.omega_max, b.error
-            )
+    """Worker count is an implementation detail: results must be identical.
+    So is the chunking: with CHUNK_SIZE + 3 drops the second worker task
+    holds a partial chunk."""
+    for n_drops in (6, bench.CHUNK_SIZE + 3):
+        for serial, parallel in zip(MODES[mode](1, n_drops), MODES[mode](2, n_drops), strict=True):
+            _assert_bitwise_equal(serial, parallel)
+            assert [r.drop_id for r in serial[:: len(DEFAULT_ALGORITHMS)]] == list(range(n_drops))
+
+
+def _assert_bitwise_equal(serial, parallel):
+    assert len(serial) == len(parallel)
+    for a, b in zip(serial, parallel):
+        assert a.drop_id == b.drop_id
+        assert a.algorithm == b.algorithm
+        assert a.sum_rate == b.sum_rate  # bitwise
+        assert np.array_equal(a.rates, b.rates)
+        assert (a.total_power_p, a.ibo_db, a.omega_max, a.error) == (
+            b.total_power_p, b.ibo_db, b.omega_max, b.error
+        )
 
 
 def _raise(exc):
@@ -95,6 +103,17 @@ def test_solver_failure_becomes_nan_row(monkeypatch):
                 assert math.isnan(r.sum_rate) and np.all(np.isnan(r.rates))
             else:
                 assert r.error is None and math.isfinite(r.sum_rate)
+
+
+def test_failure_log_is_drop_major_across_chunks(monkeypatch, caplog):
+    # Each chunk solves strategy by strategy, but logs its failures drop by drop.
+    for label in ("DAPA-E", "REF-E"):
+        monkeypatch.setitem(bench.ALGORITHMS, label, _raise(SolverError("no bracket")))
+    n_drops = bench.CHUNK_SIZE + 3
+    run_montecarlo(SMALL_SC, n_drops=n_drops)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"drop {d}, {label} failed: no bracket" for d in range(n_drops) for label in ("DAPA-E", "REF-E")
+    ]
 
 
 def test_programming_error_propagates(monkeypatch):

@@ -19,7 +19,7 @@ from dapalloc.dapa import (
 )
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
 from dapalloc.pa_model import ETA, RAPP, PaModel
-from dapa_reference import bisect_on_sign, sum_rate_derivative_scalar
+from dapa_reference import bisect_on_sign, bisect_walk, sum_rate_derivative_scalar
 
 NOISE_FULLBAND = 7.165929069962951e-14  # 1200 x 15 kHz thermal, watts
 
@@ -329,7 +329,9 @@ def test_solver_heterogeneous_interior_root():
 
 def test_bisection_stops_at_a_one_ulp_bracket(monkeypatch):
     """At P > delta / eps the bracket reaches one float ulp before it
-    reaches delta; the bisection then stops instead of looping."""
+    reaches delta; the bisection then stops instead of looping.  The
+    first solve (r = 5e-8) guards against a hang; the second reaches the
+    one-ulp stop, as the sequential walk records."""
     cfg = _cfg()
     r = 5.0e-8  # beta ETA M p_max / sigma^2
     beta = r * 7.2e-14 / (ETA * cfg.m_antennas * cfg.p_max)
@@ -350,6 +352,20 @@ def test_bisection_stops_at_a_one_ulp_bracket(monkeypatch):
     width = res.bracket_hi - res.bracket_lo
     assert res.iterations <= math.ceil(math.log2(width / delta)) + 1
     assert res.bracket_lo <= res.total_power_p <= res.bracket_hi
+
+    # The solve above ends at an exact zero of the derivative.  A delta
+    # below the root's ulp drives the real derivative's bracket to one ulp.
+    points[0] = 0
+    ues = UeSet(beta=np.array([1e-10, 3e-11]), noise_w=np.full(2, NOISE_FULLBAND))
+    omega = np.array([0.5, 0.5])
+    res = solve_dapa(ues, omega, cfg, delta=1e-20)
+    assert res.total_power_p * np.finfo(np.float64).eps > 1e-20
+    _, steps, stop = bisect_walk(res.bracket_lo, res.bracket_hi, 1e-20, ues, omega, cfg)
+    assert stop == "ulp"
+    assert (res.total_power_p, res.iterations) == bisect_on_sign(
+        res.bracket_lo, res.bracket_hi, 1e-20, ues, omega, cfg
+    )
+    assert res.iterations == steps
 
 
 def test_solver_validation():

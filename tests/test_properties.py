@@ -18,7 +18,7 @@ from dapalloc.allocator import ALGORITHMS, dapa_e
 from dapalloc.dapa import SolverError, default_delta, power_balance, root_bounds, solve_dapa
 from dapalloc.metrics import SystemConfig, UeSet
 from dapalloc.pa_model import ETA, input_backoff
-from dapa_reference import bisect_on_sign
+from dapa_reference import bisect_on_sign, bisect_walk
 
 SIGMA2 = 7.2e-14
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -103,6 +103,12 @@ def test_solve_dapa_returns_or_raises_solver_error(problem):
     assert res.bracket_lo <= res.total_power_p <= res.bracket_hi
 
 
+def _lookahead(lo, hi, delta, ues, omega, cfg):
+    """The lockstep bisection on a one-row chunk, as (midpoint, steps)."""
+    roots, steps = dapa._bisect_on_sign([lo], [hi], delta, [ues], [omega], cfg)
+    return roots[0], steps[0]
+
+
 @PROPERTY
 @given(problem=_problems())
 @example(problem=_ULP_BRACKET)
@@ -114,7 +120,7 @@ def test_lookahead_bisection_is_bitwise_sequential(problem):
     except SolverError:
         return
     args = (float(np.min(lower)), float(np.max(upper)), default_delta(cfg), ues, omega, cfg)
-    fast, slow = dapa._bisect_on_sign(*args), bisect_on_sign(*args)
+    fast, slow = _lookahead(*args), bisect_on_sign(*args)
     assert np.float64(fast[0]).tobytes() == np.float64(slow[0]).tobytes()
     assert fast[1] == slow[1]
 
@@ -154,9 +160,86 @@ def test_lookahead_bisection_matches_on_stub_derivatives(
 
     args = (lo, hi, (hi - lo) / 2.0**log2_steps, None, None, None)
     with mock.patch.object(dapa, "sum_rate_derivative", stub):
-        fast, slow = dapa._bisect_on_sign(*args), bisect_on_sign(*args)
+        fast, slow = _lookahead(*args), bisect_on_sign(*args)
     assert np.float64(fast[0]).tobytes() == np.float64(slow[0]).tobytes()
     assert fast[1] == slow[1]
+
+
+def _stub_target(lo, hi, depth, turns):
+    """The midpoint that ``depth`` steps from (lo, hi) lead to; bit i of
+    ``turns`` set: keep the right half."""
+    a, b = lo, hi
+    for i in range(depth):
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if turns >> i & 1 else (a, mid)
+    return 0.5 * (a + b)
+
+
+def _stub_value(p, target, exact):
+    p = np.asarray(p)
+    return np.sign(target - p) if exact else np.where(p <= target, 1.0, -1.0)
+
+
+_stub_row = st.tuples(
+    st.floats(1e-6, 1e6),  # lo
+    st.floats(-12.0, 6.0),  # log10 of the width
+    st.integers(0, 64),  # depth
+    st.integers(0, 2**64 - 1),  # turns
+    st.booleans(),  # exact
+)
+
+
+def _stub_chunk(rows, delta):
+    """Run the lockstep bisection on stub rows, and each row alone through
+    the sequential walk; return both, and each row's stop rule."""
+    brackets = [(lo, lo + 10.0**log_width) for lo, log_width, *_ in rows]
+    # each row's "user set" is its (target, exact) pair, which the stub reads
+    stubs = [
+        (_stub_target(lo, hi, depth, turns), exact)
+        for (lo, hi), (_, _, depth, turns, exact) in zip(brackets, rows)
+    ]
+    points = [0]
+
+    def stub(p, ues, *rest):
+        points[0] += np.size(p)
+        if points[0] > 20000:
+            raise AssertionError("bisection does not terminate")
+        if isinstance(ues, tuple):  # the one-row form
+            return _stub_value(p, *ues)
+        return np.array([_stub_value(row, *row_stub) for row, row_stub in zip(p, ues)])
+
+    with mock.patch.object(dapa, "sum_rate_derivative", stub):
+        fast = dapa._bisect_on_sign(
+            [lo for lo, _ in brackets], [hi for _, hi in brackets], delta, stubs, [None] * len(rows), None
+        )
+        slow = [bisect_walk(lo, hi, delta, row_stub, None, None) for (lo, hi), row_stub in zip(brackets, stubs)]
+    return fast, slow
+
+
+@settings(PROPERTY, max_examples=150)
+@given(rows=st.lists(_stub_row, min_size=2, max_size=5), log_delta=st.floats(-16.0, 0.0))
+@example(
+    # an exact zero after 7 steps, a one-ulp bracket (P > delta / eps) and
+    # a delta stop, all in the same walk
+    rows=[(1.0, 0.0, 7, 0b1011001, True), (1e5, 0.0, 64, 12345, False), (1e-6, -3.0, 64, 99, False)],
+    log_delta=-12.0,
+)
+def test_lookahead_bisection_matches_on_stub_derivatives_in_a_chunk(rows, log_delta):
+    # Rows share delta but not their bracket, target or stop: a row may
+    # end at an exact zero, at one ulp or at delta while the others walk
+    # on.  Each row returns the sequential walk's bits.
+    (roots, steps), slow = _stub_chunk(rows, 10.0**log_delta)
+    for root, n, (mid, n_slow, _) in zip(roots, steps, slow):
+        assert np.float64(root).tobytes() == np.float64(mid).tobytes()
+        assert n == n_slow
+
+
+def test_stub_chunk_example_stops_by_every_rule():
+    # The pinned example above ends its three rows at three different stops.
+    rows = [(1.0, 0.0, 7, 0b1011001, True), (1e5, 0.0, 64, 12345, False), (1e-6, -3.0, 64, 99, False)]
+    (roots, steps), slow = _stub_chunk(rows, 1e-12)
+    assert [stop for _, _, stop in slow] == ["zero", "ulp", "delta"]
+    assert [n for _, n, _ in slow] == list(steps)
 
 
 @st.composite
