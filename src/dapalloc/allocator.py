@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from dapalloc.dapa import _clipper_state, _unwrap, default_delta, solve_dapa
+from dapalloc.dapa import _unwrap, default_delta, solve_dapa
 from dapalloc.fpda import breakpoints, solve_fpda
 from dapalloc.metrics import (
     Allocation,
@@ -34,7 +34,6 @@ from dapalloc.metrics import (
     operating_point_at,
     zf_gain,
 )
-from dapalloc.pa_model import PaOperatingPoint
 
 __all__ = [
     "AoTrace",
@@ -108,10 +107,9 @@ def _ao_rows(
     """:func:`alternating_optimize` on a chunk of user sets in lockstep.
 
     Every round solves the total power of each open row in one chunked
-    :func:`~dapalloc.dapa.solve_dapa` call, and computes every row's
-    operating point in one call; each row keeps its own fractions,
-    iterates, stop rule and best iterate.  Returns one (Allocation,
-    AoTrace) pair, or the solver error, per row.
+    :func:`~dapalloc.dapa.solve_dapa` call; each row keeps its own
+    fractions, iterates, stop rule and best iterate.  Returns one
+    (Allocation, AoTrace) pair, or the solver error, per row.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -143,10 +141,8 @@ def _ao_rows(
             solved.append(r)
             powers.append(power)
         open_rows = []
-        if solved:
-            psi, lam, coeff, dist = _clipper_state(np.array(powers), cfg)
-        for i, (r, power) in enumerate(zip(solved, powers)):
-            op = PaOperatingPoint(float(psi[i]), float(lam[i]), float(coeff[i]), float(dist[i]))
+        for r, power in zip(solved, powers):
+            op = operating_point_at(cfg, power)
             omega[r] = solve_fpda(breakpoints(ues_rows[r], cfg, power, op))
             report = evaluate(cfg, ues_rows[r], Allocation(power, omega[r]), precoder="zf")
             iterates[r].append((power, omega[r].copy(), report.sum_rate))

@@ -5,13 +5,14 @@ per-drop results, computes empirical survival functions (CCDF) and
 quartile summaries, and serializes everything as diff-able CSV (17
 significant digits) plus a JSON summary.
 
-One loop serves every Monte-Carlo mode: it builds each drop once, and
-each task takes a chunk of ``CHUNK_SIZE`` drops, solves every strategy
-on the whole chunk in lockstep, and rates each allocation under a list
-of (config, precoder, csi) evaluators.  The homogeneous sweep and the
-two-user grid hand their points and cells to the same chunked path.
-Solver failures become NaN rows carrying the error; any other
-exception propagates.
+One loop serves every Monte-Carlo mode: the drops are cut into one
+contiguous chunk per worker (the whole run when ``workers`` is 1), and
+each task builds its chunk's drops, solves every strategy on the whole
+chunk in lockstep, and rates each allocation under a list of (config,
+precoder, csi) evaluators.  The homogeneous sweep and the two-user grid
+hand their points and cells to the same chunked path.  Solver failures
+become NaN rows carrying the error, logged in drop order once every
+chunk is back; any other exception propagates.
 
 Determinism: a drop is a pure function of (scenario seed, drop id),
 each row of a lockstep solve is bitwise its own one-set solve, and
@@ -56,7 +57,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_ALGORITHMS = ("DAPA-FPDA", "DAPA-E", "REF-FPDA", "REF-E")
-CHUNK_SIZE = 16  # user sets (drops, sweep points, grid cells) solved in lockstep per task
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,14 @@ def _solve_and_rate(
     cfg: SystemConfig,
     algorithms: Sequence[str],
     evaluators: Sequence[_Evaluator],
-    unit: str = "drop",
 ) -> list[list[DropResult]]:
     """Solve every strategy on a chunk of user sets, rate each allocation
     under every evaluator.
 
     Each strategy solves the whole chunk in lockstep.  Returns one result
-    list per evaluator, ordered by (set, strategy).  A solver failure gives
-    the same NaN result in every list and is logged, in that order, under
-    ``unit`` (a drop, sweep point or grid cell) and the set's id; any
-    other error propagates.
+    list per evaluator, ordered by (set, strategy), each result carrying
+    its set's id.  A solver failure gives the same NaN result in every
+    list; any other error propagates.
     """
     outcomes = {}
     for label in algorithms:
@@ -140,7 +138,6 @@ def _solve_and_rate(
         for label in algorithms:
             alloc = outcomes[label][row]
             if isinstance(alloc, Exception):
-                logger.warning("%s %d, %s failed: %s", unit, set_id, label, alloc)
                 nan = math.nan
                 unknown = np.full(ues.n_users, nan)
                 failure = DropResult(set_id, label, nan, nan, nan, unknown, unknown, str(alloc))
@@ -163,6 +160,43 @@ def _solve_and_rate(
     return out
 
 
+def _drop_task(
+    ids: range,
+    sc: ScenarioConfig,
+    algorithms: Sequence[str],
+    evaluators: Sequence[_Evaluator],
+) -> list[list[DropResult]]:
+    """Build a chunk of drops, then solve and rate them in lockstep."""
+    chunk = [drop_ues(sc, drop_id) for drop_id in ids]
+    return _solve_and_rate(ids, chunk, _system_config(sc), algorithms, evaluators)
+
+
+def _spans(n: int, workers: int) -> list[range]:
+    """``range(n)`` cut into one contiguous span per worker, sizes within one."""
+    n_spans = min(n, workers)
+    return [range(n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans)]
+
+
+def _map_chunks(task, workers: int, unit: str, n_lists: int, *chunks) -> list[list[DropResult]]:
+    """``task`` over the chunks, in a process pool if workers > 1.
+
+    Joins the chunks' ``n_lists`` result lists in order, then logs each
+    solver failure under ``unit`` (a drop, sweep point or grid cell) and
+    its set's id, so the log is in (set, strategy) order for any worker
+    count.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_chunk = list(pool.map(task, *chunks))
+    else:
+        per_chunk = list(map(task, *chunks))
+    out = [[r for chunk in per_chunk for r in chunk[i]] for i in range(n_lists)]
+    for r in out[0]:
+        if r.error is not None:
+            logger.warning("%s %d, %s failed: %s", unit, r.drop_id, r.algorithm, r.error)
+    return out
+
+
 def _run(
     sc: ScenarioConfig,
     algorithms: Sequence[str],
@@ -177,32 +211,26 @@ def _run(
             raise ValueError(f"unknown algorithm label {label!r}")
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
-    sets = [drop_ues(sc, drop_id) for drop_id in range(n_drops)]
-    return _rate_sets(sets, _system_config(sc), algorithms, evaluators, "drop", workers)
+    task = partial(_drop_task, sc=sc, algorithms=tuple(algorithms), evaluators=tuple(evaluators))
+    return _map_chunks(task, workers, "drop", len(evaluators), _spans(n_drops, workers))
 
 
 def _rate_sets(
     sets: list[UeSet],
     cfg: SystemConfig,
     algorithms: Sequence[str],
-    evaluators: Sequence[_Evaluator],
     unit: str,
     workers: int = 1,
-) -> list[list[DropResult]]:
-    """:func:`_solve_and_rate` over ``sets``, one task per chunk of
-    ``CHUNK_SIZE`` sets, in a process pool if workers > 1; one result list
-    per evaluator, ordered by (set, algorithm)."""
+) -> list[DropResult]:
+    """:func:`_solve_and_rate` over prebuilt ``sets`` under zero forcing,
+    one chunk per worker; results ordered by (set, algorithm)."""
     task = partial(
-        _solve_and_rate, cfg=cfg, algorithms=tuple(algorithms), evaluators=tuple(evaluators), unit=unit
+        _solve_and_rate, cfg=cfg, algorithms=tuple(algorithms), evaluators=((cfg, "zf", None),)
     )
-    spans = [range(i, min(i + CHUNK_SIZE, len(sets))) for i in range(0, len(sets), CHUNK_SIZE)]
+    spans = _spans(len(sets), workers)
     chunks = [sets[span.start:span.stop] for span in spans]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(task, spans, chunks))
-    else:
-        per_chunk = list(map(task, spans, chunks))
-    return [[r for chunk in per_chunk for r in chunk[i]] for i in range(len(evaluators))]
+    (results,) = _map_chunks(task, workers, unit, 1, spans, chunks)
+    return results
 
 
 def run_montecarlo(
@@ -301,7 +329,7 @@ def sweep_homogeneous(
 
     cfg = _system_config(sc)
     sets = homogeneous_sweep(pl_db_grid, sc)
-    (results,) = _rate_sets(sets, cfg, algorithms, [(cfg, "zf", None)], "sweep point")
+    results = _rate_sets(sets, cfg, algorithms, "sweep point")
     rows = []
     for index, pl_db in enumerate(pl_db_grid):
         row: dict = {"pl_db": float(pl_db)}
@@ -333,7 +361,7 @@ def grid_2ue(
     ]
     sets = [ues for row in cells for ues in row]
     algorithms = ("DAPA-FPDA", "REF-E")
-    (results,) = _rate_sets(sets, cfg, algorithms, [(cfg, "zf", None)], "grid cell", workers)
+    results = _rate_sets(sets, cfg, algorithms, "grid cell", workers)
     return [
         {
             "pl1_db": pl1_db,

@@ -241,29 +241,18 @@ def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig)
 
 
 def _derivative_at(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig) -> np.ndarray:
-    """``dapa.sum_rate_derivative`` at an (N, n) array of powers, shaped like it.
-
-    Read through the module name, so a test may replace it; one row is
-    passed as the one-set form, a 1-D array of powers.
-    """
-    if len(ues_rows) == 1:
-        values = sum_rate_derivative(power[0], ues_rows[0], omega_rows[0], cfg)
-    else:
-        values = sum_rate_derivative(power, ues_rows, omega_rows, cfg)
-    return np.broadcast_to(values, power.shape)
+    """``dapa.sum_rate_derivative`` on a chunk at an (N, n) array of
+    powers, shaped like it; read through the module name, so a test may
+    replace it."""
+    return np.broadcast_to(sum_rate_derivative(power, ues_rows, omega_rows, cfg), power.shape)
 
 
-def _sum_rates(power: np.ndarray, ues, omega, cfg: SystemConfig) -> np.ndarray:
-    """``evaluate(...).sum_rate`` (zero forcing) at every point of ``power``, bit for bit.
-
-    ``power`` is 1-D for one user set, or (N, n) for a chunk of N sets
-    and fractions, with the P-only terms computed once for the chunk.
-    """
-    if isinstance(ues, UeSet):
-        return _sum_rates(power[np.newaxis], [ues], [omega], cfg)[0]
+def _sum_rates(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig) -> np.ndarray:
+    """``evaluate(...).sum_rate`` (zero forcing) on a chunk at an (N, n)
+    array of powers, bit for bit; the P-only terms are computed once."""
     _, lam, _, dist = _clipper_state(power, cfg)
     out = np.empty(power.shape)
-    for r, (ues_r, omega_r) in enumerate(zip(ues, omega)):
+    for r, (ues_r, omega_r) in enumerate(zip(ues_rows, omega_rows)):
         sindr = _sindr(cfg, ues_r, omega_r, power[r, :, None], lam[r, :, None], dist[r, :, None], "zf")
         out[r] = np.sum(rates(cfg, sindr), axis=-1)
     return out

@@ -2,6 +2,7 @@
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -65,9 +66,9 @@ MODES = {
 @pytest.mark.parametrize("mode", list(MODES))
 def test_montecarlo_deterministic_across_workers(mode):
     """Worker count is an implementation detail: results must be identical.
-    So is the chunking: with CHUNK_SIZE + 3 drops the second worker task
-    holds a partial chunk."""
-    for n_drops in (6, bench.CHUNK_SIZE + 3):
+    So is the chunking: the serial run solves 7 drops as one chunk, two
+    workers as chunks of 3 and 4."""
+    for n_drops in (6, 7):
         for serial, parallel in zip(MODES[mode](1, n_drops), MODES[mode](2, n_drops), strict=True):
             _assert_bitwise_equal(serial, parallel)
             assert [r.drop_id for r in serial[:: len(DEFAULT_ALGORITHMS)]] == list(range(n_drops))
@@ -106,11 +107,14 @@ def test_solver_failure_becomes_nan_row(monkeypatch):
 
 
 def test_failure_log_is_drop_major_across_chunks(monkeypatch, caplog):
-    # Each chunk solves strategy by strategy, but logs its failures drop by drop.
+    # Each chunk solves strategy by strategy, but the failures are logged
+    # drop by drop once every chunk is back.  Threads stand in for the
+    # worker processes, so the injected strategies reach every chunk.
     for label in ("DAPA-E", "REF-E"):
         monkeypatch.setitem(bench.ALGORITHMS, label, _raise(SolverError("no bracket")))
-    n_drops = bench.CHUNK_SIZE + 3
-    run_montecarlo(SMALL_SC, n_drops=n_drops)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)
+    n_drops = 7
+    run_montecarlo(SMALL_SC, n_drops=n_drops, workers=2)
     assert [rec.getMessage() for rec in caplog.records] == [
         f"drop {d}, {label} failed: no bracket" for d in range(n_drops) for label in ("DAPA-E", "REF-E")
     ]

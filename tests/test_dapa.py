@@ -230,7 +230,7 @@ def test_nan_off_the_visited_path_is_never_read(monkeypatch):
 
         def nan_off_path(p, *rest):
             values = real(p, *rest)
-            if np.ndim(p) == 1:
+            if np.ndim(p) > 0:
                 values = np.where(np.isin(p, on_path), values, math.nan)
                 injected.append(int(np.isnan(values).sum()))
             return values
@@ -252,7 +252,7 @@ def test_batched_derivative_and_guard_rates_are_bitwise():
         scalar = [sum_rate_derivative(float(p), ues, omega, cfg) for p in powers]
         reference = [sum_rate_derivative_scalar(float(p), ues, omega, cfg) for p in powers]
         assert batched.tobytes() == np.array(scalar).tobytes() == np.array(reference).tobytes()
-        rates = dapa._sum_rates(powers, ues, omega, cfg)
+        rates = dapa._sum_rates(powers[None], [ues], [omega], cfg)[0]
         evaluated = [evaluate(cfg, ues, Allocation(float(p), omega)).sum_rate for p in powers]
         assert rates.tobytes() == np.array(evaluated).tobytes()
 

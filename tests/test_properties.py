@@ -204,7 +204,7 @@ def _stub_chunk(rows, delta):
         points[0] += np.size(p)
         if points[0] > 20000:
             raise AssertionError("bisection does not terminate")
-        if isinstance(ues, tuple):  # the one-row form
+        if isinstance(ues, tuple):  # the sequential walk's one-set form
             return _stub_value(p, *ues)
         return np.array([_stub_value(row, *row_stub) for row, row_stub in zip(p, ues)])
 
