@@ -19,6 +19,7 @@ spot (about 27 dB), making REF-E the standard fixed-design baseline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -71,12 +72,18 @@ def _ref_power(cfg: SystemConfig) -> float:
     return cfg.m_antennas * cfg.p_max / _REF_BACKOFF_LINEAR
 
 
-def _one_or_chunk(solve_rows, ues, cfg: SystemConfig):
-    """``solve_rows`` on one user set (its allocation, or its error
-    raised) or on a chunk of sets (a list of allocations and errors)."""
-    if isinstance(ues, UeSet):
-        return _unwrap(solve_rows([ues], cfg))
-    return solve_rows(list(ues), cfg)
+def _one_set_or_chunk(solve_rows):
+    """``solve_rows``, written on a chunk, also taking one set: then it
+    returns that set's allocation or raises its error.  The wrapper keeps
+    the name and signature, so the strategy pickles by name."""
+
+    @functools.wraps(solve_rows)
+    def strategy(ues, cfg: SystemConfig):
+        if isinstance(ues, UeSet):
+            return _unwrap(solve_rows([ues], cfg))
+        return solve_rows(list(ues), cfg)
+
+    return strategy
 
 
 def alternating_optimize(
@@ -125,8 +132,8 @@ def _ao_rows(
 
     for _ in range(max_iters):
         results = solve_dapa([ues_rows[r] for r in open_rows], [omega[r] for r in open_rows], cfg, delta)
-        solved, powers = [], []
-        for r, result in zip(open_rows, results):
+        rows, open_rows = open_rows, []
+        for r, result in zip(rows, results):
             if isinstance(result, Exception):
                 outcomes[r] = result
                 continue
@@ -138,10 +145,6 @@ def _ao_rows(
             if prev_power[r] is not None and power != prev_power[r]:
                 if result.sum_rate < iterates[r][-1][2]:
                     power = prev_power[r]
-            solved.append(r)
-            powers.append(power)
-        open_rows = []
-        for r, power in zip(solved, powers):
             op = operating_point_at(cfg, power)
             omega[r] = solve_fpda(breakpoints(ues_rows[r], cfg, power, op))
             report = evaluate(cfg, ues_rows[r], Allocation(power, omega[r]), precoder="zf")
@@ -169,57 +172,43 @@ def _ao_outcome(iterates: list, converged: bool) -> tuple[Allocation, AoTrace]:
     )
 
 
+@_one_set_or_chunk
 def ref_e(ues, cfg: SystemConfig):
     """Fixed 6 dB back-off total power, equal per-user fractions.
 
     ``ues`` may be one user set or a chunk of them, as for every
     strategy in :data:`ALGORITHMS`.
     """
-    return _one_or_chunk(_ref_e_rows, ues, cfg)
-
-
-def _ref_e_rows(ues_rows: list, cfg: SystemConfig) -> list:
-    for ues in ues_rows:
-        zf_gain(cfg, ues)  # rated with zero-forcing, so K < M
-    return [Allocation(_ref_power(cfg), np.full(ues.n_users, 1.0 / ues.n_users)) for ues in ues_rows]
-
-
-def ref_fpda(ues, cfg: SystemConfig):
-    """Fixed 6 dB back-off total power, water-filled fractions."""
-    return _one_or_chunk(_ref_fpda_rows, ues, cfg)
-
-
-def _ref_fpda_rows(ues_rows: list, cfg: SystemConfig) -> list:
-    power = _ref_power(cfg)
-    op = operating_point_at(cfg, power)  # one power for every row
-    return [Allocation(power, solve_fpda(breakpoints(ues, cfg, power, op))) for ues in ues_rows]
-
-
-def dapa_e(ues, cfg: SystemConfig):
-    """Optimal total power with fractions pinned at 1/K."""
-    return _one_or_chunk(_dapa_e_rows, ues, cfg)
-
-
-def _dapa_e_rows(ues_rows: list, cfg: SystemConfig) -> list:
-    omega = [np.full(ues.n_users, 1.0 / ues.n_users) for ues in ues_rows]
+    for one_set in ues:
+        zf_gain(cfg, one_set)  # rated with zero-forcing, so K < M
     return [
-        result if isinstance(result, Exception) else Allocation(result.total_power_p, w)
-        for result, w in zip(solve_dapa(ues_rows, omega, cfg), omega)
+        Allocation(_ref_power(cfg), np.full(one_set.n_users, 1.0 / one_set.n_users)) for one_set in ues
     ]
 
 
-def dapa_fpda(ues, cfg: SystemConfig):
-    """The alternating optimizer's allocation (DAPA-FPDA).
+@_one_set_or_chunk
+def ref_fpda(ues, cfg: SystemConfig):
+    """Fixed 6 dB back-off total power, water-filled fractions."""
+    power = _ref_power(cfg)
+    op = operating_point_at(cfg, power)  # one power for every row
+    return [Allocation(power, solve_fpda(breakpoints(one_set, cfg, power, op))) for one_set in ues]
 
-    One user set goes through :func:`alternating_optimize`, looked up
-    at each call so that a rebinding of that name (as the benchmark
-    tracer does) is seen; a chunk runs the lockstep kernel.
-    """
-    if isinstance(ues, UeSet):
-        return alternating_optimize(ues, cfg)[0]
+
+@_one_set_or_chunk
+def dapa_e(ues, cfg: SystemConfig):
+    """Optimal total power with fractions pinned at 1/K."""
+    omega = [np.full(one_set.n_users, 1.0 / one_set.n_users) for one_set in ues]
     return [
-        outcome if isinstance(outcome, Exception) else outcome[0]
-        for outcome in _ao_rows(list(ues), cfg)
+        result if isinstance(result, Exception) else Allocation(result.total_power_p, w)
+        for result, w in zip(solve_dapa(ues, omega, cfg), omega)
+    ]
+
+
+@_one_set_or_chunk
+def dapa_fpda(ues, cfg: SystemConfig):
+    """The alternating optimizer's allocation (DAPA-FPDA)."""
+    return [
+        outcome if isinstance(outcome, Exception) else outcome[0] for outcome in _ao_rows(ues, cfg)
     ]
 
 

@@ -5,14 +5,16 @@ per-drop results, computes empirical survival functions (CCDF) and
 quartile summaries, and serializes everything as diff-able CSV (17
 significant digits) plus a JSON summary.
 
-One loop serves every Monte-Carlo mode: the drops are cut into one
-contiguous chunk per worker (the whole run when ``workers`` is 1), and
-each task builds its chunk's drops, solves every strategy on the whole
-chunk in lockstep, and rates each allocation under a list of (config,
-precoder, csi) evaluators.  The homogeneous sweep and the two-user grid
-hand their points and cells to the same chunked path.  Solver failures
-become NaN rows carrying the error, logged in drop order once every
-chunk is back; any other exception propagates.
+One runner serves every run -- the Monte-Carlo modes, the homogeneous
+sweep and the two-user grid.  It checks the strategy labels, the set
+count and ``workers >= 1``, cuts the user sets into one contiguous span
+per worker (the whole run when ``workers`` is 1), and hands each span to
+one task.  The task builds its span's sets (the drops from the
+scenario, or a slice of the sweep's points or the grid's cells), solves
+every strategy on the whole span in lockstep, and rates each allocation
+under a list of (config, precoder, csi) evaluators.  Solver failures
+become NaN rows carrying the error, logged in set order once every span
+is back; any other exception propagates.
 
 Determinism: a drop is a pure function of (scenario seed, drop id),
 each row of a lockstep solve is bitwise its own one-set solve, and
@@ -109,20 +111,24 @@ _Evaluator = tuple[SystemConfig, str, Optional[np.ndarray]]
 
 
 def _solve_and_rate(
-    ids: Sequence[int],
-    chunk: Sequence[UeSet],
-    cfg: SystemConfig,
+    ids: range,
+    chunk: Optional[Sequence[UeSet]],
+    sc: ScenarioConfig,
     algorithms: Sequence[str],
     evaluators: Sequence[_Evaluator],
 ) -> list[list[DropResult]]:
-    """Solve every strategy on a chunk of user sets, rate each allocation
+    """Solve every strategy on the user sets ``ids``, rate each allocation
     under every evaluator.
 
-    Each strategy solves the whole chunk in lockstep.  Returns one result
-    list per evaluator, ordered by (set, strategy), each result carrying
-    its set's id.  A solver failure gives the same NaN result in every
-    list; any other error propagates.
+    The sets are ``chunk`` when given, else the drops ``ids`` of ``sc``,
+    built here.  Each strategy solves the whole chunk in lockstep.
+    Returns one result list per evaluator, ordered by (set, strategy),
+    each result carrying its set's id.  A solver failure gives the same
+    NaN result in every list; any other error propagates.
     """
+    if chunk is None:
+        chunk = [drop_ues(sc, drop_id) for drop_id in ids]
+    cfg = _system_config(sc)
     outcomes = {}
     for label in algorithms:
         try:
@@ -160,77 +166,49 @@ def _solve_and_rate(
     return out
 
 
-def _drop_task(
-    ids: range,
+def _run(
     sc: ScenarioConfig,
+    sets: Union[int, list[UeSet]],
     algorithms: Sequence[str],
     evaluators: Sequence[_Evaluator],
+    workers: int = 1,
+    unit: str = "drop",
 ) -> list[list[DropResult]]:
-    """Build a chunk of drops, then solve and rate them in lockstep."""
-    chunk = [drop_ues(sc, drop_id) for drop_id in ids]
-    return _solve_and_rate(ids, chunk, _system_config(sc), algorithms, evaluators)
+    """Every run: one result list per evaluator, ordered by (set, strategy)
+    for any worker count.
 
-
-def _spans(n: int, workers: int) -> list[range]:
-    """``range(n)`` cut into one contiguous span per worker, sizes within one."""
-    n_spans = min(n, workers)
-    return [range(n * i // n_spans, n * (i + 1) // n_spans) for i in range(n_spans)]
-
-
-def _map_chunks(task, workers: int, unit: str, n_lists: int, *chunks) -> list[list[DropResult]]:
-    """``task`` over the chunks, in a process pool if workers > 1.
-
-    Joins the chunks' ``n_lists`` result lists in order, then logs each
-    solver failure under ``unit`` (a drop, sweep point or grid cell) and
-    its set's id, so the log is in (set, strategy) order for any worker
-    count.
+    ``sets`` is a number of Monte-Carlo drops of ``sc``, or a list of
+    prebuilt user sets (sweep points, grid cells).  The sets are cut into
+    one contiguous span per worker, sizes within one, and each span is
+    built and solved in one task, in a process pool if workers > 1.
+    Each solver failure is logged under ``unit`` and its set's id once
+    every span is back, so the log is in (set, strategy) order.
     """
+    for label in algorithms:
+        if label not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm label {label!r}")
+    if isinstance(sets, list):
+        n_sets, prebuilt = len(sets), sets
+    else:
+        n_sets, prebuilt = sets, None
+    if n_sets < 1:
+        raise ValueError(f"need at least one {unit}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    n_spans = min(n_sets, workers)
+    spans = [range(n_sets * i // n_spans, n_sets * (i + 1) // n_spans) for i in range(n_spans)]
+    chunks = [None if prebuilt is None else prebuilt[span.start:span.stop] for span in spans]
+    task = partial(_solve_and_rate, sc=sc, algorithms=tuple(algorithms), evaluators=tuple(evaluators))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(task, *chunks))
+            per_span = list(pool.map(task, spans, chunks))
     else:
-        per_chunk = list(map(task, *chunks))
-    out = [[r for chunk in per_chunk for r in chunk[i]] for i in range(n_lists)]
+        per_span = list(map(task, spans, chunks))
+    out = [[r for span in per_span for r in span[i]] for i in range(len(evaluators))]
     for r in out[0]:
         if r.error is not None:
             logger.warning("%s %d, %s failed: %s", unit, r.drop_id, r.algorithm, r.error)
     return out
-
-
-def _run(
-    sc: ScenarioConfig,
-    algorithms: Sequence[str],
-    n_drops: int,
-    workers: int,
-    evaluators: Sequence[_Evaluator],
-) -> list[list[DropResult]]:
-    """The Monte-Carlo loop: one result list per evaluator, ordered by
-    (drop, algorithm) regardless of the worker count."""
-    for label in algorithms:
-        if label not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm label {label!r}")
-    if n_drops < 1:
-        raise ValueError("n_drops must be >= 1")
-    task = partial(_drop_task, sc=sc, algorithms=tuple(algorithms), evaluators=tuple(evaluators))
-    return _map_chunks(task, workers, "drop", len(evaluators), _spans(n_drops, workers))
-
-
-def _rate_sets(
-    sets: list[UeSet],
-    cfg: SystemConfig,
-    algorithms: Sequence[str],
-    unit: str,
-    workers: int = 1,
-) -> list[DropResult]:
-    """:func:`_solve_and_rate` over prebuilt ``sets`` under zero forcing,
-    one chunk per worker; results ordered by (set, algorithm)."""
-    task = partial(
-        _solve_and_rate, cfg=cfg, algorithms=tuple(algorithms), evaluators=((cfg, "zf", None),)
-    )
-    spans = _spans(len(sets), workers)
-    chunks = [sets[span.start:span.stop] for span in spans]
-    (results,) = _map_chunks(task, workers, unit, 1, spans, chunks)
-    return results
 
 
 def run_montecarlo(
@@ -246,7 +224,7 @@ def run_montecarlo(
     NaN results; the run continues.
     """
     evaluators = [(_system_config(sc), "zf", None)]
-    (results,) = _run(sc, algorithms, n_drops, workers, evaluators)
+    (results,) = _run(sc, n_drops, algorithms, evaluators, workers)
     return results
 
 
@@ -265,7 +243,7 @@ def evaluate_rapp_mode(
     """
     cfg_rapp = _system_config(sc, PaModel(kind=RAPP, smoothness_p=smoothness_p))
     evaluators = [(_system_config(sc), "zf", None), (cfg_rapp, "zf", None)]
-    soft, rapp = _run(sc, algorithms, n_drops, workers, evaluators)
+    soft, rapp = _run(sc, n_drops, algorithms, evaluators, workers)
     return soft, rapp
 
 
@@ -295,7 +273,7 @@ def evaluate_icsi_mode(
         csi = np.full(sc.n_users, float(delta_policy))
     cfg = _system_config(sc)
     perfect, imperfect = _run(
-        sc, algorithms, n_drops, workers, [(cfg, "zf", None), (cfg, "zf_icsi", csi)]
+        sc, n_drops, algorithms, [(cfg, "zf", None), (cfg, "zf_icsi", csi)], workers
     )
     return perfect, imperfect
 
@@ -327,9 +305,8 @@ def sweep_homogeneous(
     """
     from dapalloc.scenario import homogeneous_sweep
 
-    cfg = _system_config(sc)
     sets = homogeneous_sweep(pl_db_grid, sc)
-    results = _rate_sets(sets, cfg, algorithms, "sweep point")
+    (results,) = _run(sc, sets, algorithms, [(_system_config(sc), "zf", None)], unit="sweep point")
     rows = []
     for index, pl_db in enumerate(pl_db_grid):
         row: dict = {"pl_db": float(pl_db)}
@@ -355,13 +332,13 @@ def grid_2ue(
     cell's row-major index.
     """
     grid_db, cells = grid
-    cfg = _system_config(sc)
     path_loss = [
         (float(grid_db[i]), float(grid_db[j])) for i, row in enumerate(cells) for j in range(len(row))
     ]
     sets = [ues for row in cells for ues in row]
     algorithms = ("DAPA-FPDA", "REF-E")
-    results = _rate_sets(sets, cfg, algorithms, "grid cell", workers)
+    evaluators = [(_system_config(sc), "zf", None)]
+    (results,) = _run(sc, sets, algorithms, evaluators, workers, "grid cell")
     return [
         {
             "pl1_db": pl1_db,

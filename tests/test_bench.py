@@ -285,3 +285,42 @@ def test_summary_json(tmp_path):
     loaded = json.loads(text)
     assert loaded["b"] == 1
     assert math.isnan(loaded["a"])
+
+
+TWO_UE_SC = ScenarioConfig(n_users=2, m_antennas=64, p_max=0.1, seed=17)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_montecarlo(SMALL_SC, n_drops=5, workers=0),
+        lambda: evaluate_rapp_mode(SMALL_SC, 5, workers=-1),
+        lambda: evaluate_icsi_mode(SMALL_SC, 5, workers=0),
+        lambda: grid_2ue(TWO_UE_SC, two_ue_grid(90.0, 110.0, 10.0, TWO_UE_SC), workers=0),
+    ],
+    ids=["montecarlo", "rapp", "icsi", "grid"],
+)
+def test_fewer_than_one_worker_is_rejected(run):
+    # it used to solve nothing (and return no rows) or fail inside zip
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_montecarlo(SMALL_SC, algorithms=("FOO",), n_drops=2),
+        lambda: sweep_homogeneous(SMALL_SC, [90.0], algorithms=("FOO",)),
+    ],
+    ids=["montecarlo", "sweep"],
+)
+def test_unknown_algorithm_label_is_a_value_error_on_every_path(run):
+    with pytest.raises(ValueError, match="unknown algorithm label 'FOO'"):
+        run()
+
+
+def test_empty_run_is_rejected():
+    with pytest.raises(ValueError, match="at least one drop"):
+        run_montecarlo(SMALL_SC, n_drops=0)
+    with pytest.raises(ValueError, match="at least one sweep point"):
+        sweep_homogeneous(SMALL_SC, [])

@@ -372,3 +372,25 @@ def test_readme_flag_table_matches_the_parser():
         for name, p in sub.choices.items()
     }
     assert _readme_flag_table() == registered
+
+
+@pytest.mark.parametrize("command", ["montecarlo", "grid-2ue"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_fewer_than_one_worker_is_an_error_and_writes_nothing(tmp_path, capsys, command, workers):
+    grid = {
+        "scenario": {"n_users": 2, "m_antennas": 16, "p_max": 0.1, "seed": 0},
+        "pl_lo_db": 100.0, "pl_hi_db": 110.0, "pl_step_db": 10.0,
+    }
+    cfg = _write_cfg(tmp_path, MC_SCENARIO if command == "montecarlo" else grid)
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+    assert _read_error(capsys) == {"type": "ValueError", "message": "workers must be >= 1"}
+    assert not out.exists()
+
+
+def test_sweep_unknown_algorithm_is_a_value_error(tmp_path, capsys):
+    payload = {"scenario": MC_SCENARIO["scenario"], "pl_db_grid": [100.0], "algorithms": ["FOO"]}
+    cfg = _write_cfg(tmp_path, payload)
+    assert main(["sweep-homogeneous", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert _read_error(capsys) == {"type": "ValueError", "message": "unknown algorithm label 'FOO'"}
+    assert not (tmp_path / "x").exists()
