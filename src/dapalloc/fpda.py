@@ -55,6 +55,12 @@ def solve_fpda(g) -> np.ndarray:
     level receives ``mu - G_k``; the rest receive zero.  The result sums
     to 1 within 1e-12 and satisfies the complementary-slackness
     conditions exactly (up to that tolerance).
+
+    The level is measured from the smallest breakpoint: ``omega_k =
+    mu' - (G_k - G_min)`` with ``mu' = (1 + sum_{j in S} (G_j - G_min))
+    / |S|``.  Every active ``G_k - G_min`` is below 1, so the unit sum
+    holds at any scale of G; ``mu - G_k`` cancels when G is large
+    (about 3.7e-9 lost at G = 2.7e7).
     """
     g = np.atleast_1d(np.asarray(g, dtype=np.float64))
     if g.ndim != 1 or g.size == 0:
@@ -62,16 +68,16 @@ def solve_fpda(g) -> np.ndarray:
     if not np.all(np.isfinite(g)) or np.any(g < 0):
         raise ValueError("breakpoints must be finite and nonnegative")
     order = np.argsort(g, kind="stable")
-    g_sorted = g[order]
-    n = g_sorted.size
-    prefix = np.cumsum(g_sorted)
+    rise = g[order] - g[order[0]]  # G_k - G_min, ascending
+    n = rise.size
+    prefix = np.cumsum(rise)
     levels = (1.0 + prefix) / np.arange(1, n + 1)
     # The prefix of size j is feasible iff its level exceeds its largest
     # breakpoint; feasibility is monotone, so take the largest such j.
-    feasible = levels > g_sorted
-    j = int(np.max(np.nonzero(feasible)[0])) + 1  # j >= 1 always (G >= 0)
+    feasible = levels > rise
+    j = int(np.max(np.nonzero(feasible)[0])) + 1  # j >= 1 always (rise[0] = 0)
     mu = float(levels[j - 1])
-    omega_sorted = np.maximum(0.0, mu - g_sorted)
+    omega_sorted = np.maximum(0.0, mu - rise)
     omega_sorted[j:] = 0.0
     omega = np.empty_like(omega_sorted)
     omega[order] = omega_sorted

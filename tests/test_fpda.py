@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from fpda_reference import solve_fpda_bisect
 
+from dapalloc.allocator import ALGORITHMS
 from dapalloc.dapa import SolverError
 from dapalloc.fpda import breakpoints, solve_fpda
 from dapalloc.metrics import SystemConfig, UeSet, operating_point_at
@@ -124,3 +125,19 @@ def test_bisect_exhaustion_raises():
         solve_fpda_bisect([0.1, 0.5, 0.9], tol=1e-15, max_iters=3)
     assert "last_residual" in exc.value.diagnostics
 
+
+
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+def test_large_breakpoints_keep_the_unit_sum(order):
+    # Both breakpoints are about 2.7e7: mu - G_k cancelled and the
+    # fractions summed to 1 - 3.7e-9, so water-filling strategies raised.
+    cfg = SystemConfig(m_antennas=3, p_max=1.0, bandwidth_hz=18e6)
+    ues = UeSet(beta=np.array([5e-19, 5e-20])[order], noise_w=np.array([1e-11, 1e-12])[order])
+    power = 0.75
+    g = breakpoints(ues, cfg, power, operating_point_at(cfg, power))
+    assert np.all(g > 1e7)
+    omega = solve_fpda(g)
+    assert abs(float(np.sum(omega)) - 1.0) <= 1e-12
+    for label, strategy in ALGORITHMS.items():
+        alloc = strategy(ues, cfg)
+        assert abs(float(np.sum(alloc.omega)) - 1.0) <= 1e-12, label

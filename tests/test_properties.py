@@ -7,6 +7,7 @@ suite stays deterministic.
 """
 
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -265,12 +266,20 @@ def _solved(strategy, ues, cfg):
 
 STRATEGY_PROPERTY = settings(PROPERTY, max_examples=60)
 
+# Water-filling once lost the unit sum on this set: both breakpoints are
+# about 2.7e7, where mu - G_k cancels (REF-FPDA and DAPA-FPDA raised).
+_LARGE_BREAKPOINTS = (
+    UeSet(beta=np.array([5e-19, 5e-20]), noise_w=np.array([1e-11, 1e-12])),
+    SystemConfig(m_antennas=3, p_max=1.0, bandwidth_hz=18e6),
+)
+
 
 @STRATEGY_PROPERTY
-@given(problem=_user_sets(), data=st.data())
-def test_strategies_are_permutation_equivariant(problem, data):
+@given(problem=_user_sets(), rng=st.randoms(use_true_random=False))
+@example(problem=_LARGE_BREAKPOINTS, rng=random.Random(0))  # swaps the two users
+def test_strategies_are_permutation_equivariant(problem, rng):
     ues, cfg = problem
-    perm = np.array(data.draw(st.permutations(range(ues.n_users))))
+    perm = np.array(rng.sample(range(ues.n_users), ues.n_users))
     permuted = UeSet(beta=ues.beta[perm], noise_w=ues.noise_w[perm])
     for label, strategy in ALGORITHMS.items():
         base = _solved(strategy, ues, cfg)
