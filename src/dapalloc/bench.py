@@ -306,7 +306,8 @@ def sweep_homogeneous(
     from dapalloc.scenario import homogeneous_sweep
 
     sets = homogeneous_sweep(pl_db_grid, sc)
-    (results,) = _run(sc, sets, algorithms, [(_system_config(sc), "zf", None)], unit="sweep point")
+    evaluators = [(_system_config(sc), "zf", None)]
+    (results,) = _run(sc, sets, algorithms, evaluators, unit="sweep point")
     rows = []
     for index, pl_db in enumerate(pl_db_grid):
         row: dict = {"pl_db": float(pl_db)}
