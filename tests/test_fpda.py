@@ -126,7 +126,6 @@ def test_bisect_exhaustion_raises():
     assert "last_residual" in exc.value.diagnostics
 
 
-
 @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
 def test_large_breakpoints_keep_the_unit_sum(order):
     # Both breakpoints are about 2.7e7: mu - G_k cancelled and the
