@@ -114,7 +114,10 @@ def _ao_rows(
     """:func:`alternating_optimize` on a chunk of user sets in lockstep.
 
     Every round solves the total power of each open row in one chunked
-    :func:`~dapalloc.dapa.solve_dapa` call; each row keeps its own
+    :func:`~dapalloc.dapa.solve_dapa` call, then takes their operating
+    points in one :func:`~dapalloc.metrics.operating_point_at` call and
+    rates the water-filled iterates in one chunked
+    :func:`~dapalloc.metrics.evaluate` call; each row keeps its own
     fractions, iterates, stop rule and best iterate.  Returns one
     (Allocation, AoTrace) pair, or the solver error, per row.
     """
@@ -132,8 +135,8 @@ def _ao_rows(
 
     for _ in range(max_iters):
         results = solve_dapa([ues_rows[r] for r in open_rows], [omega[r] for r in open_rows], cfg, delta)
-        rows, open_rows = open_rows, []
-        for r, result in zip(rows, results):
+        rows, powers = [], []
+        for r, result in zip(open_rows, results):
             if isinstance(result, Exception):
                 outcomes[r] = result
                 continue
@@ -145,9 +148,18 @@ def _ao_rows(
             if prev_power[r] is not None and power != prev_power[r]:
                 if result.sum_rate < iterates[r][-1][2]:
                     power = prev_power[r]
-            op = operating_point_at(cfg, power)
+            rows.append(r)
+            powers.append(power)
+        for r, power, op in zip(rows, powers, operating_point_at(cfg, powers)):
             omega[r] = solve_fpda(breakpoints(ues_rows[r], cfg, power, op))
-            report = evaluate(cfg, ues_rows[r], Allocation(power, omega[r]), precoder="zf")
+        reports = evaluate(
+            cfg,
+            [ues_rows[r] for r in rows],
+            [Allocation(power, omega[r]) for r, power in zip(rows, powers)],
+            precoder="zf",
+        )
+        open_rows = []
+        for r, power, report in zip(rows, powers, reports):
             iterates[r].append((power, omega[r].copy(), report.sum_rate))
             if prev_power[r] is not None and abs(prev_power[r] - power) < delta:
                 outcomes[r] = _ao_outcome(iterates[r], converged=True)

@@ -11,15 +11,19 @@ count and ``workers >= 1``, cuts the user sets into one contiguous span
 per worker (the whole run when ``workers`` is 1), and hands each span to
 one task.  The task builds its span's sets (the drops from the
 scenario, or a slice of the sweep's points or the grid's cells), solves
-every strategy on the whole span in lockstep, and rates each allocation
-under a list of (config, precoder, csi) evaluators.  Solver failures
-become NaN rows carrying the error, logged in set order once every span
-is back; any other exception propagates.
+every strategy on the whole span in lockstep, and rates the span's
+allocations under each of a list of (config, precoder, csi) evaluators
+in one chunked ``evaluate`` call.  That call computes each distinct
+total power's amplifier state once: REF-E and REF-FPDA share one power
+over every drop, so a span of n drops runs the Rapp law at most
+2n + 1 times, not 4n.  Solver failures become NaN rows carrying the
+error, logged in set order once every span is back; any other
+exception propagates.
 
 Determinism: a drop is a pure function of (scenario seed, drop id),
-each row of a lockstep solve is bitwise its own one-set solve, and
-results are collected in drop order, so the output is byte-identical
-for any worker count and any chunking.
+each row of a lockstep solve or a chunked rating is bitwise its own
+one-set call, and results are collected in drop order, so the output
+is byte-identical for any worker count and any chunking.
 """
 
 from __future__ import annotations
@@ -121,10 +125,12 @@ def _solve_and_rate(
     under every evaluator.
 
     The sets are ``chunk`` when given, else the drops ``ids`` of ``sc``,
-    built here.  Each strategy solves the whole chunk in lockstep.
-    Returns one result list per evaluator, ordered by (set, strategy),
-    each result carrying its set's id.  A solver failure gives the same
-    NaN result in every list; any other error propagates.
+    built here.  Each strategy solves the whole chunk in lockstep, and
+    each evaluator rates every allocation of the chunk in one
+    :func:`~dapalloc.metrics.evaluate` call.  Returns one result list per
+    evaluator, ordered by (set, strategy), each result carrying its set's
+    id.  A solver failure gives the same NaN result in every list; any
+    other error propagates.
     """
     if chunk is None:
         chunk = [drop_ues(sc, drop_id) for drop_id in ids]
@@ -135,34 +141,33 @@ def _solve_and_rate(
             outcomes[label] = ALGORITHMS[label](chunk, cfg)
         except (SolverError, ConvergenceError) as exc:
             outcomes[label] = [exc] * len(chunk)
-    out: list[list[DropResult]] = [[] for _ in evaluators]
-    for row, (set_id, ues) in enumerate(zip(ids, chunk, strict=True)):
+    # (set id, set, strategy, allocation or error) in (set, strategy) order
+    pairs = [
+        (set_id, ues, label, outcomes[label][row])
+        for row, (set_id, ues) in enumerate(zip(ids, chunk, strict=True))
+        for label in algorithms
+    ]
+    solved = [(ues, alloc) for _, ues, _, alloc in pairs if not isinstance(alloc, Exception)]
+    out: list[list[DropResult]] = []
+    for eval_cfg, precoder, csi in evaluators:
         views = [
             ues if csi is None else UeSet(beta=ues.beta, noise_w=ues.noise_w, csi_delta=csi)
-            for _, _, csi in evaluators
+            for ues, _ in solved
         ]
-        for label in algorithms:
-            alloc = outcomes[label][row]
+        reports = iter(evaluate(eval_cfg, views, [alloc for _, alloc in solved], precoder))
+        results = []
+        for set_id, ues, label, alloc in pairs:
             if isinstance(alloc, Exception):
                 nan = math.nan
                 unknown = np.full(ues.n_users, nan)
-                failure = DropResult(set_id, label, nan, nan, nan, unknown, unknown, str(alloc))
-                for results in out:
-                    results.append(failure)
-                continue
-            for results, view, (eval_cfg, precoder, _) in zip(out, views, evaluators):
-                report = evaluate(eval_cfg, view, alloc, precoder=precoder)
+                results.append(DropResult(set_id, label, nan, nan, nan, unknown, unknown, str(alloc)))
+            else:
+                report = next(reports)
+                power, omega = alloc.total_power_p, alloc.omega
                 results.append(
-                    DropResult(
-                        drop_id=set_id,
-                        algorithm=label,
-                        sum_rate=report.sum_rate,
-                        total_power_p=alloc.total_power_p,
-                        ibo_db=report.ibo_db,
-                        omega=alloc.omega,
-                        rates=report.rate,
-                    )
+                    DropResult(set_id, label, report.sum_rate, power, report.ibo_db, omega, report.rate)
                 )
+        out.append(results)
     return out
 
 
@@ -356,12 +361,8 @@ def _quartiles(values: np.ndarray) -> dict:
     clean = values[np.isfinite(values)]
     if clean.size == 0:
         return {"n": 0, "median": math.nan, "q1": math.nan, "q3": math.nan}
-    return {
-        "n": int(clean.size),
-        "median": float(np.median(clean)),
-        "q1": float(np.percentile(clean, 25)),
-        "q3": float(np.percentile(clean, 75)),
-    }
+    q1, q3 = np.percentile(clean, [25, 75])
+    return {"n": int(clean.size), "median": float(np.median(clean)), "q1": float(q1), "q3": float(q3)}
 
 
 def summarize(results: Sequence[DropResult]) -> dict:

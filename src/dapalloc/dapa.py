@@ -270,7 +270,9 @@ def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _bisect_on_sign(lo, hi, delta: float, ues_rows, omega_rows, cfg) -> tuple[np.ndarray, np.ndarray]:
+def _bisect_on_sign(
+    lo, hi, delta: float, ues_rows, omega_rows, cfg, first: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Sign bisection of the derivative on a chunk of N brackets in
     lockstep; returns (midpoints, steps), one per row.
 
@@ -282,7 +284,9 @@ def _bisect_on_sign(lo, hi, delta: float, ues_rows, omega_rows, cfg) -> tuple[np
     Look-ahead: one derivative call covers the next ``_LOOKAHEAD_LEVELS``
     levels of midpoints (31 points) of every open row, and each row's walk
     reads only its own path's signs, so its bits, and any NaN it meets,
-    are those of one call per step.
+    are those of one call per step.  ``first``, if given, holds the
+    derivative at every row's first ladder, ``_ladder(lo, hi)`` with both
+    ends, and stands in for the first call.
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
@@ -291,9 +295,12 @@ def _bisect_on_sign(lo, hi, delta: float, ues_rows, omega_rows, cfg) -> tuple[np
     open_rows = np.flatnonzero(hi - lo > delta)
     while open_rows.size:
         ends = _ladder(lo[open_rows], hi[open_rows])
-        values = _derivative_at(
-            ends[:, 1:-1], [ues_rows[r] for r in open_rows], [omega_rows[r] for r in open_rows], cfg
-        )
+        if first is not None:
+            values, first = first[open_rows, 1:-1], None
+        else:
+            values = _derivative_at(
+                ends[:, 1:-1], [ues_rows[r] for r in open_rows], [omega_rows[r] for r in open_rows], cfg
+            )
         still_open = []
         for i, r in enumerate(open_rows):
             row_lo, row_hi, n = float(lo[r]), float(hi[r]), int(steps[r])
@@ -347,6 +354,11 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None):
     stages batch their points: bisection evaluates five levels of
     midpoints per derivative call, and the guard rates its 32 samples in
     one call.  Every bit is that of one scalar call per point.
+
+    Derivative calls per solve: one per five bisection levels, the first
+    of which also holds the bracket ends that the sign check reads (33
+    points); as many for a guard re-bisection; and one at the returned
+    power for the residual.
 
     A chunk -- ``ues`` and ``omega`` sequences of N user sets and
     fractions sharing ``cfg`` and ``delta`` -- is solved in lockstep and
@@ -419,7 +431,10 @@ def _solve_rows(ues_rows: list, omega_rows: list, cfg: SystemConfig, delta) -> l
     lo, hi = np.array([outcomes[r] for r in rows]).T
     ues_rows = [ues_rows[r] for r in rows]
     omega_rows = [omega_rows[r] for r in rows]
-    d_lo, d_hi = _derivative_at(np.column_stack([lo, hi]), ues_rows, omega_rows, cfg).T
+    # The sign check reads the ends of the bisection's first ladder, so
+    # one derivative call serves both.
+    ladder = _derivative_at(_ladder(lo, hi), ues_rows, omega_rows, cfg)
+    d_lo, d_hi = ladder[:, 0], ladder[:, -1]
     violated = (d_lo < 0.0) | (d_hi > 0.0)
     for i in np.flatnonzero(violated):
         outcomes[rows[i]] = SolverError(
@@ -442,7 +457,7 @@ def _solve_rows(ues_rows: list, omega_rows: list, cfg: SystemConfig, delta) -> l
     omega_rows = [omega_rows[i] for i in keep]
     lo, hi, d_lo = lo[keep], hi[keep], d_lo[keep]
 
-    roots, iterations = _bisect_on_sign(lo, hi, delta, ues_rows, omega_rows, cfg)
+    roots, iterations = _bisect_on_sign(lo, hi, delta, ues_rows, omega_rows, cfg, ladder[keep])
     # Multi-root guard: scan each bracket for a better objective.  Column
     # 0 rates the root, as evaluate would.
     samples = np.array([np.geomspace(a, b, _GUARD_SAMPLES) for a, b in zip(lo, hi)])

@@ -16,6 +16,8 @@ against an independent bisection on the water level.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from dapalloc.metrics import SystemConfig, UeSet, zf_gain
@@ -36,8 +38,9 @@ def breakpoints(
     and effective distortion); the breakpoints keep the users' original
     order.
     """
-    if total_power_p <= 0:
-        raise ValueError("total power must be positive")
+    # written so that NaN fails the comparison
+    if not 0.0 < total_power_p < math.inf:
+        raise ValueError("total power must be positive and finite")
     array_gain = zf_gain(cfg, ues)
     return (ues.noise_w + ues.beta * op.effective_distortion) / (
         array_gain * op.lam * total_power_p * ues.beta

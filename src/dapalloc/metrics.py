@@ -180,27 +180,46 @@ class EvalReport:
     operating_point: PaOperatingPoint
 
 
-def operating_point_at(cfg: SystemConfig, total_power_p: float) -> PaOperatingPoint:
+def operating_point_at(cfg: SystemConfig, total_power_p):
     """Amplifier gain/distortion state at a given total power.
 
     ``total_power_p = 0`` is the idle transmitter: infinite back-off,
-    unit gain, zero distortion.
+    unit gain, zero distortion.  A negative, NaN or infinite power
+    raises ``ValueError``.
+
+    A 1-D array of powers gives a list with one point per power, each
+    bitwise its scalar call.  Each distinct power is computed once: the
+    clipper law runs once over all of them, the Rapp laws once per
+    distinct power, each on one float back-off.
     """
-    if total_power_p < 0:
-        raise ValueError("total power must be nonnegative")
-    if total_power_p == 0.0:
-        return PaOperatingPoint(math.inf, 1.0, 0.0, 0.0)
-    psi = input_backoff(total_power_p, cfg.m_antennas, cfg.p_max)
+    power = np.asarray(total_power_p, dtype=np.float64)
+    if power.ndim > 1:
+        raise ValueError("total power must be a scalar or a 1-D array")
+    values = power.reshape(-1).tolist()
+    # written so that NaN fails the comparison
+    if not all(0.0 <= v < math.inf for v in values):
+        raise ValueError("total power must be nonnegative and finite")
+    idle = PaOperatingPoint(math.inf, 1.0, 0.0, 0.0)
+    live = np.array([v for v in dict.fromkeys(values) if v > 0.0])
+    if live.size == 0:
+        return idle if power.ndim == 0 else [idle] * len(values)
+    psi = input_backoff(live, cfg.m_antennas, cfg.p_max)
     if cfg.pa.kind == SOFT_LIMITER:
         lam = bussgang_gain_soft(psi)
         coeff = distortion_coeff_soft(psi)
     elif cfg.pa.kind == RAPP:
-        lam = bussgang_gain_rapp(psi, cfg.pa.smoothness_p)
-        coeff = distortion_coeff_rapp(psi, cfg.pa.smoothness_p)
+        p = cfg.pa.smoothness_p
+        lam = np.array([bussgang_gain_rapp(v, p) for v in psi.tolist()])
+        coeff = np.array([distortion_coeff_rapp(v, p) for v in psi.tolist()])
     else:  # pragma: no cover - PaModel validates kind
         raise ValueError(f"unknown amplifier kind {cfg.pa.kind!r}")
-    dist = ETA * coeff * total_power_p
-    return PaOperatingPoint(psi, float(lam), float(coeff), dist)
+    dist = ETA * coeff * live
+    states = zip(psi.tolist(), lam.tolist(), coeff.tolist(), dist.tolist())
+    points = {v: PaOperatingPoint(*state) for v, state in zip(live.tolist(), states)}
+    points[0.0] = idle  # also the key of -0.0
+    if power.ndim == 0:
+        return points[values[0]]
+    return [points[v] for v in values]
 
 
 def zf_gain(cfg: SystemConfig, ues: UeSet) -> int:
@@ -260,28 +279,40 @@ def rates(cfg: SystemConfig, sindr: np.ndarray) -> np.ndarray:
     return cfg.bandwidth_hz * np.log2(1.0 + np.asarray(sindr, dtype=np.float64))
 
 
-def evaluate(
-    cfg: SystemConfig,
-    ues: UeSet,
-    alloc: Allocation,
-    precoder: str = "zf",
-) -> EvalReport:
+def evaluate(cfg: SystemConfig, ues, alloc, precoder: str = "zf"):
     """Full rate evaluation of an allocation: SINDRs, rates, back-off.
 
     ``precoder`` is one of ``"zf"``, ``"mrt"``, ``"zf_icsi"``.  The
     amplifier law comes from ``cfg.pa``.  Everything is recomputed from
     the inputs on every call; there is no hidden state.
+
+    A chunk -- ``ues`` and ``alloc`` sequences of N user sets and
+    allocations sharing ``cfg`` and ``precoder`` -- gives a list of N
+    reports, each bitwise its one-set call.  One
+    :func:`operating_point_at` call rates every allocation's power, so
+    allocations that share a power share its amplifier state.
     """
-    op = operating_point_at(cfg, alloc.total_power_p)
-    gamma = sindr(cfg, ues, alloc, op, precoder)
-    rate = rates(cfg, gamma)
-    return EvalReport(
-        sindr=gamma,
-        rate=rate,
-        sum_rate=float(np.sum(rate)),
-        ibo_db=op.ibo_db,
-        operating_point=op,
-    )
+    if isinstance(ues, UeSet):  # one user set: the chunk with N = 1
+        (report,) = evaluate(cfg, [ues], [alloc], precoder)
+        return report
+    ues, alloc = list(ues), list(alloc)
+    if len(ues) != len(alloc):
+        raise ValueError("need one allocation per user set")
+    ops = operating_point_at(cfg, [a.total_power_p for a in alloc])
+    reports = []
+    for one_set, one_alloc, op in zip(ues, alloc, ops):
+        gamma = sindr(cfg, one_set, one_alloc, op, precoder)
+        rate = rates(cfg, gamma)
+        reports.append(
+            EvalReport(
+                sindr=gamma,
+                rate=rate,
+                sum_rate=float(np.sum(rate)),
+                ibo_db=op.ibo_db,
+                operating_point=op,
+            )
+        )
+    return reports
 
 
 def csi_error_factor(beta, pilot_len: int, rho_ul_w: float):

@@ -103,10 +103,13 @@ class PaOperatingPoint:
         return 10.0 * math.log10(self.ibo) if math.isfinite(self.ibo) else math.inf
 
 
-def input_backoff(total_power_p: float, m_antennas: int, p_max: float) -> float:
-    """Input back-off psi = M * p_max / P for total power P > 0."""
-    if total_power_p <= 0:
-        raise ValueError("total power must be positive")
+def input_backoff(total_power_p, m_antennas: int, p_max: float):
+    """Input back-off psi = M * p_max / P for a positive, finite total
+    power P, or elementwise for an array of them."""
+    power = np.asarray(total_power_p)
+    # written so that NaN fails the comparison
+    if not np.all((power > 0) & (power < math.inf)):
+        raise ValueError("total power must be positive and finite")
     if m_antennas < 1:
         raise ValueError("antenna count must be >= 1")
     if p_max <= 0:

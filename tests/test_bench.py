@@ -324,3 +324,25 @@ def test_empty_run_is_rejected():
         run_montecarlo(SMALL_SC, n_drops=0)
     with pytest.raises(ValueError, match="at least one sweep point"):
         sweep_homogeneous(SMALL_SC, [])
+
+
+def test_rapp_chunk_rates_each_distinct_power_once(monkeypatch):
+    # One chunk of 4 drops: DAPA-FPDA and DAPA-E give each drop its own
+    # total power, REF-FPDA and REF-E share one power over all drops, so
+    # the 16 allocations hold 9 distinct powers.  Each is rated once under
+    # the Rapp law, on one float back-off.
+    from dapalloc import metrics
+
+    real, calls = metrics.bussgang_gain_rapp, []
+
+    def counting(psi, p):
+        calls.append(psi)
+        return real(psi, p)
+
+    monkeypatch.setattr(metrics, "bussgang_gain_rapp", counting)
+    sc = ScenarioConfig(n_users=60, m_antennas=64, p_max=0.1, seed=2024)
+    _, rapp = evaluate_rapp_mode(sc, 4)
+    assert all(r.error is None for r in rapp)
+    assert len({r.total_power_p for r in rapp}) == 9
+    assert len(calls) == 9
+    assert all(type(psi) is float for psi in calls)

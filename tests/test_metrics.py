@@ -19,7 +19,7 @@ from dapalloc.metrics import (
     rates,
     sindr,
 )
-from dapalloc.pa_model import PaModel, bussgang_gain_rapp
+from dapalloc.pa_model import PaModel, bussgang_gain_rapp, input_backoff
 
 RNG = np.random.default_rng(20240817)
 
@@ -306,3 +306,63 @@ def test_csi_error_factor():
         csi_error_factor(1e-9, 60, 0.0)
     with pytest.raises(ValueError):
         csi_error_factor(-1.0, 60, 0.2)
+
+
+# ---------------------------------------------------------------- chunk forms
+
+_PA_LAWS = {"clipper": PaModel(), "rapp-p2": PaModel(kind="rapp", smoothness_p=2.0)}
+# At M p_max = 6.4 W these powers put psi = M p_max / P between 6.4e-4
+# and 6.4e3, across the erfcx switch (psi = 25) and the exp cutoff
+# (psi = 700); the idle transmitter and 0.5 W appear twice.
+_POWERS = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 40), [0.5, 0.0, 0.5]])
+
+
+def _op_bits(op):
+    return np.array([op.ibo, op.lam, op.dist_coeff, op.effective_distortion]).tobytes()
+
+
+@pytest.mark.parametrize("pa", _PA_LAWS.values(), ids=list(_PA_LAWS))
+def test_array_operating_points_are_their_scalar_calls(pa):
+    cfg = _cfg(p_max=0.1, pa=pa)
+    points = operating_point_at(cfg, _POWERS)
+    assert len(points) == _POWERS.size
+    for power, op in zip(_POWERS, points):
+        assert _op_bits(op) == _op_bits(operating_point_at(cfg, float(power))), power
+    assert operating_point_at(cfg, np.array([])) == []
+
+
+@pytest.mark.parametrize("precoder", ["zf", "mrt", "zf_icsi"])
+@pytest.mark.parametrize("pa", _PA_LAWS.values(), ids=list(_PA_LAWS))
+def test_chunk_evaluate_rows_are_their_one_set_calls(pa, precoder):
+    cfg = _cfg(p_max=0.1, pa=pa)
+    rng = np.random.default_rng(7)
+    sets, allocs = [], []
+    for power in _POWERS:
+        k = int(rng.integers(1, 9))
+        beta = 10 ** rng.uniform(-14, -9, k)
+        sets.append(UeSet(beta=beta, noise_w=7.2e-14, csi_delta=rng.uniform(0.0, 0.5, k)))
+        allocs.append(Allocation(float(power), rng.dirichlet(np.ones(k))))
+    reports = evaluate(cfg, sets, allocs, precoder)
+    assert len(reports) == len(sets)
+    for ues, alloc, report in zip(sets, allocs, reports):
+        one = evaluate(cfg, ues, alloc, precoder)
+        assert report.sindr.tobytes() == one.sindr.tobytes()
+        assert report.rate.tobytes() == one.rate.tobytes()
+        assert np.float64(report.sum_rate).tobytes() == np.float64(one.sum_rate).tobytes()
+        assert np.float64(report.ibo_db).tobytes() == np.float64(one.ibo_db).tobytes()
+        assert _op_bits(report.operating_point) == _op_bits(one.operating_point)
+    with pytest.raises(ValueError, match="one allocation per user set"):
+        evaluate(cfg, sets, allocs[:-1], precoder)
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_nan_or_infinite_power_is_rejected(power):
+    cfg = _cfg()
+    with pytest.raises(ValueError, match="finite"):
+        operating_point_at(cfg, power)
+    with pytest.raises(ValueError, match="finite"):
+        operating_point_at(cfg, np.array([0.1, power]))
+    with pytest.raises(ValueError, match="finite"):
+        input_backoff(power, cfg.m_antennas, cfg.p_max)
+    with pytest.raises(ValueError, match="finite"):
+        breakpoints(_TWO, cfg, power, operating_point_at(cfg, 0.1))

@@ -195,3 +195,61 @@ def test_sdr_monotone_in_backoff():
     six = 10 ** 0.6
     got = 10.0 * math.log10(bussgang_gain_soft(six) / distortion_coeff_soft(six))
     assert got == pytest.approx(27.6868450871000844, rel=1e-12)
+
+
+# Bussgang gain and distortion coefficient of the Rapp law as hex floats,
+# at 12 back-offs from 1e-3 to 1e3 and three knee sharpnesses.  They pin
+# the adaptive quadrature to the bit: batching or reordering its
+# integrand calls must not move them.
+_RAPP_PSI = (1e-3, 3e-3, 1e-2, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3)
+_RAPP_PINNED = {
+    1.0: (
+        ("0x1.9afd58adb17e1p-11", "0x1.b7e6e7fa841f4p-13"),  # psi = 0.001
+        ("0x1.33200dc3db307p-9", "0x1.3f966456fdff8p-11"),  # psi = 0.003
+        ("0x1.f9de56347442fp-8", "0x1.eb0cddb6c8c04p-10"),  # psi = 0.01
+        ("0x1.7035c42536d0ep-6", "0x1.3963793e54680p-8"),  # psi = 0.03
+        ("0x1.19a6b2d01ad59p-4", "0x1.6b6ebf155d8d0p-7"),  # psi = 0.1
+        ("0x1.60a0cca9997b6p-3", "0x1.237910f4632d8p-6"),  # psi = 0.3
+        ("0x1.8afa4989cd182p-2", "0x1.25cd46d434db0p-6"),  # psi = 1
+        ("0x1.43540f8cfdd86p-1", "0x1.3f58454eac600p-7"),  # psi = 3
+        ("0x1.aeb399192d950p-1", "0x1.4178a9ffa4000p-9"),  # psi = 10
+        ("0x1.e0ac07a23af7ap-1", "0x1.bb29d4d480800p-12"),  # psi = 30
+        ("0x1.f608334de5843p-1", "0x1.805a8979ac000p-15"),  # psi = 100
+        ("0x1.fefa9308af459p-1", "0x1.0a09ae7600000p-21"),  # psi = 1000
+    ),
+    2.0: (
+        ("0x1.9bc18c90d3969p-11", "0x1.c009dd533ea94p-13"),  # psi = 0.001
+        ("0x1.34c29ad35126fp-9", "0x1.4d267364a864cp-11"),  # psi = 0.003
+        ("0x1.0105587f67d10p-7", "0x1.0ddf333e5610cp-9"),  # psi = 0.01
+        ("0x1.7fa7b7a0fd106p-6", "0x1.78243c029acd4p-8"),  # psi = 0.03
+        ("0x1.37d69ffe1a217p-4", "0x1.f73f134a61350p-7"),  # psi = 0.1
+        ("0x1.ac07a87a92f84p-3", "0x1.c88a1e86645b0p-6"),  # psi = 0.3
+        ("0x1.069ca7e4ecf2ap-1", "0x1.a9234007e7f40p-6"),  # psi = 1
+        ("0x1.a5f064ca3cd9bp-1", "0x1.e3db04880c300p-8"),  # psi = 3
+        ("0x1.f23f6c9c88b2ap-1", "0x1.58bc39b30f800p-12"),  # psi = 10
+        ("0x1.fe5150e6dd9bep-1", "0x1.9671dfa920000p-18"),  # psi = 30
+        ("0x1.ffd8baf78d4b6p-1", "0x1.c018a4b000000p-25"),  # psi = 100
+        ("0x1.ffff9b5689a10p-1", "0x1.71a0000000000p-38"),  # psi = 1000
+    ),
+    8.0: (
+        ("0x1.9bc501a35be7ap-11", "0x1.c0f9770ec25d0p-13"),  # psi = 0.001
+        ("0x1.34cf8246c5f31p-9", "0x1.4f266a6625c2cp-11"),  # psi = 0.003
+        ("0x1.01416375aa61ap-7", "0x1.12d9af89756acp-9"),  # psi = 0.01
+        ("0x1.813cafb0e2e81p-6", "0x1.8a8a6ac362680p-8"),  # psi = 0.03
+        ("0x1.3dc458e93d72cp-4", "0x1.1c7c71a5b846cp-6"),  # psi = 0.1
+        ("0x1.c6c48694e223bp-3", "0x1.2315422c69ebcp-5"),  # psi = 0.3
+        ("0x1.2d3ccb694ac2bp-1", "0x1.209a6a9b51fd0p-5"),  # psi = 1
+        ("0x1.de8e74e7a955dp-1", "0x1.4f95625e94d00p-8"),  # psi = 3
+        ("0x1.ffd9981933bcap-1", "0x1.258f2da3c0000p-18"),  # psi = 10
+        ("0x1.fffffdae95451p-1", "0x1.af88000000000p-39"),  # psi = 30
+        ("0x1.fffffffff6032p-1", "0x1.c000000000000p-49"),  # psi = 100
+        ("0x1.fffffffffffccp-1", "0x1.a000000000000p-49"),  # psi = 1000
+    ),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_RAPP_PINNED))
+def test_rapp_laws_are_pinned_to_the_bit(p):
+    for psi, (lam, coeff) in zip(_RAPP_PSI, _RAPP_PINNED[p], strict=True):
+        assert bussgang_gain_rapp(psi, p).hex() == lam, psi
+        assert distortion_coeff_rapp(psi, p).hex() == coeff, psi

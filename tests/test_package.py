@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import dapalloc
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dapalloc"
@@ -55,6 +57,34 @@ def test_benchmark_tracer_binds_and_restores(monkeypatch):
     with tracing.instrument(tracing.Tracer()):
         assert dapa.erfc is not numerics.erfc
     assert dapa.erfc is numerics.erfc
+
+
+
+def _result_bits(r):
+    numbers = np.array([r.sum_rate, r.total_power_p, r.ibo_db])
+    return (r.drop_id, r.algorithm, r.error, numbers.tobytes(), r.omega.tobytes(), r.rates.tobytes())
+
+
+def test_traced_rapp_chunk_equals_the_untraced_run(monkeypatch):
+    # The tracer's wrappers and observers see every chunk argument of a
+    # Rapp-mode run; one that breaks on a chunk, or a trace that moves a
+    # bit of the results, fails here.
+    from dapalloc import bench
+    from dapalloc.scenario import ScenarioConfig
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    sc = ScenarioConfig(n_users=4, m_antennas=8, p_max=0.1, seed=2024)
+    plain = bench.evaluate_rapp_mode(sc, 2)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        traced = bench.evaluate_rapp_mode(sc, 2)
+    assert [list(map(_result_bits, rs)) for rs in traced] == [
+        list(map(_result_bits, rs)) for rs in plain
+    ]
+    assert all(r.error is None for rs in plain for r in rs)
+    assert len(tracer.observed["rapp_psi"]) == 5  # 2 drops x 2 DAPA powers + 1 shared REF power
 
 
 def _unread_module_names(path):
