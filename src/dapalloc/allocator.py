@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from dapalloc.dapa import _unwrap, default_delta, solve_dapa
+from dapalloc.dapa import _unwrap, _user_bounds, default_delta, solve_dapa
 from dapalloc.fpda import breakpoints, solve_fpda
 from dapalloc.metrics import (
     Allocation,
@@ -70,6 +70,38 @@ class AoTrace:
 
 def _ref_power(cfg: SystemConfig) -> float:
     return cfg.m_antennas * cfg.p_max / _REF_BACKOFF_LINEAR
+
+
+# (key, (outcomes, bounds)) of the last chunk _equal_split solved, until
+# one hit takes it; set and cleared whole, so a thread or worker can at
+# worst miss.
+_equal_split_memo: Optional[tuple] = None
+
+
+def _equal_split(ues_rows: list, cfg: SystemConfig, delta: float) -> tuple[list, list]:
+    """:func:`~dapalloc.dapa.solve_dapa` at fractions 1/K on a chunk:
+    (each row's outcome, each set's per-user Lambert-W bounds).
+
+    This solve is DAPA-E, and it is the alternating optimizer's first
+    round, so one memo entry serves both on the same chunk.  Its key is
+    everything the solve reads: ``cfg``, ``delta`` and each set's
+    ``beta`` and ``noise_w`` bytes, so a hit is never stale.  The entry
+    serves one hit, the second strategy's, and is then dropped: a run
+    that repeats a chunk solves it again, and nothing is held after.
+    Every user holds power, so the bounds cover every user a later
+    round can keep.
+    """
+    global _equal_split_memo
+    key = (cfg, delta, tuple((ues.beta.tobytes(), ues.noise_w.tobytes()) for ues in ues_rows))
+    memo = _equal_split_memo
+    if memo is not None and memo[0] == key:
+        _equal_split_memo = None
+        return memo[1]
+    bounds = _user_bounds([ues.beta for ues in ues_rows], [ues.noise_w for ues in ues_rows], cfg)
+    omega = [np.full(ues.n_users, 1.0 / ues.n_users) for ues in ues_rows]
+    solved = (solve_dapa(ues_rows, omega, cfg, delta, _bounds=bounds), bounds)
+    _equal_split_memo = (key, solved)
+    return solved
 
 
 def _one_set_or_chunk(solve_rows):
@@ -120,6 +152,11 @@ def _ao_rows(
     :func:`~dapalloc.metrics.evaluate` call; each row keeps its own
     fractions, iterates, stop rule and best iterate.  Returns one
     (Allocation, AoTrace) pair, or the solver error, per row.
+
+    The first round, at equal fractions, is DAPA-E's solve, taken from
+    :func:`_equal_split` and its memo of the last chunk.  Later rounds
+    bracket each row with that round's per-user Lambert-W bounds of the
+    users they keep, computing no new bounds.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -133,8 +170,16 @@ def _ao_rows(
     prev_power: list[Optional[float]] = [None] * n_rows
     open_rows = list(range(n_rows))
 
-    for _ in range(max_iters):
-        results = solve_dapa([ues_rows[r] for r in open_rows], [omega[r] for r in open_rows], cfg, delta)
+    results, bounds = _equal_split(ues_rows, cfg, delta)
+    for round_ in range(max_iters):
+        if round_:
+            results = solve_dapa(
+                [ues_rows[r] for r in open_rows],
+                [omega[r] for r in open_rows],
+                cfg,
+                delta,
+                _bounds=[bounds[r] for r in open_rows],
+            )
         rows, powers = [], []
         for r, result in zip(open_rows, results):
             if isinstance(result, Exception):
@@ -208,17 +253,29 @@ def ref_fpda(ues, cfg: SystemConfig):
 
 @_one_set_or_chunk
 def dapa_e(ues, cfg: SystemConfig):
-    """Optimal total power with fractions pinned at 1/K."""
-    omega = [np.full(one_set.n_users, 1.0 / one_set.n_users) for one_set in ues]
+    """Optimal total power with fractions pinned at 1/K.
+
+    This is the alternating optimizer's first round.  Both take it from
+    a memo of the last chunk solved, keyed by ``cfg``, ``delta`` and
+    each set's ``beta`` and ``noise_w`` bytes, so a chunk that both
+    strategies solve is solved at equal fractions once.
+    """
+    results, _ = _equal_split(ues, cfg, default_delta(cfg))
     return [
-        result if isinstance(result, Exception) else Allocation(result.total_power_p, w)
-        for result, w in zip(solve_dapa(ues, omega, cfg), omega)
+        result
+        if isinstance(result, Exception)
+        else Allocation(result.total_power_p, np.full(one_set.n_users, 1.0 / one_set.n_users))
+        for result, one_set in zip(results, ues)
     ]
 
 
 @_one_set_or_chunk
 def dapa_fpda(ues, cfg: SystemConfig):
-    """The alternating optimizer's allocation (DAPA-FPDA)."""
+    """The alternating optimizer's allocation (DAPA-FPDA).
+
+    Its first round is DAPA-E's solve, shared through the same memo (see
+    :func:`dapa_e`).
+    """
     return [
         outcome if isinstance(outcome, Exception) else outcome[0] for outcome in _ao_rows(ues, cfg)
     ]

@@ -102,9 +102,9 @@ def _erfc_over_sqrt(psi):
     root = np.sqrt(psi)
     out = np.empty_like(psi)
     small = psi <= _ERFCX_SWITCH
-    if np.any(small):
+    if small.any():
         out[small] = erfc(root[small]) / root[small]
-    if np.any(~small):
+    if not small.all():
         rl = root[~small]
         with np.errstate(under="ignore"):
             out[~small] = erfcx(rl) * np.exp(-psi[~small]) / rl
@@ -156,10 +156,10 @@ def root_bounds(sigma2, beta, cfg: SystemConfig):
     """
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    if not (np.all(sigma2 > 0) and np.all(beta > 0)):
+    if not ((sigma2 > 0).all() and (beta > 0).all()):
         raise ValueError("noise and channel gain must be positive")
     log_ratio = _log(beta * ETA * cfg.m_antennas * cfg.p_max) - _log(sigma2)
-    if np.any(log_ratio < math.log(_MIN_BRACKET_RATIO)):
+    if (log_ratio < math.log(_MIN_BRACKET_RATIO)).any():
         ratio = math.exp(np.min(log_ratio))
         raise SolverError(
             f"r = {ratio:.3g} is below the Lambert-W bracket's floor {_MIN_BRACKET_RATIO:g}",
@@ -184,7 +184,7 @@ def _active(ues: UeSet, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channel gains, noise powers and fractions of the users with positive fraction."""
     omega = np.asarray(omega, dtype=np.float64)
     active = omega > 0.0
-    if not np.any(active):
+    if not active.any():
         raise ValueError("at least one power fraction must be positive")
     return ues.beta[active], ues.noise_w[active], omega[active]
 
@@ -217,7 +217,7 @@ def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig)
     points; each row's user algebra and user sum run on its own active
     users, so each sum has that row's length and bits.
     """
-    if np.any(power <= 0):
+    if (power <= 0).any():
         raise ValueError("total power must be positive")
     psi, lam, _, dist = _clipper_state(power, cfg)
     tail = _erfc_over_sqrt(psi)
@@ -288,9 +288,23 @@ def _bisect_on_sign(
     derivative at every row's first ladder, ``_ladder(lo, hi)`` with both
     ends, and stands in for the first call.
     """
+    roots, steps, _ = _walk(lo, hi, delta, ues_rows, omega_rows, cfg, first)
+    return roots, steps
+
+
+def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first: Optional[np.ndarray] = None):
+    """:func:`_bisect_on_sign`, also returning the derivative at each
+    row's midpoint where the ladder holds it, else NaN.
+
+    A row that stops at an exact zero or one ulp, or at ``delta`` before
+    its walk used every level, returns a midpoint of its current ladder,
+    whose derivative the look-ahead call has already computed.  A row
+    that stops on the last level, or never walks, has none.
+    """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
     root = 0.5 * (lo + hi)
+    at_root = np.full(lo.size, np.nan)
     steps = np.zeros(lo.size, dtype=np.int64)
     open_rows = np.flatnonzero(hi - lo > delta)
     while open_rows.size:
@@ -322,13 +336,15 @@ def _bisect_on_sign(
                 a, b = (m, b) if s > 0 else (a, m)
             lo[r], hi[r], steps[r] = row_lo, row_hi, n
             if stop is not None:
-                root[r] = stop
+                root[r], at_root[r] = stop, values[i, m - 1]
             elif row_hi - row_lo > delta:
                 still_open.append(r)
             else:
                 root[r] = 0.5 * (row_lo + row_hi)
+                if b - a > 1:  # ends[(a + b) // 2] is that midpoint, bit for bit
+                    at_root[r] = values[i, (a + b) // 2 - 1]
         open_rows = np.array(still_open, dtype=np.intp)
-    return root, steps
+    return root, steps, at_root
 
 
 def default_delta(cfg: SystemConfig) -> float:
@@ -336,7 +352,7 @@ def default_delta(cfg: SystemConfig) -> float:
     return 1e-6 * cfg.m_antennas * cfg.p_max
 
 
-def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None):
+def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, _bounds=None):
     """Bisection for the total power maximizing the fixed-fraction sum rate.
 
     The initial bracket runs from the smallest Lambert-W lower bound to
@@ -357,8 +373,12 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None):
 
     Derivative calls per solve: one per five bisection levels, the first
     of which also holds the bracket ends that the sign check reads (33
-    points); as many for a guard re-bisection; and one at the returned
-    power for the residual.
+    points), and as many for a guard re-bisection.  The residual reads
+    the derivative at the returned power off the last ladder when the
+    walk stopped on it: at an exact zero, at one ulp, or at ``delta``
+    before the ladder's last level.  One more call, over the rows of a
+    chunk that need it, covers the rest: walks that stopped on the last
+    level, brackets already within ``delta``, and roots the guard moved.
 
     A chunk -- ``ues`` and ``omega`` sequences of N user sets and
     fractions sharing ``cfg`` and ``delta`` -- is solved in lockstep and
@@ -368,10 +388,13 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None):
 
     ``cfg.pa`` must be the ideal clipper, the only amplifier the
     derivative models; any other raises ``ValueError``.
+
+    ``_bounds`` is private to the alternating optimizer, whose later
+    rounds pass each set's per-user Lambert-W bounds from its first.
     """
     if isinstance(ues, UeSet):  # one user set: the chunk with N = 1
-        return _unwrap(_solve_rows([ues], [omega], cfg, delta))
-    return _solve_rows(list(ues), list(omega), cfg, delta)
+        return _unwrap(_solve_rows([ues], [omega], cfg, delta, _bounds))
+    return _solve_rows(list(ues), list(omega), cfg, delta, _bounds)
 
 
 def _unwrap(outcomes: list):
@@ -382,33 +405,37 @@ def _unwrap(outcomes: list):
     return outcome
 
 
-def _brackets(users: list, cfg: SystemConfig) -> list:
-    """Each row's (lo, hi) bracket over its active ``(beta, sigma2, w)``
-    users, or the error its Lambert-W bounds raised.
+def _user_bounds(beta_rows: list, sigma2_rows: list, cfg: SystemConfig) -> list:
+    """Each row's per-user :func:`root_bounds` as a (lower, upper) pair
+    of arrays, or the error they raised.
 
     One :func:`root_bounds` call covers every row; it is elementwise, so
     each row gets the bits of its own call.  If it fails, each row is
     bounded alone to tell which rows fail.
     """
     try:
-        lower, upper = root_bounds(
-            np.concatenate([sigma2 for _, sigma2, _ in users]),
-            np.concatenate([beta for beta, _, _ in users]),
-            cfg,
-        )
+        lower, upper = root_bounds(np.concatenate(sigma2_rows), np.concatenate(beta_rows), cfg)
     except (SolverError, ConvergenceError) as exc:
-        if len(users) == 1:
+        if len(beta_rows) == 1:
             return [exc]
-        return [bracket for row in users for bracket in _brackets([row], cfg)]
-    cuts = np.cumsum([beta.size for beta, _, _ in users])[:-1]
-    return [
-        (float(np.min(row_lower)), float(np.max(row_upper)))
-        for row_lower, row_upper in zip(np.split(lower, cuts), np.split(upper, cuts))
-    ]
+        return [
+            bounds
+            for beta, sigma2 in zip(beta_rows, sigma2_rows)
+            for bounds in _user_bounds([beta], [sigma2], cfg)
+        ]
+    cuts = np.cumsum([beta.size for beta in beta_rows])[:-1]
+    return list(zip(np.split(lower, cuts), np.split(upper, cuts)))
 
 
-def _solve_rows(ues_rows: list, omega_rows: list, cfg: SystemConfig, delta) -> list:
-    """:func:`solve_dapa` on a chunk, every stage in lockstep over its rows."""
+def _solve_rows(
+    ues_rows: list, omega_rows: list, cfg: SystemConfig, delta, bounds: Optional[list] = None
+) -> list:
+    """:func:`solve_dapa` on a chunk, every stage in lockstep over its rows.
+
+    ``bounds``, if given, holds each set's per-user bounds over all of
+    its users (or their error), as :func:`_user_bounds` gives them, and
+    no :func:`root_bounds` call is made.
+    """
     if cfg.pa.kind != SOFT_LIMITER:
         raise ValueError(f"pa must be {SOFT_LIMITER!r}, the only amplifier the derivative models")
     if delta is None:
@@ -424,7 +451,19 @@ def _solve_rows(ues_rows: list, omega_rows: list, cfg: SystemConfig, delta) -> l
     # Users with zero fraction have constant rate terms in P and do not
     # constrain the bracket.
     users = [_active(ues, omega) for ues, omega in zip(ues_rows, omega_rows)]
-    outcomes: list = _brackets(users, cfg)  # errors stay, the rest are replaced
+    if bounds is None:
+        bounds = _user_bounds([beta for beta, _, _ in users], [sigma2 for _, sigma2, _ in users], cfg)
+    else:
+        bounds = [
+            row if isinstance(row, Exception) else (row[0][omega > 0.0], row[1][omega > 0.0])
+            for row, omega in zip(bounds, omega_rows, strict=True)
+        ]
+    # Each row's bracket spans its active users' bounds; errors stay, the
+    # rest are replaced.
+    outcomes: list = [
+        row if isinstance(row, Exception) else (float(np.min(row[0])), float(np.max(row[1])))
+        for row in bounds
+    ]
     rows = [r for r, bracket in enumerate(outcomes) if not isinstance(bracket, Exception)]
     if not rows:
         return outcomes
@@ -457,7 +496,7 @@ def _solve_rows(ues_rows: list, omega_rows: list, cfg: SystemConfig, delta) -> l
     omega_rows = [omega_rows[i] for i in keep]
     lo, hi, d_lo = lo[keep], hi[keep], d_lo[keep]
 
-    roots, iterations = _bisect_on_sign(lo, hi, delta, ues_rows, omega_rows, cfg, ladder[keep])
+    roots, iterations, d_root = _walk(lo, hi, delta, ues_rows, omega_rows, cfg, ladder[keep])
     # Multi-root guard: scan each bracket for a better objective.  Column
     # 0 rates the root, as evaluate would.
     samples = np.array([np.geomspace(a, b, _GUARD_SAMPLES) for a, b in zip(lo, hi)])
@@ -477,8 +516,15 @@ def _solve_rows(ues_rows: list, omega_rows: list, cfg: SystemConfig, delta) -> l
                 if obj > best_obj[i]:
                     best_obj[i] = obj
                     best_p[i] = candidate
+                    d_root[i] = np.nan
 
-    d_root = np.abs(_derivative_rows(best_p[:, np.newaxis], ues_rows, omega_rows, cfg)[:, 0])
+    # Rows without the derivative at their power from the walk get one call.
+    fresh = np.flatnonzero(np.isnan(d_root))
+    if fresh.size:
+        d_root[fresh] = _derivative_rows(
+            best_p[fresh, np.newaxis], [ues_rows[i] for i in fresh], [omega_rows[i] for i in fresh], cfg
+        )[:, 0]
+    d_root = np.abs(d_root)
     for i, r in enumerate(rows):
         outcomes[r] = DapaResult(
             total_power_p=float(best_p[i]),

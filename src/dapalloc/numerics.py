@@ -137,9 +137,9 @@ def _erfcx_tail(y: np.ndarray) -> np.ndarray:
     """exp(y^2) * erfc(y) for y > 0.46875: the mid and large regions."""
     # one-region arrays (every scalar call) skip the masked assembly
     large = y > _REGION_MID
-    if not np.any(large):
+    if not large.any():
         return _erfcx_mid(y)
-    if np.all(large):
+    if large.all():
         return _erfcx_large(y)
     out = np.empty_like(y)
     out[~large] = _erfcx_mid(y[~large])
@@ -186,15 +186,15 @@ def erfc(x):
 
         small = y <= _REGION_SMALL
         tail = ~small
-        if np.any(small):
+        if small.any():
             out[small] = 1.0 - _erf_small(ax[small])
-        if np.any(tail):
+        if tail.any():
             yt = y[tail]
             with np.errstate(under="ignore"):
                 out[tail] = _erfcx_tail(yt) * _exp_neg_sq(yt)
 
         neg = ax < 0
-        if np.any(neg):
+        if neg.any():
             # erf is odd; the small-region branch already handled signs.
             flip = neg & tail
             out[flip] = 2.0 - out[flip]
@@ -216,16 +216,16 @@ def erfcx(x):
     """
 
     def core(ax: np.ndarray) -> np.ndarray:
-        if np.any(ax < 0):
+        if (ax < 0).any():
             raise ValueError("erfcx requires x >= 0")
         out = np.empty_like(ax)
 
         small = ax <= _REGION_SMALL
         tail = ~small
-        if np.any(small):
+        if small.any():
             xs = ax[small]
             out[small] = np.exp(xs * xs) * (1.0 - _erf_small(xs))
-        if np.any(tail):
+        if tail.any():
             out[tail] = _erfcx_tail(ax[tail])
         return out
 
@@ -268,7 +268,7 @@ def lambert_w0_of_log(log_x):
                 step = r / (1.0 + w)
                 w = np.where(done, w, w - step)
                 done |= np.abs(step) <= 4.0 * eps * w
-                if np.all(done):
+                if done.all():
                     return w
         raise ConvergenceError("lambert_w0_of_log failed to converge")
 

@@ -131,9 +131,9 @@ def _tail_term(psi):
     root = np.sqrt(psi)
     small = psi <= _ERFCX_SWITCH
     out = np.empty_like(psi)
-    if np.any(small):
+    if small.any():
         out[small] = 0.5 * _SQRT_PI * root[small] * erfc(root[small])
-    if np.any(~small):
+    if not small.all():
         rl = root[~small]
         with np.errstate(under="ignore"):
             out[~small] = 0.5 * _SQRT_PI * rl * erfcx(rl) * _exp_neg(psi[~small])
@@ -149,7 +149,7 @@ def bussgang_gain_soft(psi):
     small-psi behaviour is lambda ~ pi*psi/4.  Accepts scalars or arrays.
     """
     arr = np.asarray(psi, dtype=np.float64)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("back-off must be nonnegative")
     base = -np.expm1(-arr) + _tail_term(arr)
     out = base * base
@@ -167,7 +167,7 @@ def distortion_coeff_soft(psi):
     is clamped at 0.
     """
     arr = np.asarray(psi, dtype=np.float64)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("back-off must be nonnegative")
     total = -np.expm1(-arr)
     out = np.maximum(total - bussgang_gain_soft(arr), 0.0)
@@ -187,7 +187,7 @@ def _rapp_moment(psi: float, p: float, exponent: float) -> float:
         t = np.asarray(t, dtype=np.float64)
         out = np.zeros_like(t)
         pos = t > 0.0
-        if np.any(pos):
+        if pos.any():
             tp = t[pos]
             log_r = p * (2.0 * np.log(tp) - math.log(psi))
             # log(1 + r^p): exact via log1p when r^p is representable,
@@ -206,7 +206,7 @@ def _rapp_per_point(psi, p: float, law):
     if p <= 0:
         raise ValueError("smoothness p must be positive")
     arr = np.asarray(psi, dtype=np.float64)
-    if np.any(arr <= 0):
+    if (arr <= 0).any():
         raise ValueError("back-off must be positive for the Rapp model")
     vals = np.array([law(float(v)) for v in np.atleast_1d(arr).ravel()])
     out = vals.reshape(np.shape(arr))

@@ -133,23 +133,6 @@ def noise_power_w(n_subcarriers: int, delta_f_hz: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def _user_distance(sc: ScenarioConfig, drop_id: int, ue_index: int) -> float:
-    """Distance of one user, fully determined by (seed, drop_id, ue_index).
-
-    Uniform over the annulus area: d^2 uniform on [min^2, radius^2].
-    Generator identity (fixed for reproducibility): numpy Philox keyed
-    with (seed, drop_id), counter set to the user index, first draw.
-    """
-    bits = np.random.Philox(
-        key=np.array([sc.seed, drop_id], dtype=np.uint64),
-        counter=np.array([0, 0, 0, ue_index], dtype=np.uint64),
-    )
-    u = np.random.Generator(bits).random()
-    lo = sc.min_distance_m**2
-    hi = sc.cell_radius_m**2
-    return math.sqrt(lo + u * (hi - lo))
-
-
 def drop_ues(sc: ScenarioConfig, drop_id: int) -> UeSet:
     """Generate one random drop of users.
 
@@ -162,9 +145,22 @@ def drop_ues(sc: ScenarioConfig, drop_id: int) -> UeSet:
     """
     if drop_id < 0 or drop_id >= 2**64:
         raise ValueError("drop_id must fit in 64 bits")
-    d = np.array(
-        [_user_distance(sc, drop_id, k) for k in range(sc.n_users)]
-    )
+    # Generator identity (fixed for reproducibility): numpy Philox keyed
+    # with (seed, drop_id); user k takes the first draw from the counter
+    # (0, 0, 0, k).  That draw leaves the counter at (1, 0, 0, k), and
+    # advancing by 2^192 - 1 carries it to (0, 0, 0, k + 1) and empties
+    # the output buffer, so one generator serves every user of the drop.
+    bits = np.random.Philox(key=np.array([sc.seed, drop_id], dtype=np.uint64))
+    draw = np.random.Generator(bits)
+    u = np.empty(sc.n_users)
+    for k in range(sc.n_users):
+        if k:
+            bits.advance(2**192 - 1)
+        u[k] = draw.random()
+    # area-uniform: d^2 uniform on [min^2, radius^2]
+    lo = sc.min_distance_m**2
+    hi = sc.cell_radius_m**2
+    d = np.sqrt(lo + u * (hi - lo))
     beta = 10.0 ** (-path_loss_db(d, sc.fc_ghz) / 10.0)
     noise = np.full(sc.n_users, sc.noise_w)
     delta = None

@@ -1,5 +1,7 @@
 """Placement, path loss, noise floor, and drop determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -152,3 +154,18 @@ def test_two_ue_grid_structure():
         two_ue_grid(60.0, 150.0, 5.0, _sc(n_users=3))
     with pytest.raises(ValueError):
         two_ue_grid(60.0, 50.0, 5.0, sc)
+
+
+def test_every_users_bits_are_pinned():
+    # SHA-256 of the beta bytes of K=60 drops, taken before the generator
+    # served a whole drop; any change to any user's draw shows here.
+    sc = _sc(n_users=60, m_antennas=64)
+    pins = {
+        0: "76053d53622bb36bbfca47bb07b4de845c5c08c6e5337c6ce84d1e1148056cee",
+        1: "8c702ea136cd1bc71d088867a06f39a0ea0c0cf4da1f7570661880d9918aff36",
+        7: "a4b412f7bfc072d801d4f3d689b0e11ccca7bbcd35eb032e12eb0b2a9535a1af",
+        2**63: "c8a5fa7c0c95936e4cd7aa051f897196e3ee4bdad0cd4fa5065b42949f0cdfad",
+        2**64 - 1: "d37d3ed95a4d95cb72ab7430320d6d5ab2bfa102b8d7d89f44bac3b94d7677de",
+    }
+    for drop_id, digest in pins.items():
+        assert hashlib.sha256(drop_ues(sc, drop_id).beta.tobytes()).hexdigest() == digest, drop_id
