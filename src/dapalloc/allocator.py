@@ -188,8 +188,9 @@ def _ao_rows(
             power = result.total_power_p
             # Ascent safeguard: the step, rated by the solve at (power, omega),
             # must not lose sum rate against the last iterate, which holds
-            # (prev_power, omega); this can only trigger in the multi-root
-            # corner the bisection guard also covers.
+            # (prev_power, omega); it fires in the multi-root corner the
+            # bisection guard also covers, and at rounding level on
+            # single-root drops.
             if prev_power[r] is not None and power != prev_power[r]:
                 if result.sum_rate < iterates[r][-1][2]:
                     power = prev_power[r]

@@ -158,9 +158,9 @@ class Allocation:
         omega = np.atleast_1d(np.asarray(self.omega, dtype=np.float64))
         if omega.ndim != 1:
             raise ValueError("omega must be one-dimensional")
-        if not np.all(omega >= 0):
+        if not (omega >= 0).all():
             raise ValueError("omega entries must be nonnegative")
-        if not abs(float(np.sum(omega)) - 1.0) <= _OMEGA_SUM_TOL:
+        if not abs(float(omega.sum()) - 1.0) <= _OMEGA_SUM_TOL:
             raise ValueError("omega entries must sum to 1")
         object.__setattr__(self, "omega", omega)
 
@@ -307,7 +307,7 @@ def evaluate(cfg: SystemConfig, ues, alloc, precoder: str = "zf"):
             EvalReport(
                 sindr=gamma,
                 rate=rate,
-                sum_rate=float(np.sum(rate)),
+                sum_rate=float(rate.sum()),
                 ibo_db=op.ibo_db,
                 operating_point=op,
             )

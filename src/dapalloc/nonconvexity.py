@@ -76,17 +76,21 @@ def reference_two_user_setup() -> tuple[SystemConfig, UeSet]:
     return cfg, ues
 
 
+def _allocation(p1: float, p2: float) -> Allocation:
+    """The allocation giving powers (p1, p2): total p1 + p2 and its split."""
+    if p1 < 0 or p2 < 0 or p1 + p2 <= 0:
+        raise ValueError("need p1, p2 >= 0 with p1 + p2 > 0")
+    total = p1 + p2
+    return Allocation(total, np.array([p1 / total, p2 / total]))
+
+
 def sum_rate_2ue(p1: float, p2: float, cfg: SystemConfig, ues: UeSet) -> float:
     """Zero-forcing sum rate at per-user powers (p1, p2), in bit/s.
 
     Evaluated through the metrics module: total power p1 + p2 sets the
     amplifier operating point, the fractions set the per-user split.
     """
-    if p1 < 0 or p2 < 0 or p1 + p2 <= 0:
-        raise ValueError("need p1, p2 >= 0 with p1 + p2 > 0")
-    total = p1 + p2
-    alloc = Allocation(total, np.array([p1 / total, p2 / total]))
-    return evaluate(cfg, ues, alloc, precoder="zf").sum_rate
+    return evaluate(cfg, ues, _allocation(p1, p2), precoder="zf").sum_rate
 
 
 def _eig_2x2(h11: float, h22: float, h12: float) -> tuple[float, float]:
@@ -95,19 +99,16 @@ def _eig_2x2(h11: float, h22: float, h12: float) -> tuple[float, float]:
     return (mean - radius, mean + radius)
 
 
+# Stencil point offsets in steps, in the order _raw_probe reads their values.
+_STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
 def _raw_probe(
-    f, p1: float, p2: float, h: float
+    values: list[float], h: float
 ) -> tuple[tuple[float, float], tuple[float, float], float]:
-    """One central-difference pass: (eigenvalues, gradient, mixed-diff)."""
-    f00 = f(p1, p2)
-    fp0 = f(p1 + h, p2)
-    fm0 = f(p1 - h, p2)
-    f0p = f(p1, p2 + h)
-    f0m = f(p1, p2 - h)
-    fpp = f(p1 + h, p2 + h)
-    fmm = f(p1 - h, p2 - h)
-    fpm = f(p1 + h, p2 - h)
-    fmp = f(p1 - h, p2 + h)
+    """One central-difference pass on the sum rates at the ``_STENCIL``
+    points of step h: (eigenvalues, gradient, mixed-diff)."""
+    f00, fp0, fm0, f0p, f0m, fpp, fmm, fpm, fmp = values
 
     h11 = (fp0 - 2.0 * f00 + fm0) / (h * h)
     h22 = (f0p - 2.0 * f00 + f0m) / (h * h)
@@ -119,6 +120,42 @@ def _raw_probe(
 
     grad = ((fp0 - fm0) / (2.0 * h), (f0p - f0m) / (2.0 * h))
     return _eig_2x2(h11, h22, h12_cross), grad, mixed_rel
+
+
+def _probes(
+    points: list[tuple[float, float]], steps: list[float], cfg: SystemConfig, ues: UeSet
+) -> list[HessianProbe]:
+    """One :class:`HessianProbe` per point and step.
+
+    The stencils of every probe, at its step and at twice it, are rated
+    in one :func:`evaluate` call; each sum rate is bitwise its
+    :func:`sum_rate_2ue` call.
+    """
+    if ues.n_users != 2:
+        raise ValueError("curvature probes are defined for the 2-user problem")
+    allocs = [
+        _allocation(p1 + a * w, p2 + b * w)
+        for (p1, p2), h in zip(points, steps)
+        for w in (h, 2.0 * h)
+        for a, b in _STENCIL
+    ]
+    rates = [r.sum_rate for r in evaluate(cfg, [ues] * len(allocs), allocs, precoder="zf")]
+    per_probe = np.reshape(rates, (len(points), 2, len(_STENCIL))).tolist()
+    probes = []
+    for (p1, p2), step, (fine, wide) in zip(points, steps, per_probe):
+        eigs, grad, mixed_rel = _raw_probe(fine, step)
+        eigs_wide, _, _ = _raw_probe(wide, 2.0 * step)
+
+        signs_stable = all((a < 0) == (b < 0) for a, b in zip(eigs, eigs_wide))
+        # Richardson: central differences have O(h^2) truncation error, so
+        # the 2x-step eigenvalues should differ by roughly 4x that error.
+        mags_consistent = all(
+            abs(a - b) <= 0.5 * max(abs(a), abs(b)) or max(abs(a), abs(b)) == 0.0
+            for a, b in zip(eigs, eigs_wide)
+        )
+        flagged = not (signs_stable and mags_consistent)
+        probes.append(HessianProbe(p1, p2, step, eigs, grad, mixed_rel, flagged))
+    return probes
 
 
 def hessian_eigs(
@@ -136,53 +173,34 @@ def hessian_eigs(
     step-dependent (e.g. step below the rounding floor of the rate).
     """
     p1, p2 = float(probe_point[0]), float(probe_point[1])
-    if ues.n_users != 2:
-        raise ValueError("curvature probes are defined for the 2-user problem")
     if step is None:
         step = _DEFAULT_STEP_FACTOR * (p1 + p2)
     if step <= 0:
         raise ValueError("step must be positive")
     if p1 <= 2.0 * step or p2 <= 2.0 * step:
         raise ValueError("probe point too close to the axes for this step")
-
-    def f(a: float, b: float) -> float:
-        return sum_rate_2ue(a, b, cfg, ues)
-
-    eigs, grad, mixed_rel = _raw_probe(f, p1, p2, step)
-    eigs_wide, _, _ = _raw_probe(f, p1, p2, 2.0 * step)
-
-    signs_stable = all(
-        (a < 0) == (b < 0)
-        for a, b in zip(eigs, eigs_wide)
-    )
-    # Richardson: central differences have O(h^2) truncation error, so
-    # the 2x-step eigenvalues should differ by roughly 4x that error.
-    mags_consistent = all(
-        abs(a - b) <= 0.5 * max(abs(a), abs(b)) or max(abs(a), abs(b)) == 0.0
-        for a, b in zip(eigs, eigs_wide)
-    )
-    return HessianProbe(
-        p1=p1,
-        p2=p2,
-        step=step,
-        eigenvalues=eigs,
-        gradient=grad,
-        mixed_rel_diff=mixed_rel,
-        flagged=not (signs_stable and mags_consistent),
-    )
+    (probe,) = _probes([(p1, p2)], [step], cfg, ues)
+    return probe
 
 
 def _grid_probes(
     cfg: SystemConfig, ues: UeSet, n_points: int, p_min: float, p_max: float
-) -> Iterator[HessianProbe]:
-    """The probes of :func:`scan_grid`, made one at a time in row order."""
-    grid = np.geomspace(p_min, p_max, n_points)
+) -> Iterator[list[HessianProbe]]:
+    """The probes of :func:`scan_grid`, one list per grid row of p1.
+
+    Each row is rated in one :func:`evaluate` call; rating the whole grid
+    at once would hold every row's reports at the same time.
+    """
+    grid = np.geomspace(p_min, p_max, n_points).tolist()
     for p1 in grid:
+        points, steps = [], []
         for p2 in grid:
             step = _DEFAULT_STEP_FACTOR * (p1 + p2)
-            if p1 <= 2.0 * step or p2 <= 2.0 * step:
-                continue
-            yield hessian_eigs((float(p1), float(p2)), cfg, ues)
+            if p1 > 2.0 * step and p2 > 2.0 * step:
+                points.append((p1, p2))
+                steps.append(step)
+        if points:
+            yield _probes(points, steps, cfg, ues)
 
 
 def scan_grid(
@@ -197,7 +215,7 @@ def scan_grid(
     Grid points too close to the axes for the default step (coordinate
     ratio below ~2e-4) are skipped.
     """
-    return list(_grid_probes(cfg, ues, n_points, p_min, p_max))
+    return [probe for row in _grid_probes(cfg, ues, n_points, p_min, p_max) for probe in row]
 
 
 def find_indefinite_point(
@@ -211,18 +229,18 @@ def find_indefinite_point(
     eigenvalue whose sign pattern survives halving the step.
 
     Returns None when the scan finds no such point (which would mean the
-    objective looked concave on the whole grid).
+    objective looked concave on the whole grid).  The scan stops after
+    the grid row that holds the witness.
     """
-    for probe in _grid_probes(cfg, ues, n_points, p_min, p_max):
-        if probe.flagged:
-            continue
-        lo, hi = probe.eigenvalues
-        if lo < 0.0 < hi:
-            halved = hessian_eigs(
-                (probe.p1, probe.p2), cfg, ues, step=0.5 * probe.step
-            )
-            if (not halved.flagged) and halved.eigenvalues[0] < 0.0 < halved.eigenvalues[1]:
-                return probe
+    for row in _grid_probes(cfg, ues, n_points, p_min, p_max):
+        for probe in row:
+            if probe.flagged:
+                continue
+            lo, hi = probe.eigenvalues
+            if lo < 0.0 < hi:
+                halved = hessian_eigs((probe.p1, probe.p2), cfg, ues, step=0.5 * probe.step)
+                if (not halved.flagged) and halved.eigenvalues[0] < 0.0 < halved.eigenvalues[1]:
+                    return probe
     return None
 
 

@@ -12,6 +12,7 @@ from dapalloc.nonconvexity import (
     scan_grid,
     sum_rate_2ue,
 )
+import nonconvexity_reference
 
 CFG, UES = reference_two_user_setup()
 
@@ -107,18 +108,40 @@ def test_find_indefinite_point_stops_at_the_first_witness(monkeypatch):
     probes = scan_grid(CFG, UES, n_points=12)
     expected = next(p for p in probes if indefinite(p) and indefinite(halved(p)))
     index = probes.index(expected)
-    calls = []
-    real = nonconvexity.hessian_eigs
+    rows = []
+    real = nonconvexity.evaluate
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counted(cfg, ues, alloc, precoder="zf"):
+        rows.append(len(alloc))
+        return real(cfg, ues, alloc, precoder)
 
-    monkeypatch.setattr(nonconvexity, "hessian_eigs", counted)
+    monkeypatch.setattr(nonconvexity, "evaluate", counted)
     assert find_indefinite_point(CFG, UES, n_points=12) == expected
-    # the grid up to the witness, plus one halved-step probe per candidate
+    # 18 stencil points per probe: every probe of the grid rows up to the
+    # witness's row, plus one halved-step probe per candidate up to the witness
+    in_rows = sum(p.p1 <= expected.p1 for p in probes)
     rechecks = sum(indefinite(p) for p in probes[: index + 1])
-    assert len(calls) == index + 1 + rechecks < len(probes)
+    assert sum(rows) == 18 * (in_rows + rechecks) < 18 * len(probes)
+
+
+@pytest.mark.parametrize(
+    "n_points, p_min, p_max",
+    [(12, 1e-6, 1.0), (8, 1e-6 * 10**0.37, 10**-0.21), (8, 1e-6 * 10**0.11, 10**-0.44)],
+)
+def test_row_scan_is_bitwise_the_per_probe_scan(tmp_path, n_points, p_min, p_max):
+    # one evaluate call per grid row gives every stencil value bitwise its
+    # scalar sum_rate_2ue call, so the table and the witness are the same bytes
+    expected = list(nonconvexity_reference.grid_probes(CFG, UES, n_points, p_min, p_max))
+    probes_to_csv(expected, str(tmp_path / "reference.csv"))
+    probes_to_csv(scan_grid(CFG, UES, n_points, p_min, p_max), str(tmp_path / "rows.csv"))
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    witness = nonconvexity_reference.find_indefinite_point(expected, CFG, UES)
+    assert witness is not None
+    assert repr(find_indefinite_point(CFG, UES, n_points, p_min, p_max)) == repr(witness)
+    point, step = (witness.p1, witness.p2), 0.5 * witness.step
+    assert repr(hessian_eigs(point, CFG, UES, step)) == repr(
+        nonconvexity_reference.hessian_eigs(point, CFG, UES, step)
+    )
 
 
 def test_probes_csv(tmp_path):

@@ -38,7 +38,7 @@ def test_path_loss_frozen_points():
 def test_noise_floor_frozen():
     # -174 dBm/Hz over 1200 x 15 kHz = -101.447 dBm
     got = noise_power_w(1200, 15e3)
-    assert got == pytest.approx(7.16592906996295051e-14, rel=1e-14)
+    assert got == pytest.approx(7.16592906996295051e-14, rel=1e-14, abs=0)
     assert 10 * np.log10(got * 1e3) == pytest.approx(-101.447274948966939, rel=1e-12)
     with pytest.raises(ValueError):
         noise_power_w(0, 15e3)
@@ -82,8 +82,8 @@ def test_drop_determinism_and_pins():
     b = drop_ues(sc, 0)
     assert np.array_equal(a.beta, b.beta)
     # regression pins: any change to the generator identity shows up here
-    assert a.beta[0] == pytest.approx(8.479827076151992e-13, rel=1e-15)
-    assert a.beta[1] == pytest.approx(1.6955189065027072e-15, rel=1e-15)
+    assert a.beta[0] == pytest.approx(8.479827076151992e-13, rel=1e-15, abs=0)
+    assert a.beta[1] == pytest.approx(1.6955189065027072e-15, rel=1e-15, abs=0)
     # different drops and different seeds decorrelate
     assert not np.array_equal(a.beta, drop_ues(sc, 1).beta)
     assert not np.array_equal(a.beta, drop_ues(_sc(seed=1), 0).beta)
