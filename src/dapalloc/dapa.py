@@ -240,13 +240,6 @@ def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig)
     return out
 
 
-def _derivative_at(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig) -> np.ndarray:
-    """``dapa.sum_rate_derivative`` on a chunk at an (N, n) array of
-    powers, shaped like it; read through the module name, so a test may
-    replace it."""
-    return np.broadcast_to(sum_rate_derivative(power, ues_rows, omega_rows, cfg), power.shape)
-
-
 def _sum_rates(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig) -> np.ndarray:
     """``evaluate(...).sum_rate`` (zero forcing) on a chunk at an (N, n)
     array of powers, bit for bit; the P-only terms are computed once."""
@@ -270,36 +263,28 @@ def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _bisect_on_sign(
-    lo, hi, delta: float, ues_rows, omega_rows, cfg, first: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first: Optional[np.ndarray] = None):
     """Sign bisection of the derivative on a chunk of N brackets in
-    lockstep; returns (midpoints, steps), one per row.
+    lockstep; returns (midpoints, steps, derivative at each midpoint),
+    one per row.
 
     Each row stops on its own: at an exact zero of the derivative, when
     its bracket is at most ``delta`` wide, or when a step leaves it
     unchanged (at P > delta / eps the bracket reaches one float ulp
     before it reaches ``delta``).
 
-    Look-ahead: one derivative call covers the next ``_LOOKAHEAD_LEVELS``
-    levels of midpoints (31 points) of every open row, and each row's walk
-    reads only its own path's signs, so its bits, and any NaN it meets,
-    are those of one call per step.  ``first``, if given, holds the
-    derivative at every row's first ladder, ``_ladder(lo, hi)`` with both
-    ends, and stands in for the first call.
-    """
-    roots, steps, _ = _walk(lo, hi, delta, ues_rows, omega_rows, cfg, first)
-    return roots, steps
-
-
-def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first: Optional[np.ndarray] = None):
-    """:func:`_bisect_on_sign`, also returning the derivative at each
-    row's midpoint where the ladder holds it, else NaN.
+    Look-ahead: one ``sum_rate_derivative`` call, read through the module
+    name so that a test may replace it, covers the next
+    ``_LOOKAHEAD_LEVELS`` levels of midpoints (31 points) of every open
+    row.  Each row's walk reads only its own path's signs, so its bits,
+    and any NaN it meets, are those of one call per step.  ``first``, if
+    given, holds the derivative at every row's first ladder,
+    ``_ladder(lo, hi)`` with both ends, and stands in for the first call.
 
     A row that stops at an exact zero or one ulp, or at ``delta`` before
-    its walk used every level, returns a midpoint of its current ladder,
-    whose derivative the look-ahead call has already computed.  A row
-    that stops on the last level, or never walks, has none.
+    its walk used every level, returns a midpoint of its ladder, whose
+    derivative is already known; one that stops on the last level, or
+    never walks, gets NaN.
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
@@ -312,7 +297,7 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first: Optional[np.nd
         if first is not None:
             values, first = first[open_rows, 1:-1], None
         else:
-            values = _derivative_at(
+            values = sum_rate_derivative(
                 ends[:, 1:-1], [ues_rows[r] for r in open_rows], [omega_rows[r] for r in open_rows], cfg
             )
         still_open = []
@@ -472,7 +457,7 @@ def _solve_rows(
     omega_rows = [omega_rows[r] for r in rows]
     # The sign check reads the ends of the bisection's first ladder, so
     # one derivative call serves both.
-    ladder = _derivative_at(_ladder(lo, hi), ues_rows, omega_rows, cfg)
+    ladder = sum_rate_derivative(_ladder(lo, hi), ues_rows, omega_rows, cfg)
     d_lo, d_hi = ladder[:, 0], ladder[:, -1]
     violated = (d_lo < 0.0) | (d_hi > 0.0)
     for i in np.flatnonzero(violated):
@@ -507,7 +492,7 @@ def _solve_rows(
     if fired.size:
         sub_lo = samples[fired, np.maximum(i_best[fired] - 1, 0)]
         sub_hi = samples[fired, np.minimum(i_best[fired] + 1, _GUARD_SAMPLES - 1)]
-        sub_roots, iterations[fired] = _bisect_on_sign(
+        sub_roots, iterations[fired], _ = _walk(
             sub_lo, sub_hi, delta, [ues_rows[i] for i in fired], [omega_rows[i] for i in fired], cfg
         )
         for i, sub_root in zip(fired, sub_roots):

@@ -41,7 +41,6 @@ import numpy as np
 
 from dapalloc.pa_model import (
     ETA,
-    RAPP,
     SOFT_LIMITER,
     PaModel,
     PaOperatingPoint,
@@ -199,24 +198,19 @@ def operating_point_at(cfg: SystemConfig, total_power_p):
     # written so that NaN fails the comparison
     if not all(0.0 <= v < math.inf for v in values):
         raise ValueError("total power must be nonnegative and finite")
-    idle = PaOperatingPoint(math.inf, 1.0, 0.0, 0.0)
     live = np.array([v for v in dict.fromkeys(values) if v > 0.0])
-    if live.size == 0:
-        return idle if power.ndim == 0 else [idle] * len(values)
     psi = input_backoff(live, cfg.m_antennas, cfg.p_max)
     if cfg.pa.kind == SOFT_LIMITER:
         lam = bussgang_gain_soft(psi)
         coeff = distortion_coeff_soft(psi)
-    elif cfg.pa.kind == RAPP:
+    else:  # PaModel admits only the two laws
         p = cfg.pa.smoothness_p
         lam = np.array([bussgang_gain_rapp(v, p) for v in psi.tolist()])
         coeff = np.array([distortion_coeff_rapp(v, p) for v in psi.tolist()])
-    else:  # pragma: no cover - PaModel validates kind
-        raise ValueError(f"unknown amplifier kind {cfg.pa.kind!r}")
     dist = ETA * coeff * live
     states = zip(psi.tolist(), lam.tolist(), coeff.tolist(), dist.tolist())
     points = {v: PaOperatingPoint(*state) for v, state in zip(live.tolist(), states)}
-    points[0.0] = idle  # also the key of -0.0
+    points[0.0] = PaOperatingPoint(math.inf, 1.0, 0.0, 0.0)  # idle; also the key of -0.0
     if power.ndim == 0:
         return points[values[0]]
     return [points[v] for v in values]

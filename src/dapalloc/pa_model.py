@@ -201,16 +201,13 @@ def _rapp_moment(psi: float, p: float, exponent: float) -> float:
     return integrate_semi_infinite(integrand)
 
 
-def _rapp_per_point(psi, p: float, law):
-    """``law(float psi)`` at every point of ``psi``, shaped like ``psi``."""
+def _rapp_per_point(psi: float, p: float, law) -> float:
+    """``law(psi)`` at one back-off, after the Rapp model's input checks."""
     if p <= 0:
         raise ValueError("smoothness p must be positive")
-    arr = np.asarray(psi, dtype=np.float64)
-    if (arr <= 0).any():
+    if psi <= 0:
         raise ValueError("back-off must be positive for the Rapp model")
-    vals = np.array([law(float(v)) for v in np.atleast_1d(arr).ravel()])
-    out = vals.reshape(np.shape(arr))
-    return float(out) if np.ndim(psi) == 0 else out
+    return float(law(float(psi)))
 
 
 def bussgang_gain_rapp(psi, p: float = 2.0):

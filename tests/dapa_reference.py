@@ -1,6 +1,6 @@
 """Sequential total-power bisection that the tests compare against.
 
-:func:`dapalloc.dapa._bisect_on_sign` evaluates several levels of its
+:func:`dapalloc.dapa._walk` evaluates several levels of its
 midpoint tree per derivative call; :func:`bisect_on_sign` here is the
 plain form it must match bit for bit, one derivative call per step, on
 every row of a lockstep chunk.

@@ -191,7 +191,7 @@ def test_derivative_sign_helper():
 
 def test_nan_derivative_stops_the_solver(monkeypatch):
     # a NaN derivative has no sign; bisection must fail, not pick a side
-    monkeypatch.setattr(dapa, "sum_rate_derivative", lambda *args: math.nan)
+    monkeypatch.setattr(dapa, "sum_rate_derivative", lambda p, *rest: np.full(np.shape(p), math.nan))
     with pytest.raises(ValueError):
         solve_dapa(_homog_ues(1), np.array([1.0]), _cfg())
 

@@ -106,7 +106,7 @@ def test_solve_dapa_returns_or_raises_solver_error(problem):
 
 def _lookahead(lo, hi, delta, ues, omega, cfg):
     """The lockstep bisection on a one-row chunk, as (midpoint, steps)."""
-    roots, steps = dapa._bisect_on_sign([lo], [hi], delta, [ues], [omega], cfg)
+    roots, steps, _ = dapa._walk([lo], [hi], delta, [ues], [omega], cfg)
     return roots[0], steps[0]
 
 
@@ -210,9 +210,9 @@ def _stub_chunk(rows, delta):
         return np.array([_stub_value(row, *row_stub) for row, row_stub in zip(p, ues)])
 
     with mock.patch.object(dapa, "sum_rate_derivative", stub):
-        fast = dapa._bisect_on_sign(
+        fast = dapa._walk(
             [lo for lo, _ in brackets], [hi for _, hi in brackets], delta, stubs, [None] * len(rows), None
-        )
+        )[:2]
         slow = [bisect_walk(lo, hi, delta, row_stub, None, None) for (lo, hi), row_stub in zip(brackets, stubs)]
     return fast, slow
 
