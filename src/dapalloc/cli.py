@@ -56,6 +56,15 @@ def _reject_unknown(cfg: dict, known: str) -> None:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
 
+def _count_from(cfg: dict, key: str, default: int) -> int:
+    """``cfg[key]``, or ``default``, as a count: an int of at least 1."""
+    value = cfg.get(key, default)
+    # bool is an int subclass, and int() would truncate a float
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key} must be a positive int")
+    return value
+
+
 def _scenario_from(cfg: dict, seed: Optional[int]):
     from dapalloc.scenario import ScenarioConfig
 
@@ -205,7 +214,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown mode {mode!r}; expected plain, rapp, or icsi")
     _reject_unknown(cfg, "scenario n_drops algorithms mode " + mode_keys[mode])
     sc = _scenario_from(cfg, args.seed)
-    n_drops = int(cfg.get("n_drops", 1000))
+    n_drops = _count_from(cfg, "n_drops", 1000)
     algorithms = tuple(cfg.get("algorithms", bench.DEFAULT_ALGORITHMS))
 
     if mode == "plain":
@@ -279,7 +288,7 @@ def _cmd_hessian_check(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args.config)
     _reject_unknown(cfg, "n_points")
-    n_points = int(cfg.get("n_points", 40))
+    n_points = _count_from(cfg, "n_points", 40)
     sys_cfg, ues = reference_two_user_setup()
     probes = scan_grid(sys_cfg, ues, n_points=n_points)
     probes_to_csv(probes, _out_path(args.out, "hessian_probes.csv"))

@@ -93,7 +93,10 @@ class LinkSimConfig:
             raise ValueError("need at least 2 symbols for residual estimation")
         if len(self.ibo_grid_db) == 0:
             raise ValueError("ibo_grid_db must be non-empty")
-        object.__setattr__(self, "ibo_grid_db", tuple(float(v) for v in self.ibo_grid_db))
+        grid = tuple(float(v) for v in self.ibo_grid_db)
+        if not all(math.isfinite(v) for v in grid):
+            raise ValueError("ibo_grid_db entries must be finite")
+        object.__setattr__(self, "ibo_grid_db", grid)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,11 @@ class ScenarioConfig:
     rho_ul_w: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # NaN and inf pass the `<= 0` checks below, so they are named here
+        for name in ("p_max", "cell_radius_m", "fc_ghz", "delta_f_hz", "rho_ul_w"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.n_users < 1 or self.m_antennas <= self.n_users:
             raise ValueError("need 1 <= n_users < m_antennas")
         if self.p_max <= 0:

@@ -388,6 +388,20 @@ def test_fewer_than_one_worker_is_an_error_and_writes_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [("montecarlo", MC_SCENARIO, "n_drops"), ("hessian-check", {}, "n_points")],
+)
+@pytest.mark.parametrize("value", [2.9, True, 0, -3, "3"])
+def test_a_count_that_is_not_a_positive_int_is_an_error(tmp_path, capsys, command, payload, key, value):
+    # int() used to truncate 2.9 to 2 and read true as 1, and the run went on
+    cfg = _write_cfg(tmp_path, {**payload, key: value})
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert _read_error(capsys) == {"type": "ValueError", "message": f"{key} must be a positive int"}
+    assert not out.exists()
+
+
 def test_sweep_unknown_algorithm_is_a_value_error(tmp_path, capsys):
     payload = {"scenario": MC_SCENARIO["scenario"], "pl_db_grid": [100.0], "algorithms": ["FOO"]}
     cfg = _write_cfg(tmp_path, payload)

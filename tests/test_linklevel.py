@@ -181,3 +181,10 @@ def test_config_validation():
         LinkSimConfig(**{**base, "n_symbols": 1})
     with pytest.raises(ValueError):
         LinkSimConfig(**{**base, "ibo_grid_db": ()})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_a_non_finite_backoff(bad):
+    # a non-finite back-off gave a NaN or infinite SDR row, not an error
+    with pytest.raises(ValueError, match="^ibo_grid_db entries must be finite$"):
+        LinkSimConfig(m_antennas=16, n_users=2, ibo_grid_db=(4.0, bad))

@@ -1,6 +1,7 @@
 """Placement, path loss, noise floor, and drop determinism."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ def test_config_validation():
         _sc(pilot_len=60)  # rho_ul_w missing
     with pytest.raises(ValueError):
         _sc(pilot_len=0, rho_ul_w=0.2)
+
+
+@pytest.mark.parametrize("name", ["p_max", "cell_radius_m", "fc_ghz", "delta_f_hz", "rho_ul_w"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_numbers_by_name(name, value):
+    # NaN passes a `<= 0` check, so without its own check it failed only
+    # at the first drop, under another name
+    pilot = {"pilot_len": 4, "rho_ul_w": 0.2} if name == "rho_ul_w" else {}
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        _sc(**{**pilot, name: value})
 
 
 def test_dict_round_trip():
