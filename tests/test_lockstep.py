@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from dapalloc import allocator, dapa
 from dapalloc.allocator import ALGORITHMS, alternating_optimize
 from dapalloc.bench import _system_config
-from dapalloc.dapa import DapaResult, SolverError, solve_dapa
+from dapalloc.dapa import DapaResult, SolverError, solve_dapa, sum_rate_derivative
 from dapalloc.metrics import UeSet
 from dapalloc.pa_model import ETA
 from dapalloc.scenario import ScenarioConfig, drop_ues
@@ -86,6 +86,47 @@ def test_chunked_solve_dapa_rows_are_their_one_set_solves(ao_runs):
             _same_failure(outcome, lambda: solve_dapa(ues, omega, CFG))
         else:
             assert _bits(outcome) == _bits(solve_dapa(ues, omega, CFG))
+
+
+def _negate_rows(monkeypatch, negated):
+    """Make ``dapa.sum_rate_derivative`` flip its sign on the rows whose
+    user set is one of ``negated`` (by identity)."""
+
+    def stub(p, ues_rows, omega_rows, cfg):
+        flip = np.array([any(ues is n for n in negated) for ues in ues_rows])
+        values = sum_rate_derivative(p, ues_rows, omega_rows, cfg)
+        return np.where(flip[:, None], -values, values)
+
+    monkeypatch.setattr(dapa, "sum_rate_derivative", stub)
+
+
+def test_a_sign_violation_fails_its_row_alone(monkeypatch):
+    # A derivative that falls at the bracket's left end or rises at its
+    # right end violates the bracket's sign condition: that row, and only
+    # it, comes back as the error; a chunk of such rows gives only errors.
+    sets = DROPS[:3]
+    omegas = [np.full(60, 1.0 / 60) for _ in sets]
+    expected = [solve_dapa(ues, omega, CFG) for ues, omega in zip(sets, omegas)]
+    _negate_rows(monkeypatch, [sets[1]])
+    outcomes = solve_dapa(sets, omegas, CFG)
+    for i in (0, 2):
+        assert _bits(outcomes[i]) == _bits(expected[i])
+    error = outcomes[1]
+    assert isinstance(error, SolverError)
+    assert str(error) == "derivative sign condition violated at the initial bracket"
+    assert set(error.diagnostics) == {
+        "bracket_lo", "bracket_hi", "derivative_lo", "derivative_hi", "delta", "m_antennas", "p_max"
+    }
+    assert _bits(error.diagnostics["bracket_lo"]) == _bits(expected[1].bracket_lo)
+    assert _bits(error.diagnostics["bracket_hi"]) == _bits(expected[1].bracket_hi)
+    assert error.diagnostics["derivative_lo"] < 0.0 < error.diagnostics["derivative_hi"]
+
+    _negate_rows(monkeypatch, sets)
+    outcomes = solve_dapa(sets, omegas, CFG)
+    assert len(outcomes) == 3
+    for outcome in outcomes:
+        assert isinstance(outcome, SolverError)
+        assert str(outcome) == "derivative sign condition violated at the initial bracket"
 
 
 def test_guard_fires_on_some_rows_of_a_chunk(monkeypatch):
