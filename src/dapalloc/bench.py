@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -189,6 +190,9 @@ def _run(
     Each solver failure is logged under ``unit`` and its set's id once
     every span is back, so the log is in (set, strategy) order.
     """
+    # a str is a sequence too: "REF-E" would read as five labels
+    if isinstance(algorithms, str) or len(algorithms) == 0:
+        raise ValueError("algorithms must be a non-empty sequence of strategy labels")
     for label in algorithms:
         if label not in ALGORITHMS:
             raise ValueError(f"unknown algorithm label {label!r}")
@@ -266,13 +270,13 @@ def evaluate_icsi_mode(
     the string ``"estimated"`` to use each drop's per-user fractions
     derived from the scenario's pilot parameters.
     """
-    if isinstance(delta_policy, str):
-        if delta_policy != "estimated":
-            raise ValueError("delta_policy must be a float or 'estimated'")
+    if delta_policy == "estimated":
         if sc.pilot_len is None:
             raise ValueError("'estimated' policy requires pilot parameters in the scenario")
         csi = None  # drop_ues already carries the estimated fractions
-    elif not 0 <= float(delta_policy) < 1:
+    elif isinstance(delta_policy, bool) or not isinstance(delta_policy, numbers.Real):
+        raise ValueError("delta_policy must be a float or 'estimated'")
+    elif not 0 <= delta_policy < 1:
         raise ValueError("uniform csi error fraction must lie in [0, 1)")
     else:
         csi = np.full(sc.n_users, float(delta_policy))

@@ -35,6 +35,8 @@ from typing import Optional
 
 import numpy as np
 
+from dapalloc._fields import require
+
 __all__ = ["main"]
 
 _EXIT_ERROR = 2
@@ -59,9 +61,7 @@ def _reject_unknown(cfg: dict, known: str) -> None:
 def _count_from(cfg: dict, key: str, default: int) -> int:
     """``cfg[key]``, or ``default``, as a count: an int of at least 1."""
     value = cfg.get(key, default)
-    # bool is an int subclass, and int() would truncate a float
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{key} must be a positive int")
+    require(key, value, 1)
     return value
 
 
@@ -147,7 +147,7 @@ def _cmd_sweep_homogeneous(args: argparse.Namespace) -> int:
     grid = cfg.get("pl_db_grid")
     if grid is None:
         grid = np.arange(80.0, 130.0 + 1e-9, 2.5).tolist()
-    algorithms = tuple(cfg.get("algorithms", DEFAULT_ALGORITHMS))
+    algorithms = cfg.get("algorithms", DEFAULT_ALGORITHMS)
     rows = sweep_homogeneous(sc, grid, algorithms)
     for label in algorithms:
         per_alg = [
@@ -215,7 +215,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     _reject_unknown(cfg, "scenario n_drops algorithms mode " + mode_keys[mode])
     sc = _scenario_from(cfg, args.seed)
     n_drops = _count_from(cfg, "n_drops", 1000)
-    algorithms = tuple(cfg.get("algorithms", bench.DEFAULT_ALGORITHMS))
+    algorithms = cfg.get("algorithms", bench.DEFAULT_ALGORITHMS)
 
     if mode == "plain":
         results = bench.run_montecarlo(sc, algorithms, n_drops, args.workers)
@@ -223,7 +223,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     elif mode == "rapp":
         soft, rapp = bench.evaluate_rapp_mode(
             sc, n_drops, algorithms,
-            smoothness_p=float(cfg.get("smoothness_p", 2.0)),
+            smoothness_p=cfg.get("smoothness_p", 2.0),
             workers=args.workers,
         )
         paired = {"montecarlo": soft, "montecarlo_rapp": rapp}

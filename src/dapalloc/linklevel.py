@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from dapalloc._fields import check
 from dapalloc.pa_model import ETA, bussgang_gain_soft, distortion_coeff_soft
 
 __all__ = [
@@ -79,20 +80,21 @@ class LinkSimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check(self, m_antennas=1, n_users=1, fft_size=1, n_used_subcarriers=1, cp_len=0,
+              n_symbols=2, seed=0)
         if self.precoder not in ("zf", "mrt"):
             raise ValueError("precoder must be 'zf' or 'mrt'")
         if self.precoder == "zf" and self.m_antennas <= self.n_users:
             raise ValueError("zero-forcing requires more antennas than users")
-        if self.n_users < 1:
-            raise ValueError("need at least one user")
-        if not 0 < self.n_used_subcarriers < self.fft_size:
+        if self.n_used_subcarriers >= self.fft_size:
             raise ValueError("used subcarriers must fit inside the FFT grid")
-        if self.cp_len < 0 or self.cp_len >= self.fft_size:
+        if self.cp_len >= self.fft_size:
             raise ValueError("cyclic prefix must be shorter than the FFT")
-        if self.n_symbols < 2:
-            raise ValueError("need at least 2 symbols for residual estimation")
-        if len(self.ibo_grid_db) == 0:
-            raise ValueError("ibo_grid_db must be non-empty")
+        if self.seed >= 2**64:
+            raise ValueError("seed must fit in 64 bits")
+        # a str is a sequence too: "45" would read as (4.0, 5.0)
+        if isinstance(self.ibo_grid_db, str) or len(self.ibo_grid_db) == 0:
+            raise ValueError("ibo_grid_db must be a non-empty sequence")
         grid = tuple(float(v) for v in self.ibo_grid_db)
         if not all(math.isfinite(v) for v in grid):
             raise ValueError("ibo_grid_db entries must be finite")

@@ -33,12 +33,12 @@ and the ergodic rate of user k is ``B * log2(1 + gamma_k)``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from dapalloc._fields import check
 from dapalloc.pa_model import (
     ETA,
     SOFT_LIMITER,
@@ -88,12 +88,7 @@ class SystemConfig:
     pa: PaModel = field(default_factory=PaModel)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m_antennas, numbers.Integral) or self.m_antennas < 1:
-            raise ValueError("m_antennas must be a positive int")
-        for name in ("p_max", "bandwidth_hz"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be a positive finite number")
+        check(self, m_antennas=1, p_max=0.0, bandwidth_hz=0.0)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dapalloc._fields import check
 from dapalloc.numerics import erfc, erfcx, integrate_semi_infinite
 
 __all__ = [
@@ -74,10 +75,9 @@ class PaModel:
     smoothness_p: float = 2.0
 
     def __post_init__(self) -> None:
+        check(self, smoothness_p=0.0)
         if self.kind not in (SOFT_LIMITER, RAPP):
             raise ValueError(f"unknown amplifier kind {self.kind!r}")
-        if not 0.0 < self.smoothness_p < math.inf:
-            raise ValueError("smoothness_p must be positive and finite")
 
 
 @dataclass(frozen=True)

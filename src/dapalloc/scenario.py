@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from dapalloc._fields import check
 from dapalloc.metrics import UeSet, csi_error_factor
 
 __all__ = [
@@ -67,29 +68,16 @@ class ScenarioConfig:
     rho_ul_w: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # NaN and inf pass the `<= 0` checks below, so they are named here
-        for name in ("p_max", "cell_radius_m", "fc_ghz", "delta_f_hz", "rho_ul_w"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if self.n_users < 1 or self.m_antennas <= self.n_users:
+        check(self, n_users=1, m_antennas=1, p_max=0.0, cell_radius_m=0.0, min_distance_m=0.0,
+              fc_ghz=0.0, n_subcarriers=1, delta_f_hz=0.0, seed=0, pilot_len=1, rho_ul_w=0.0)
+        if self.m_antennas <= self.n_users:
             raise ValueError("need 1 <= n_users < m_antennas")
-        if self.p_max <= 0:
-            raise ValueError("p_max must be positive")
-        if not 0 < self.min_distance_m < self.cell_radius_m:
+        if self.min_distance_m >= self.cell_radius_m:
             raise ValueError("need 0 < min_distance_m < cell_radius_m")
-        if self.fc_ghz <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.n_subcarriers < 1 or self.delta_f_hz <= 0:
-            raise ValueError("need a positive subcarrier grid")
-        if not 0 <= self.seed < 2**64:
+        if self.seed >= 2**64:
             raise ValueError("seed must fit in 64 bits")
         if (self.pilot_len is None) != (self.rho_ul_w is None):
             raise ValueError("pilot_len and rho_ul_w must be set together")
-        if self.pilot_len is not None and self.pilot_len < 1:
-            raise ValueError("pilot_len must be >= 1")
-        if self.rho_ul_w is not None and self.rho_ul_w <= 0:
-            raise ValueError("rho_ul_w must be positive")
 
     @property
     def bandwidth_hz(self) -> float:

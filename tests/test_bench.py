@@ -319,6 +319,45 @@ def test_unknown_algorithm_label_is_a_value_error_on_every_path(run):
         run()
 
 
+@pytest.mark.parametrize("algorithms", [(), [], "REF-E"], ids=["tuple", "list", "str"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda algorithms: run_montecarlo(SMALL_SC, algorithms=algorithms, n_drops=2),
+        lambda algorithms: evaluate_rapp_mode(SMALL_SC, 2, algorithms),
+        lambda algorithms: evaluate_icsi_mode(SMALL_SC, 2, 0.1, algorithms),
+        lambda algorithms: sweep_homogeneous(SMALL_SC, [90.0], algorithms),
+    ],
+    ids=["montecarlo", "rapp", "icsi", "sweep"],
+)
+def test_an_empty_or_string_strategy_list_is_rejected(run, algorithms):
+    # an empty list ran with no strategies (a sweep gave rows of pl_db
+    # alone), and "REF-E" was read label by label, as 'R', 'E', ...
+    with pytest.raises(ValueError, match="^algorithms must be a non-empty sequence of strategy labels$"):
+        run(algorithms)
+
+
+@pytest.mark.parametrize(
+    "policy", [False, True, None, [0.1], "0.1"], ids=["false", "true", "none", "list", "str"]
+)
+def test_a_policy_that_is_no_fraction_or_estimated_is_rejected(policy):
+    # False ran as the fraction 0.0, and True failed only on the range
+    with pytest.raises(ValueError, match="^delta_policy must be a float or 'estimated'$"):
+        evaluate_icsi_mode(SMALL_SC, 2, policy)
+
+
+def test_summary_of_a_run_whose_every_drop_failed(monkeypatch):
+    for label in DEFAULT_ALGORITHMS:
+        monkeypatch.setitem(bench.ALGORITHMS, label, _raise(SolverError("no bracket")))
+    s = summarize(run_montecarlo(SMALL_SC, n_drops=2))
+    for block in s["algorithms"].values():
+        assert block["failures"] == 2
+        for quartiles in (block["sum_rate"], block["ibo_db"], block["omega_max"]):
+            assert quartiles["n"] == 0
+            assert all(math.isnan(quartiles[key]) for key in ("median", "q1", "q3"))
+    assert s["algorithms"]["DAPA-FPDA"]["sum_rate_ratio_vs_ref_e"]["n"] == 0
+
+
 def test_empty_run_is_rejected():
     with pytest.raises(ValueError, match="at least one drop"):
         run_montecarlo(SMALL_SC, n_drops=0)

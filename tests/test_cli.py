@@ -408,3 +408,65 @@ def test_sweep_unknown_algorithm_is_a_value_error(tmp_path, capsys):
     assert main(["sweep-homogeneous", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert _read_error(capsys) == {"type": "ValueError", "message": "unknown algorithm label 'FOO'"}
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"algorithms": []}, "algorithms must be a non-empty sequence of strategy labels"),
+        ({"algorithms": "REF-E"}, "algorithms must be a non-empty sequence of strategy labels"),
+        ({"mode": "icsi", "csi_delta": False}, "delta_policy must be a float or 'estimated'"),
+        ({"mode": "rapp", "smoothness_p": True}, "smoothness_p must be a number"),
+        ({"mode": "rapp", "smoothness_p": "3"}, "smoothness_p must be a number"),
+    ],
+    ids=["no-strategies", "str-strategies", "bool-csi-delta", "bool-p", "str-p"],
+)
+def test_a_montecarlo_value_of_the_wrong_kind_is_an_error_and_writes_nothing(
+    tmp_path, capsys, extra, message
+):
+    # each ran before: no strategies and an exit of 0, labels 'R', 'E', ...,
+    # a fraction of 0.0, and p = 1 or 3
+    cfg = _write_cfg(tmp_path, {**MC_SCENARIO, **extra})
+    out = tmp_path / "x"
+    assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == 2
+    assert _read_error(capsys) == {"type": "ValueError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [
+        (("beta", "pl_db"), "config needs a 'beta' or 'pl_db' array"),
+        (("noise_w",), "config needs 'noise_w' (scalar watts or per-user array)"),
+    ],
+)
+def test_solve_names_a_missing_user_key(tmp_path, capsys, drop, message):
+    cfg = _write_cfg(tmp_path, {k: v for k, v in SOLVE_CFG.items() if k not in drop})
+    assert main(["solve", "--config", cfg]) == 2
+    assert _read_error(capsys) == {"type": "ValueError", "message": message}
+
+
+def test_sweep_homogeneous_default_grid(tmp_path, capsys):
+    scenario = {"n_users": 2, "m_antennas": 16, "p_max": 0.1, "seed": 0}
+    cfg = _write_cfg(tmp_path, {"scenario": scenario, "algorithms": ["REF-E"]})
+    out = tmp_path / "sweep"
+    assert main(["sweep-homogeneous", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "sweep_homogeneous_summary.json").read_text())
+    assert summary["pl_db_grid"] == [80.0 + 2.5 * i for i in range(21)]
+    assert len((out / "sweep_homogeneous_REF-E.csv").read_text().splitlines()) == 22
+
+
+def test_linklevel_seed_flag_is_the_config_seed(tmp_path, capsys):
+    small = {**LL_FLAT, "fft_size": 64, "n_used_subcarriers": 24, "cp_len": 8, "n_symbols": 24}
+    flag, key = tmp_path / "flag", tmp_path / "key"
+    cfg = _write_cfg(tmp_path, small, "flag.json")
+    assert main(["linklevel", "--config", cfg, "--seed", "7", "--out", str(flag)]) == 0
+    cfg = _write_cfg(tmp_path, {**small, "seed": 7}, "key.json")
+    assert main(["linklevel", "--config", cfg, "--out", str(key)]) == 0
+    cfg = _write_cfg(tmp_path, small, "none.json")
+    assert main(["linklevel", "--config", cfg, "--out", str(tmp_path / "none")]) == 0
+    capsys.readouterr()
+    csv = (flag / "linklevel.csv").read_bytes()
+    assert csv == (key / "linklevel.csv").read_bytes()
+    assert csv != (tmp_path / "none" / "linklevel.csv").read_bytes()

@@ -183,6 +183,26 @@ def test_config_validation():
         LinkSimConfig(**{**base, "ibo_grid_db": ()})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("seed", 1.5),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("fft_size", 512.5),
+        ("n_symbols", 20.5),
+        ("cp_len", 3.5),
+        ("m_antennas", 16.0),
+        ("ibo_grid_db", "45"),
+    ],
+)
+def test_config_rejects_a_value_of_the_wrong_kind_by_name(name, value):
+    # seed 1.5 ran as seed 1, "45" as the grid (4.0, 5.0), and the others
+    # failed only in simulate_sdr with an error that named no field
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        LinkSimConfig(**{"m_antennas": 16, "n_users": 2, "ibo_grid_db": (4.0,), name: value})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_config_rejects_a_non_finite_backoff(bad):
     # a non-finite back-off gave a NaN or infinite SDR row, not an error

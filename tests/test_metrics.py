@@ -49,6 +49,11 @@ def test_system_config_validation():
         _cfg(p_max="0.01")
     with pytest.raises(ValueError, match="bandwidth_hz"):
         _cfg(bw="0.01")
+    # a bool is an int to Python, but no antenna count or power
+    with pytest.raises(ValueError, match="^m_antennas must be a positive int$"):
+        _cfg(m=True)
+    with pytest.raises(ValueError, match="^p_max must be a number$"):
+        _cfg(p_max=True)
 
 
 _TWO = UeSet(beta=np.full(2, 1e-10), noise_w=7.2e-14, csi_delta=np.full(2, 0.1))
@@ -93,6 +98,8 @@ def test_ueset_broadcast_and_validation():
         UeSet(beta=np.array([1e-10]), noise_w=math.nan)
     with pytest.raises(ValueError, match="csi_delta"):
         UeSet(beta=np.array([1e-10]), noise_w=1e-14, csi_delta=np.array([math.nan]))
+    with pytest.raises(ValueError, match="^csi_delta must match beta in length$"):
+        UeSet(beta=np.array([1e-10, 1e-12]), noise_w=1e-14, csi_delta=np.array([0.1]))
 
 
 def test_allocation_validation():
@@ -108,6 +115,8 @@ def test_allocation_validation():
         Allocation(total_power_p=math.nan, omega=np.array([1.0]))
     with pytest.raises(ValueError, match="omega"):
         Allocation(total_power_p=1.0, omega=np.array([math.nan]))
+    with pytest.raises(ValueError, match="^omega must be one-dimensional$"):
+        Allocation(total_power_p=1.0, omega=np.full((2, 2), 0.25))
 
 
 # ------------------------------------------------------------ operating point
@@ -366,3 +375,8 @@ def test_nan_or_infinite_power_is_rejected(power):
         input_backoff(power, cfg.m_antennas, cfg.p_max)
     with pytest.raises(ValueError, match="finite"):
         breakpoints(_TWO, cfg, power, operating_point_at(cfg, 0.1))
+
+
+def test_a_two_dimensional_power_is_rejected():
+    with pytest.raises(ValueError, match="^total power must be a scalar or a 1-D array$"):
+        operating_point_at(_cfg(), np.full((2, 2), 0.1))

@@ -96,6 +96,15 @@ def test_find_indefinite_point():
     assert again.eigenvalues[0] < 0.0 < again.eigenvalues[1]
 
 
+def test_a_grid_without_a_witness_gives_none():
+    # the probes hugging the p2 axis fail the step check and are skipped;
+    # every other probe of this grid is concave
+    probes = scan_grid(CFG, UES, n_points=8, p_min=1e-6, p_max=0.02)
+    assert sum(p.flagged for p in probes) == 2
+    assert all(p.eigenvalues[1] < 0.0 for p in probes if not p.flagged)
+    assert find_indefinite_point(CFG, UES, n_points=8, p_min=1e-6, p_max=0.02) is None
+
+
 def test_find_indefinite_point_stops_at_the_first_witness(monkeypatch):
     from dapalloc import nonconvexity
 

@@ -66,6 +66,11 @@ class TestErfc:
         xs = np.asarray([0.5, 1.5], dtype=np.float32)
         assert erfc(xs).dtype == np.float32
 
+    def test_int_array_is_read_as_float64(self):
+        out = erfc(np.array([0, 1, 3]))
+        assert out.dtype == np.float64
+        assert out.tobytes() == erfc(np.array([0.0, 1.0, 3.0])).tobytes()
+
 
 class TestErfcx:
     @pytest.mark.parametrize(

@@ -177,6 +177,8 @@ def test_pa_model_validation():
         PaModel("rapp", 0.0)
     with pytest.raises(ValueError, match="smoothness_p"):
         PaModel("rapp", math.nan)
+    with pytest.raises(ValueError, match="^smoothness_p must be a number$"):
+        PaModel("rapp", True)
 
 
 def test_operating_point_db_view():

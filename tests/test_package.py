@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import math
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -150,3 +153,46 @@ def test_every_parameter_is_read():
     # a stand-in for a linter's unused-argument check
     unread = [entry for path in sorted(SRC.glob("*.py")) for entry in _unread_parameters(path)]
     assert unread == []
+
+
+def _number_fields(cls):
+    """(name, int or float) of every field of ``cls`` annotated int or float, Optional too."""
+    kinds = {int: int, float: float, typing.Optional[int]: int, typing.Optional[float]: float}
+    hints = typing.get_type_hints(cls)
+    return [(f.name, kinds[hints[f.name]]) for f in dataclasses.fields(cls) if hints[f.name] in kinds]
+
+
+def _rejects_by_name(valid, name, value):
+    try:
+        dataclasses.replace(valid, **{name: value})
+    except ValueError as exc:
+        return str(exc).startswith(f"{name} ")
+    except TypeError:
+        return False
+    return False
+
+
+def test_every_config_number_field_is_checked():
+    # a stand-in for a schema lint: every int or float field of every
+    # config, found from its annotation, rejects a value of the wrong kind
+    # with a message that names it
+    from dapalloc.linklevel import LinkSimConfig
+    from dapalloc.metrics import SystemConfig
+    from dapalloc.pa_model import PaModel
+    from dapalloc.scenario import ScenarioConfig
+
+    valid = [
+        SystemConfig(m_antennas=64, p_max=0.01, bandwidth_hz=18e6),
+        PaModel("rapp", 2.0),
+        ScenarioConfig(n_users=4, m_antennas=16, p_max=0.1, pilot_len=4, rho_ul_w=0.2),
+        LinkSimConfig(m_antennas=16, n_users=2, ibo_grid_db=(4.0,)),
+    ]
+    missed = [
+        f"{type(config).__name__}.{name}={value!r}"
+        for config in valid
+        for name, kind in _number_fields(type(config))
+        for value in ([True, 2.5] if kind is int else [True, math.nan, "1"])
+        if not _rejects_by_name(config, name, value)
+    ]
+    assert missed == []
+    assert all(_number_fields(type(config)) for config in valid)  # the annotations were read

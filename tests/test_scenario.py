@@ -80,6 +80,26 @@ def test_config_rejects_non_finite_numbers_by_name(name, value):
         _sc(**{**pilot, name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("seed", 1.5),
+        ("n_subcarriers", 1200.5),
+        ("m_antennas", 64.5),
+        ("pilot_len", 2.5),
+        ("n_users", 2.5),
+        ("n_users", math.nan),
+        ("n_users", True),
+        ("p_max", True),
+    ],
+)
+def test_config_rejects_a_number_of_the_wrong_kind_by_name(name, value):
+    # seed 1.5 ran as seed 1 and 1200.5 subcarriers as a bandwidth of
+    # 18,007,500 Hz; a bad n_users failed in drop_ues with a numpy TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        _sc(**{"pilot_len": 4, "rho_ul_w": 0.2, name: value})
+
+
 def test_dict_round_trip():
     sc = _sc(seed=9, fc_ghz=3.5, pilot_len=60, rho_ul_w=0.2)
     assert ScenarioConfig.from_dict(sc.to_dict()) == sc
