@@ -11,16 +11,17 @@ __all__ = ["check", "require"]
 def require(name: str, value, low) -> None:
     """Raise ``ValueError("<name> must be ...")`` unless ``value`` is of the
     kind ``low`` picks: an int ``low`` asks for an int of at least ``low``,
-    ``0.0`` for a finite positive real.  A bool is neither."""
+    ``0.0`` for a finite positive real and ``-math.inf`` for a finite real
+    of any sign.  A bool is none of them."""
     if isinstance(low, int):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
             kind = "a positive int" if low == 1 else f"an int >= {low}"
             raise ValueError(f"{name} must be {kind}")
     elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number")
-    elif not -math.inf < value < math.inf:  # before the sign: NaN passes `<= 0`
+    elif not -math.inf < value < math.inf:  # before the sign: NaN passes `<= low`
         raise ValueError(f"{name} must be finite")
-    elif value <= 0:
+    elif value <= low:  # only 0.0 can be reached: no finite value is <= -inf
         raise ValueError(f"{name} must be positive")
 
 

@@ -13,12 +13,11 @@ one task.  The task builds its span's sets (the drops from the
 scenario, or a slice of the sweep's points or the grid's cells), solves
 every strategy on the whole span in lockstep, and rates the span's
 allocations under each of a list of (config, precoder, csi) evaluators
-in one chunked ``evaluate`` call.  That call computes each distinct
-total power's amplifier state once: REF-E and REF-FPDA share one power
-over every drop, so a span of n drops runs the Rapp law at most
-2n + 1 times, not 4n.  Solver failures become NaN rows carrying the
-error, logged in set order once every span is back; any other
-exception propagates.
+in one chunked ``evaluate`` call.  That call runs the Rapp law once per
+distinct total power: REF-E and REF-FPDA share one power over every
+drop, so a span of n drops runs the Rapp law at most 2n + 1 times, not
+4n.  Solver failures become NaN rows carrying the error, logged in set
+order once every span is back; any other exception propagates.
 
 Determinism: a drop is a pure function of (scenario seed, drop id),
 each row of a lockstep solve or a chunked rating is bitwise its own

@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from typing import Optional
@@ -58,10 +59,11 @@ def _reject_unknown(cfg: dict, known: str) -> None:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
 
-def _count_from(cfg: dict, key: str, default: int) -> int:
-    """``cfg[key]``, or ``default``, as a count: an int of at least 1."""
+def _number_from(cfg: dict, key: str, default, low):
+    """``cfg[key]``, or ``default``, of the kind that ``low`` picks in
+    :func:`~dapalloc._fields.require`."""
     value = cfg.get(key, default)
-    require(key, value, 1)
+    require(key, value, low)
     return value
 
 
@@ -179,9 +181,9 @@ def _cmd_grid_2ue(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, "scenario pl_lo_db pl_hi_db pl_step_db")
     sc = _scenario_from(cfg, args.seed)
-    lo = float(cfg.get("pl_lo_db", 60.0))
-    hi = float(cfg.get("pl_hi_db", 150.0))
-    step = float(cfg.get("pl_step_db", 5.0))
+    lo = float(_number_from(cfg, "pl_lo_db", 60.0, -math.inf))
+    hi = float(_number_from(cfg, "pl_hi_db", 150.0, -math.inf))
+    step = float(_number_from(cfg, "pl_step_db", 5.0, 0.0))
     grid = two_ue_grid(lo, hi, step, sc)
     rows = grid_2ue(sc, grid, args.workers)
     write_table_csv(rows, _out_path(args.out, "grid_2ue.csv"))
@@ -214,7 +216,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown mode {mode!r}; expected plain, rapp, or icsi")
     _reject_unknown(cfg, "scenario n_drops algorithms mode " + mode_keys[mode])
     sc = _scenario_from(cfg, args.seed)
-    n_drops = _count_from(cfg, "n_drops", 1000)
+    n_drops = _number_from(cfg, "n_drops", 1000, 1)
     algorithms = cfg.get("algorithms", bench.DEFAULT_ALGORITHMS)
 
     if mode == "plain":
@@ -280,7 +282,7 @@ def _cmd_linklevel(args: argparse.Namespace) -> int:
 def _cmd_hessian_check(args: argparse.Namespace) -> int:
     from dapalloc.bench import write_summary_json
     from dapalloc.nonconvexity import (
-        find_indefinite_point,
+        _first_witness,
         probes_to_csv,
         reference_two_user_setup,
         scan_grid,
@@ -288,11 +290,12 @@ def _cmd_hessian_check(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args.config)
     _reject_unknown(cfg, "n_points")
-    n_points = _count_from(cfg, "n_points", 40)
+    n_points = _number_from(cfg, "n_points", 40, 1)
     sys_cfg, ues = reference_two_user_setup()
     probes = scan_grid(sys_cfg, ues, n_points=n_points)
     probes_to_csv(probes, _out_path(args.out, "hessian_probes.csv"))
-    witness = find_indefinite_point(sys_cfg, ues, n_points=n_points)
+    # the witness search of find_indefinite_point, on the probes just written
+    witness = _first_witness(probes, sys_cfg, ues)
     summary: dict = {"n_probes": len(probes), "indefinite_found": witness is not None}
     if witness is not None:
         summary["witness"] = {

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from dapalloc.metrics import Allocation, SystemConfig, UeSet, _sindr, evaluate, rates, zf_gain
+from dapalloc.metrics import Allocation, SystemConfig, UeSet, _rate_rows, evaluate, zf_gain
 from dapalloc.numerics import ConvergenceError, erfc, erfcx, lambert_w0_of_log
 from dapalloc.pa_model import (
     _ERFCX_SWITCH,
@@ -237,17 +237,6 @@ def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig)
         balance = _balance_lead(sigma2, beta, cfg) - tail[r, :, None]
         scale = (_SQRT_PI / 2.0) * beta * ETA * cfg.m_antennas * cfg.p_max
         out[r] = np.sum(rate_factor * common[r, :, None] * scale * balance, axis=-1)
-    return out
-
-
-def _sum_rates(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig) -> np.ndarray:
-    """``evaluate(...).sum_rate`` (zero forcing) on a chunk at an (N, n)
-    array of powers, bit for bit; the P-only terms are computed once."""
-    _, lam, _, dist = _clipper_state(power, cfg)
-    out = np.empty(power.shape)
-    for r, (ues_r, omega_r) in enumerate(zip(ues_rows, omega_rows)):
-        sindr = _sindr(cfg, ues_r, omega_r, power[r, :, None], lam[r, :, None], dist[r, :, None], "zf")
-        out[r] = np.sum(rates(cfg, sindr), axis=-1)
     return out
 
 
@@ -485,7 +474,14 @@ def _solve_rows(
     # Multi-root guard: scan each bracket for a better objective.  Column
     # 0 rates the root, as evaluate would.
     samples = np.array([np.geomspace(a, b, _GUARD_SAMPLES) for a, b in zip(lo, hi)])
-    rated = _sum_rates(np.column_stack([roots, samples]), ues_rows, omega_rows, cfg)
+    power = np.column_stack([roots, samples])
+    _, lam, _, dist = _clipper_state(power, cfg)
+    # row by row: a chunk of a whole run's drops stacked into one (N, 33, K)
+    # block would hold 33 N K floats per temporary
+    rated = np.array([
+        _rate_rows(cfg, ues.beta, ues.noise_w, power[i], omega, states=(lam[i], dist[i]))[2]
+        for i, (ues, omega) in enumerate(zip(ues_rows, omega_rows))
+    ])
     best_p, best_obj = roots, rated[:, 0]
     i_best = np.argmax(rated[:, 1:], axis=1)
     fired = np.flatnonzero(rated[np.arange(len(rows)), 1 + i_best] > best_obj)

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dapalloc._fields import check
+from dapalloc._fields import check, require
 from dapalloc.pa_model import ETA, bussgang_gain_soft, distortion_coeff_soft
 
 __all__ = [
@@ -95,10 +95,9 @@ class LinkSimConfig:
         # a str is a sequence too: "45" would read as (4.0, 5.0)
         if isinstance(self.ibo_grid_db, str) or len(self.ibo_grid_db) == 0:
             raise ValueError("ibo_grid_db must be a non-empty sequence")
-        grid = tuple(float(v) for v in self.ibo_grid_db)
-        if not all(math.isfinite(v) for v in grid):
-            raise ValueError("ibo_grid_db entries must be finite")
-        object.__setattr__(self, "ibo_grid_db", grid)
+        for value in self.ibo_grid_db:
+            require("ibo_grid_db entries", value, -math.inf)
+        object.__setattr__(self, "ibo_grid_db", tuple(float(v) for v in self.ibo_grid_db))
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,9 @@ __all__ = [
 ]
 
 _OMEGA_SUM_TOL = 1e-9
+# evaluate rates at most this many rows per array block, so its
+# temporaries stay (128, K) however long the chunk is
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -182,19 +185,32 @@ def operating_point_at(cfg: SystemConfig, total_power_p):
     raises ``ValueError``.
 
     A 1-D array of powers gives a list with one point per power, each
-    bitwise its scalar call.  Each distinct power is computed once: the
-    clipper law runs once over all of them, the Rapp laws once per
-    distinct power, each on one float back-off.
+    bitwise its scalar call.  The clipper law runs once over all of
+    them, the Rapp laws once per distinct power, each on one float
+    back-off.
     """
     power = np.asarray(total_power_p, dtype=np.float64)
     if power.ndim > 1:
         raise ValueError("total power must be a scalar or a 1-D array")
-    values = power.reshape(-1).tolist()
     # written so that NaN fails the comparison
-    if not all(0.0 <= v < math.inf for v in values):
+    if not ((power >= 0.0) & (power < math.inf)).all():
         raise ValueError("total power must be nonnegative and finite")
-    live = np.array([v for v in dict.fromkeys(values) if v > 0.0])
-    psi = input_backoff(live, cfg.m_antennas, cfg.p_max)
+    points = [PaOperatingPoint(*state) for state in _states(cfg, power.reshape(-1)).T.tolist()]
+    return points[0] if power.ndim == 0 else points
+
+
+def _states(cfg: SystemConfig, power: np.ndarray) -> np.ndarray:
+    """The fields of :class:`PaOperatingPoint` at every entry of ``power``
+    (nonnegative and finite), stacked on a new first axis.  The clipper
+    law runs once over the positive powers, the Rapp laws once per
+    distinct one."""
+    live = power > 0.0
+    values, where = power[live], slice(None)
+    if cfg.pa.kind != SOFT_LIMITER:  # each distinct power once, in order of first appearance
+        index = {v: i for i, v in enumerate(dict.fromkeys(values.tolist()))}
+        where = np.array([index[v] for v in values.tolist()], dtype=np.intp)
+        values = np.array(list(index), dtype=np.float64)
+    psi = input_backoff(values, cfg.m_antennas, cfg.p_max)
     if cfg.pa.kind == SOFT_LIMITER:
         lam = bussgang_gain_soft(psi)
         coeff = distortion_coeff_soft(psi)
@@ -202,13 +218,10 @@ def operating_point_at(cfg: SystemConfig, total_power_p):
         p = cfg.pa.smoothness_p
         lam = np.array([bussgang_gain_rapp(v, p) for v in psi.tolist()])
         coeff = np.array([distortion_coeff_rapp(v, p) for v in psi.tolist()])
-    dist = ETA * coeff * live
-    states = zip(psi.tolist(), lam.tolist(), coeff.tolist(), dist.tolist())
-    points = {v: PaOperatingPoint(*state) for v, state in zip(live.tolist(), states)}
-    points[0.0] = PaOperatingPoint(math.inf, 1.0, 0.0, 0.0)  # idle; also the key of -0.0
-    if power.ndim == 0:
-        return points[values[0]]
-    return [points[v] for v in values]
+    out = np.empty((4, *power.shape))
+    out.T[...] = (math.inf, 1.0, 0.0, 0.0)  # the idle transmitter, at 0.0 and -0.0
+    out[:, live] = np.array([psi, lam, coeff, ETA * coeff * values])[:, where]
+    return out
 
 
 def zf_gain(cfg: SystemConfig, ues: UeSet) -> int:
@@ -238,34 +251,61 @@ def sindr(
     """
     if alloc.omega.size != ues.n_users:
         raise ValueError("allocation size does not match the user set")
-    lam, dist = op.lam, op.effective_distortion
-    return _sindr(cfg, ues, alloc.omega, alloc.total_power_p, lam, dist, precoder)
-
-
-def _sindr(cfg, ues, omega, total_power_p, lam, dist, precoder):
-    """:func:`sindr` on bare operands; columns of P, lam and dist give a row per P."""
-    gain = zf_gain(cfg, ues)
-    if precoder == "mrt":
-        gain, delta, leak = cfg.m_antennas, 0.0, 1.0
-    elif precoder == "zf_icsi":
-        if ues.csi_delta is None:
-            raise ValueError("UeSet.csi_delta is required for imperfect-CSI SINDR")
-        delta = leak = ues.csi_delta
-    elif precoder != "zf":
-        raise ValueError(f"unknown precoder {precoder!r}")
-    p_k = omega * total_power_p
-    signal = gain * lam * p_k * ues.beta
-    floor = ues.noise_w + ues.beta * dist
-    if precoder == "zf":
-        # delta = leak = 0: skip the two vanishing terms on the hot path
-        return signal / floor
-    leakage = lam * ues.beta * leak * (total_power_p - p_k)
-    return signal * (1.0 - delta) / (floor + leakage)
+    states = np.array([op.lam, op.effective_distortion])
+    return _rate_rows(cfg, ues.beta, ues.noise_w, alloc.total_power_p, alloc.omega, precoder,
+                      ues.csi_delta, states)[0]
 
 
 def rates(cfg: SystemConfig, sindr: np.ndarray) -> np.ndarray:
     """Per-user rates B * log2(1 + gamma) in bit/s."""
     return cfg.bandwidth_hz * np.log2(1.0 + np.asarray(sindr, dtype=np.float64))
+
+
+def _rate_rows(cfg, beta, noise, power, omega, precoder="zf", csi_delta=None, states=None):
+    """:func:`sindr`, :func:`rates` and the sum rate on arrays: (..., K)
+    SINDRs and rates and (...) sum rates, each row bitwise the same
+    rating of that row alone.
+
+    ``beta``, ``noise``, ``omega`` and ``csi_delta`` are (..., K) user
+    arrays, ``power`` the (...) total powers they broadcast against, and
+    ``states`` the (lam, distortion) pair at ``power``, computed here if
+    not given.  Every row gets the checks of :class:`Allocation` and
+    :func:`zf_gain`, with their messages.
+    """
+    power = np.asarray(power, dtype=np.float64)
+    omega = np.ascontiguousarray(omega, dtype=np.float64)
+    # written so that NaN fails each comparison
+    if not ((power >= 0.0) & (power < math.inf)).all():
+        raise ValueError("total_power_p must be nonnegative and finite")
+    if not (omega >= 0).all():
+        raise ValueError("omega entries must be nonnegative")
+    if not (abs(omega.sum(axis=-1) - 1.0) <= _OMEGA_SUM_TOL).all():
+        raise ValueError("omega entries must sum to 1")
+    gain = cfg.m_antennas - omega.shape[-1]
+    if gain < 1:
+        raise ValueError("antenna count must exceed user count")
+    lam, dist = _states(cfg, power)[[1, 3]] if states is None else states
+    total_power_p, lam, dist = power[..., None], lam[..., None], dist[..., None]
+    if precoder == "mrt":
+        gain, delta, leak = cfg.m_antennas, 0.0, 1.0
+    elif precoder == "zf_icsi":
+        if csi_delta is None:
+            raise ValueError("UeSet.csi_delta is required for imperfect-CSI SINDR")
+        delta = leak = csi_delta
+    elif precoder != "zf":
+        raise ValueError(f"unknown precoder {precoder!r}")
+    p_k = omega * total_power_p
+    signal = gain * lam * p_k * beta
+    floor = noise + beta * dist
+    if precoder == "zf":
+        # delta = leak = 0: skip the two vanishing terms on the hot path
+        gamma = signal / floor
+    else:
+        leakage = lam * beta * leak * (total_power_p - p_k)
+        gamma = signal * (1.0 - delta) / (floor + leakage)
+    rate = rates(cfg, gamma)
+    # a C-contiguous block sums each row as its 1-D call does; a strided one may not
+    return gamma, rate, np.ascontiguousarray(rate).sum(axis=-1)
 
 
 def evaluate(cfg: SystemConfig, ues, alloc, precoder: str = "zf"):
@@ -278,8 +318,9 @@ def evaluate(cfg: SystemConfig, ues, alloc, precoder: str = "zf"):
     A chunk -- ``ues`` and ``alloc`` sequences of N user sets and
     allocations sharing ``cfg`` and ``precoder`` -- gives a list of N
     reports, each bitwise its one-set call.  One
-    :func:`operating_point_at` call rates every allocation's power, so
-    allocations that share a power share its amplifier state.
+    :func:`operating_point_at` call gives every allocation's amplifier
+    state, and the rows of each user count K are rated in array blocks
+    of up to 128 rows.
     """
     if isinstance(ues, UeSet):  # one user set: the chunk with N = 1
         (report,) = evaluate(cfg, [ues], [alloc], precoder)
@@ -288,19 +329,28 @@ def evaluate(cfg: SystemConfig, ues, alloc, precoder: str = "zf"):
     if len(ues) != len(alloc):
         raise ValueError("need one allocation per user set")
     ops = operating_point_at(cfg, [a.total_power_p for a in alloc])
-    reports = []
-    for one_set, one_alloc, op in zip(ues, alloc, ops):
-        gamma = sindr(cfg, one_set, one_alloc, op, precoder)
-        rate = rates(cfg, gamma)
-        reports.append(
-            EvalReport(
-                sindr=gamma,
-                rate=rate,
-                sum_rate=float(rate.sum()),
-                ibo_db=op.ibo_db,
-                operating_point=op,
-            )
+    reports: list = [None] * len(ues)
+    by_count: dict = {}
+    for r, one_set in enumerate(ues):
+        by_count.setdefault(one_set.n_users, []).append(r)
+    blocks = [rows[i:i + _BLOCK_ROWS] for rows in by_count.values() for i in range(0, len(rows), _BLOCK_ROWS)]
+    for rows in blocks:
+        k = ues[rows[0]].n_users
+        if any(alloc[r].omega.size != k for r in rows):
+            raise ValueError("allocation size does not match the user set")
+        csi = [ues[r].csi_delta for r in rows]
+        gamma, rate, total = _rate_rows(
+            cfg,
+            np.array([ues[r].beta for r in rows]),
+            np.array([ues[r].noise_w for r in rows]),
+            [alloc[r].total_power_p for r in rows],
+            [alloc[r].omega for r in rows],
+            precoder,
+            None if any(c is None for c in csi) else np.array(csi),
+            np.array([[ops[r].lam for r in rows], [ops[r].effective_distortion for r in rows]]),
         )
+        for r, one_sindr, one_rate, sum_rate in zip(rows, gamma, rate, total.tolist()):
+            reports[r] = EvalReport(one_sindr, one_rate, sum_rate, ops[r].ibo_db, ops[r])
     return reports
 
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
+from dapalloc.metrics import Allocation, SystemConfig, UeSet, _rate_rows, evaluate
 
 __all__ = [
     "HessianProbe",
@@ -76,21 +76,17 @@ def reference_two_user_setup() -> tuple[SystemConfig, UeSet]:
     return cfg, ues
 
 
-def _allocation(p1: float, p2: float) -> Allocation:
-    """The allocation giving powers (p1, p2): total p1 + p2 and its split."""
-    if p1 < 0 or p2 < 0 or p1 + p2 <= 0:
-        raise ValueError("need p1, p2 >= 0 with p1 + p2 > 0")
-    total = p1 + p2
-    return Allocation(total, np.array([p1 / total, p2 / total]))
-
-
 def sum_rate_2ue(p1: float, p2: float, cfg: SystemConfig, ues: UeSet) -> float:
     """Zero-forcing sum rate at per-user powers (p1, p2), in bit/s.
 
     Evaluated through the metrics module: total power p1 + p2 sets the
     amplifier operating point, the fractions set the per-user split.
     """
-    return evaluate(cfg, ues, _allocation(p1, p2), precoder="zf").sum_rate
+    if p1 < 0 or p2 < 0 or p1 + p2 <= 0:
+        raise ValueError("need p1, p2 >= 0 with p1 + p2 > 0")
+    total = p1 + p2
+    alloc = Allocation(total, np.array([p1 / total, p2 / total]))
+    return evaluate(cfg, ues, alloc, precoder="zf").sum_rate
 
 
 def _eig_2x2(h11: float, h22: float, h12: float) -> tuple[float, float]:
@@ -128,19 +124,21 @@ def _probes(
     """One :class:`HessianProbe` per point and step.
 
     The stencils of every probe, at its step and at twice it, are rated
-    in one :func:`evaluate` call; each sum rate is bitwise its
-    :func:`sum_rate_2ue` call.
+    as one array block with no :class:`Allocation`: each point's powers
+    are formed, summed and split in :func:`sum_rate_2ue`'s order, so each
+    sum rate is bitwise its :func:`sum_rate_2ue` call.
     """
     if ues.n_users != 2:
         raise ValueError("curvature probes are defined for the 2-user problem")
-    allocs = [
-        _allocation(p1 + a * w, p2 + b * w)
-        for (p1, p2), h in zip(points, steps)
-        for w in (h, 2.0 * h)
-        for a, b in _STENCIL
-    ]
-    rates = [r.sum_rate for r in evaluate(cfg, [ues] * len(allocs), allocs, precoder="zf")]
-    per_probe = np.reshape(rates, (len(points), 2, len(_STENCIL))).tolist()
+    h = np.array(steps)[:, None]
+    w = np.repeat(np.hstack([h, 2.0 * h]), len(_STENCIL), axis=1)
+    a1, a2 = np.array(_STENCIL * 2, dtype=np.float64).T
+    base = np.array(points)[:, :, None]
+    q1, q2 = base[:, 0] + a1 * w, base[:, 1] + a2 * w
+    total = q1 + q2
+    omega = np.stack([q1 / total, q2 / total], axis=-1)
+    _, _, rates = _rate_rows(cfg, ues.beta, ues.noise_w, total, omega)
+    per_probe = rates.reshape(len(points), 2, len(_STENCIL)).tolist()
     probes = []
     for (p1, p2), step, (fine, wide) in zip(points, steps, per_probe):
         eigs, grad, mixed_rel = _raw_probe(fine, step)
@@ -188,8 +186,8 @@ def _grid_probes(
 ) -> Iterator[list[HessianProbe]]:
     """The probes of :func:`scan_grid`, one list per grid row of p1.
 
-    Each row is rated in one :func:`evaluate` call; rating the whole grid
-    at once would hold every row's reports at the same time.
+    Each row is rated in one array block, so that the witness search
+    can stop after the row that holds its witness.
     """
     grid = np.geomspace(p_min, p_max, n_points).tolist()
     for p1 in grid:
@@ -232,15 +230,23 @@ def find_indefinite_point(
     objective looked concave on the whole grid).  The scan stops after
     the grid row that holds the witness.
     """
-    for row in _grid_probes(cfg, ues, n_points, p_min, p_max):
-        for probe in row:
-            if probe.flagged:
-                continue
-            lo, hi = probe.eigenvalues
-            if lo < 0.0 < hi:
-                halved = hessian_eigs((probe.p1, probe.p2), cfg, ues, step=0.5 * probe.step)
-                if (not halved.flagged) and halved.eigenvalues[0] < 0.0 < halved.eigenvalues[1]:
-                    return probe
+    rows = _grid_probes(cfg, ues, n_points, p_min, p_max)
+    return _first_witness((probe for row in rows for probe in row), cfg, ues)
+
+
+def _first_witness(
+    probes: Iterable[HessianProbe], cfg: SystemConfig, ues: UeSet
+) -> Optional[HessianProbe]:
+    """The first of ``probes`` that :func:`find_indefinite_point` accepts,
+    or None; the probes are read only up to it."""
+    for probe in probes:
+        if probe.flagged:
+            continue
+        lo, hi = probe.eigenvalues
+        if lo < 0.0 < hi:
+            halved = hessian_eigs((probe.p1, probe.p2), cfg, ues, step=0.5 * probe.step)
+            if (not halved.flagged) and halved.eigenvalues[0] < 0.0 < halved.eigenvalues[1]:
+                return probe
     return None
 
 

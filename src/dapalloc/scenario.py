@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dapalloc._fields import check
+from dapalloc._fields import check, require
 from dapalloc.metrics import UeSet, csi_error_factor
 
 __all__ = [
@@ -166,6 +166,7 @@ def homogeneous_sweep(pl_db_grid: Sequence[float], sc: ScenarioConfig) -> list[U
     """One UeSet per grid value, all users at the same path loss."""
     out = []
     for pl in pl_db_grid:
+        require("pl_db_grid entries", pl, -math.inf)
         beta = np.full(sc.n_users, 10.0 ** (-float(pl) / 10.0))
         out.append(UeSet(beta=beta, noise_w=np.full(sc.n_users, sc.noise_w)))
     return out
@@ -182,6 +183,8 @@ def two_ue_grid(
     """
     if sc.n_users != 2:
         raise ValueError("two_ue_grid requires a 2-user scenario config")
+    for name, value in (("lo_db", lo_db), ("hi_db", hi_db), ("step_db", step_db)):
+        require(name, value, -math.inf)  # a NaN or infinite end fails int(round(...)) below
     if step_db <= 0 or hi_db < lo_db:
         raise ValueError("need step_db > 0 and hi_db >= lo_db")
     n = int(round((hi_db - lo_db) / step_db)) + 1

@@ -470,3 +470,72 @@ def test_linklevel_seed_flag_is_the_config_seed(tmp_path, capsys):
     csv = (flag / "linklevel.csv").read_bytes()
     assert csv == (key / "linklevel.csv").read_bytes()
     assert csv != (tmp_path / "none" / "linklevel.csv").read_bytes()
+
+
+GRID_2UE = {
+    "scenario": {"n_users": 2, "m_antennas": 16, "p_max": 0.1, "seed": 0},
+    "pl_lo_db": 95.0, "pl_hi_db": 105.0, "pl_step_db": 5.0,
+}
+SWEEP = {"scenario": GRID_2UE["scenario"], "pl_db_grid": [95.0, 100.0]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, key, value, message",
+    [
+        ("grid-2ue", GRID_2UE, "pl_lo_db", True, "pl_lo_db must be a number"),
+        ("grid-2ue", GRID_2UE, "pl_hi_db", "95", "pl_hi_db must be a number"),
+        ("grid-2ue", GRID_2UE, "pl_step_db", 0, "pl_step_db must be positive"),
+        ("grid-2ue", GRID_2UE, "pl_step_db", -5.0, "pl_step_db must be positive"),
+        ("sweep-homogeneous", SWEEP, "pl_db_grid", [True, 95.0], "pl_db_grid entries must be a number"),
+        ("sweep-homogeneous", SWEEP, "pl_db_grid", ["4", 95.0], "pl_db_grid entries must be a number"),
+        ("sweep-homogeneous", SWEEP, "pl_db_grid", "95", "pl_db_grid entries must be a number"),
+    ],
+)
+def test_a_path_loss_that_is_no_finite_number_is_an_error_and_writes_nothing(
+    tmp_path, capsys, command, payload, key, value, message
+):
+    # float() read true as 1 dB and "95" as 95 dB, and the run went on
+    cfg = _write_cfg(tmp_path, {**payload, key: value})
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert _read_error(capsys) == {"type": "ValueError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, as_ints",
+    [
+        ("grid-2ue", GRID_2UE, {"pl_lo_db": 95, "pl_hi_db": 105, "pl_step_db": 5}),
+        ("sweep-homogeneous", SWEEP, {"pl_db_grid": [95, 100]}),
+    ],
+)
+def test_an_int_path_loss_gives_the_bytes_of_its_float(tmp_path, capsys, command, payload, as_ints):
+    runs = []
+    for name, config in (("float", payload), ("int", {**payload, **as_ints})):
+        out = tmp_path / name
+        assert main([command, "--config", _write_cfg(tmp_path, config, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    capsys.readouterr()
+    assert runs[0] == runs[1]
+
+
+def test_hessian_check_rates_each_probe_once(tmp_path, capsys, monkeypatch):
+    # the witness search reads the probes the scan wrote instead of
+    # scanning the grid again; only its half-step re-checks are rated anew
+    from dapalloc import nonconvexity
+
+    rows = []
+    real = nonconvexity._rate_rows
+
+    def counted(cfg, beta, noise, power, omega, *rest):
+        rows.append(np.size(power))
+        return real(cfg, beta, noise, power, omega, *rest)
+
+    monkeypatch.setattr(nonconvexity, "_rate_rows", counted)
+    cfg = _write_cfg(tmp_path, {"n_points": 12})
+    assert main(["hessian-check", "--config", cfg, "--out", str(tmp_path / "hess")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    # 18 stencil points per probe; on this grid the first candidate is the
+    # witness, so its half-step re-check is the one probe rated twice
+    assert sum(rows) == 18 * (summary["n_probes"] + 1)

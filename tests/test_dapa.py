@@ -17,7 +17,7 @@ from dapalloc.dapa import (
     solve_dapa,
     sum_rate_derivative,
 )
-from dapalloc.metrics import Allocation, SystemConfig, UeSet, evaluate
+from dapalloc.metrics import Allocation, SystemConfig, UeSet, _rate_rows, evaluate
 from dapalloc.pa_model import ETA, RAPP, PaModel
 from dapa_reference import bisect_on_sign, bisect_walk, sum_rate_derivative_scalar
 
@@ -252,7 +252,7 @@ def test_batched_derivative_and_guard_rates_are_bitwise():
         scalar = [sum_rate_derivative(float(p), ues, omega, cfg) for p in powers]
         reference = [sum_rate_derivative_scalar(float(p), ues, omega, cfg) for p in powers]
         assert batched.tobytes() == np.array(scalar).tobytes() == np.array(reference).tobytes()
-        rates = dapa._sum_rates(powers[None], [ues], [omega], cfg)[0]
+        rates = _rate_rows(cfg, ues.beta, ues.noise_w, powers, omega)[2]
         evaluated = [evaluate(cfg, ues, Allocation(float(p), omega)).sum_rate for p in powers]
         assert rates.tobytes() == np.array(evaluated).tobytes()
 

@@ -208,3 +208,15 @@ def test_config_rejects_a_non_finite_backoff(bad):
     # a non-finite back-off gave a NaN or infinite SDR row, not an error
     with pytest.raises(ValueError, match="^ibo_grid_db entries must be finite$"):
         LinkSimConfig(m_antennas=16, n_users=2, ibo_grid_db=(4.0, bad))
+
+
+@pytest.mark.parametrize("bad", ["4", True, None])
+def test_config_rejects_a_backoff_that_is_no_number(bad):
+    # float() read "4" as 4.0 and true as 1.0 dB
+    with pytest.raises(ValueError, match="^ibo_grid_db entries must be a number$"):
+        LinkSimConfig(m_antennas=16, n_users=2, ibo_grid_db=(4.0, bad))
+
+
+def test_an_int_backoff_is_stored_as_its_float():
+    cfg = LinkSimConfig(m_antennas=16, n_users=2, ibo_grid_db=[-2, 4])
+    assert cfg.ibo_grid_db == (-2.0, 4.0) and all(type(v) is float for v in cfg.ibo_grid_db)

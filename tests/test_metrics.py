@@ -13,11 +13,13 @@ from dapalloc.metrics import (
     EvalReport,
     SystemConfig,
     UeSet,
+    _rate_rows,
     csi_error_factor,
     evaluate,
     operating_point_at,
     rates,
     sindr,
+    zf_gain,
 )
 from dapalloc.pa_model import PaModel, bussgang_gain_rapp, input_backoff
 
@@ -362,6 +364,105 @@ def test_chunk_evaluate_rows_are_their_one_set_calls(pa, precoder):
         assert _op_bits(report.operating_point) == _op_bits(one.operating_point)
     with pytest.raises(ValueError, match="one allocation per user set"):
         evaluate(cfg, sets, allocs[:-1], precoder)
+
+
+def _rated_one_by_one(cfg, ues, alloc, precoder):
+    """One row rated as a scalar operating point, 1-D user algebra and
+    ``float(rate.sum())``, the arithmetic of the per-row rating."""
+    op = operating_point_at(cfg, alloc.total_power_p)
+    lam, dist, power, omega = op.lam, op.effective_distortion, alloc.total_power_p, alloc.omega
+    gain, delta, leak = cfg.m_antennas - ues.n_users, 0.0, 0.0
+    if precoder == "mrt":
+        gain, leak = cfg.m_antennas, 1.0
+    elif precoder == "zf_icsi":
+        delta = leak = ues.csi_delta
+    p_k = omega * power
+    signal = gain * lam * p_k * ues.beta
+    floor = ues.noise_w + ues.beta * dist
+    if precoder == "zf":
+        gamma = signal / floor
+    else:
+        gamma = signal * (1.0 - delta) / (floor + lam * ues.beta * leak * (power - p_k))
+    rate = cfg.bandwidth_hz * np.log2(1.0 + gamma)
+    return gamma, rate, float(rate.sum())
+
+
+def _message(call) -> str:
+    with pytest.raises(ValueError) as caught:
+        call()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("precoder", ["zf", "mrt", "zf_icsi"])
+@pytest.mark.parametrize("pa", _PA_LAWS.values(), ids=list(_PA_LAWS))
+def test_array_rating_is_bitwise_the_per_row_rating(pa, precoder):
+    # K = 9 and 13 sum in numpy's pairwise blocks of 8; idle rows and
+    # users with a zero fraction are mixed in
+    cfg = _cfg(m=16, p_max=0.1, pa=pa)
+    rng = np.random.default_rng(31)
+    sets, allocs = [], []
+    powers = [0.0, 0.5, 1e-3, 3.0, 0.5, 40.0, 0.0, 1e3, 2e-2, 7.0, 0.2, 12.0]
+    for i, power in enumerate(powers):
+        k = (1, 2, 9, 13)[i % 4]
+        omega = rng.dirichlet(np.ones(k))
+        omega[1:][rng.random(k - 1) < 0.3] = 0.0
+        beta = 10 ** rng.uniform(-14, -9, k)
+        sets.append(UeSet(beta=beta, noise_w=7.2e-14, csi_delta=rng.uniform(0.0, 0.5, k)))
+        allocs.append(Allocation(power, omega / omega.sum()))
+    expected = [_rated_one_by_one(cfg, ues, alloc, precoder) for ues, alloc in zip(sets, allocs)]
+    assert any(0.0 in alloc.omega for alloc in allocs)
+
+    def same_bits(got, want):
+        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+    for k in (1, 2, 9, 13):  # the array path on each user count's rows, states computed there
+        rows = [r for r, ues in enumerate(sets) if ues.n_users == k]
+        gamma, rate, total = _rate_rows(
+            cfg,
+            *(np.array([getattr(sets[r], f) for r in rows]) for f in ("beta", "noise_w")),
+            np.array([allocs[r].total_power_p for r in rows]),
+            np.array([allocs[r].omega for r in rows]),
+            precoder,
+            np.array([sets[r].csi_delta for r in rows]),
+        )
+        for i, r in enumerate(rows):
+            same_bits((gamma[i], rate[i], total[i]), expected[r])
+    for report, want in zip(evaluate(cfg, sets, allocs, precoder), expected):
+        same_bits((report.sindr, report.rate, report.sum_rate), want)
+
+    # every row is checked as Allocation and zf_gain check it, with their messages
+    two = UeSet(beta=np.array([1e-10, 1e-11]), noise_w=7.2e-14, csi_delta=np.full(2, 0.1))
+    good = np.array([0.5, 0.5])
+
+    def rated(power, omega, ues=two):
+        return lambda: _rate_rows(cfg, ues.beta, ues.noise_w, power, omega, precoder, ues.csi_delta)
+
+    for bad in ([1.2, -0.2], [0.5, 0.5 + 2e-9], [math.nan, 1.0]):
+        assert _message(rated([0.5, 0.5], [good, bad])) == _message(lambda: Allocation(0.5, bad))
+    for bad in (-1e-9, math.nan, math.inf):
+        assert _message(rated([0.5, bad], [good, good])) == _message(lambda: Allocation(bad, good))
+    full = UeSet(beta=np.full(16, 1e-10), noise_w=7.2e-14, csi_delta=np.full(16, 0.1))
+    assert _message(rated([0.5], [np.full(16, 1 / 16)], full)) == _message(lambda: zf_gain(cfg, full))
+    rated([0.5, 0.5], [good, [0.5, 0.5 + 5e-10]])()  # within 1e-9 of 1
+
+
+def test_a_chunk_longer_than_one_block_is_rated_row_by_row():
+    # 150 rows of each user count: each count spans a full block of 128
+    # rows and part of a second
+    cfg = _cfg(m=16, p_max=0.1)
+    rng = np.random.default_rng(5)
+    sets, allocs = [], []
+    for i in range(300):
+        k = (2, 9)[i % 2]
+        sets.append(UeSet(beta=10 ** rng.uniform(-14, -9, k), noise_w=7.2e-14))
+        allocs.append(Allocation(float(rng.uniform(0.0, 10.0)), rng.dirichlet(np.ones(k))))
+    reports = evaluate(cfg, sets, allocs)
+    assert len(reports) == len(sets)
+    for ues, alloc, report in zip(sets, allocs, reports):
+        gamma, rate, sum_rate = _rated_one_by_one(cfg, ues, alloc, "zf")
+        assert report.rate.tobytes() == rate.tobytes()
+        assert np.float64(report.sum_rate).tobytes() == np.float64(sum_rate).tobytes()
 
 
 @pytest.mark.parametrize("power", [math.nan, math.inf])

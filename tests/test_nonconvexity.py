@@ -118,13 +118,13 @@ def test_find_indefinite_point_stops_at_the_first_witness(monkeypatch):
     expected = next(p for p in probes if indefinite(p) and indefinite(halved(p)))
     index = probes.index(expected)
     rows = []
-    real = nonconvexity.evaluate
+    real = nonconvexity._rate_rows
 
-    def counted(cfg, ues, alloc, precoder="zf"):
-        rows.append(len(alloc))
-        return real(cfg, ues, alloc, precoder)
+    def counted(cfg, beta, noise, power, omega, *rest):
+        rows.append(np.size(power))
+        return real(cfg, beta, noise, power, omega, *rest)
 
-    monkeypatch.setattr(nonconvexity, "evaluate", counted)
+    monkeypatch.setattr(nonconvexity, "_rate_rows", counted)
     assert find_indefinite_point(CFG, UES, n_points=12) == expected
     # 18 stencil points per probe: every probe of the grid rows up to the
     # witness's row, plus one halved-step probe per candidate up to the witness

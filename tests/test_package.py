@@ -90,6 +90,31 @@ def test_traced_rapp_chunk_equals_the_untraced_run(monkeypatch):
     assert len(tracer.observed["rapp_psi"]) == 5  # 2 drops x 2 DAPA powers + 1 shared REF power
 
 
+def test_traced_scan_equals_the_untraced_run(monkeypatch):
+    # The tracer rebinds names that the curvature scan and its witness
+    # search call; a rebinding that breaks them, or moves a bit of a
+    # probe, fails here.
+    from dapalloc import nonconvexity
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    cfg, ues = nonconvexity.reference_two_user_setup()
+
+    def run():
+        return nonconvexity.scan_grid(cfg, ues, 8), nonconvexity.find_indefinite_point(cfg, ues, 8)
+
+    plain = run()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        traced = run()
+    assert plain[1] is not None
+    assert repr(traced) == repr(plain)
+    recorded = set(tracer.name_id)
+    for name in ("nonconvexity.scan_grid", "nonconvexity.hessian_eigs", "pa_model.soft"):
+        assert tracer.name_of(name) in recorded, name
+
+
 def _unread_module_names(path):
     """Module-level names and imports of ``path`` that the module never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -187,6 +187,25 @@ def test_two_ue_grid_structure():
         two_ue_grid(60.0, 50.0, 5.0, sc)
 
 
+@pytest.mark.parametrize("name", ["lo_db", "hi_db", "step_db"])
+@pytest.mark.parametrize("bad, kind", [(math.nan, "finite"), (math.inf, "finite"), (True, "a number")])
+def test_two_ue_grid_names_an_end_that_is_no_finite_number(name, bad, kind):
+    # NaN failed in int(round(...)) as "cannot convert float NaN to
+    # integer", and an infinite end as an OverflowError
+    ends = {"lo_db": 60.0, "hi_db": 100.0, "step_db": 5.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}$"):
+        two_ue_grid(ends["lo_db"], ends["hi_db"], ends["step_db"], _sc(n_users=2))
+
+
+def test_path_losses_of_any_sign_are_accepted_and_others_named():
+    grid, _ = two_ue_grid(-10, 0, 5, _sc(n_users=2))
+    assert grid.tolist() == [-10.0, -5.0, 0.0]
+    assert homogeneous_sweep([-3, 80.0], _sc(n_users=2))[0].beta[0] == 10.0**0.3
+    for bad in (True, "95", math.nan):
+        with pytest.raises(ValueError, match="^pl_db_grid entries must be "):
+            homogeneous_sweep([80.0, bad], _sc(n_users=2))
+
+
 def test_every_users_bits_are_pinned():
     # SHA-256 of the beta bytes of K=60 drops, taken before the generator
     # served a whole drop; any change to any user's draw shows here.
