@@ -149,6 +149,8 @@ def _cmd_sweep_homogeneous(args: argparse.Namespace) -> int:
     grid = cfg.get("pl_db_grid")
     if grid is None:
         grid = np.arange(80.0, 130.0 + 1e-9, 2.5).tolist()
+    elif not isinstance(grid, list):  # a str is iterable too: "95" would read as two entries
+        raise ValueError("pl_db_grid must be a list of numbers")
     algorithms = cfg.get("algorithms", DEFAULT_ALGORITHMS)
     rows = sweep_homogeneous(sc, grid, algorithms)
     for label in algorithms:

@@ -13,9 +13,10 @@ end to end, with no analytic shortcuts on the signal path:
    transmit power across antennas and subcarriers is exactly its share
    p_k = P/K;
 3. synthesize the time-domain waveform per antenna (oversampled IFFT
-   over the used subcarriers, cyclic prefix attached); per-antenna mean
+   over the used subcarriers, laid out antenna-major); per-antenna mean
    power averages P/M by construction, which sets the back-off;
-4. clip each antenna's samples at the saturation amplitude;
+4. clip each antenna's samples at the saturation amplitude, counting the
+   cyclic prefix's power and clips from the symbol tail it repeats;
 5. propagate through the same frequency-domain channel with zero
    thermal noise;
 6. per (user, subcarrier), least-squares-project the received symbols
@@ -199,9 +200,7 @@ def _precoding_weights(
     return w
 
 
-def _simulate_point(
-    cfg: LinkSimConfig, ibo_db: float, point_index: int
-) -> LinkSdrPoint:
+def _simulate_point(cfg: LinkSimConfig, ibo_db: float, point_index: int) -> LinkSdrPoint:
     psi = 10.0 ** (ibo_db / 10.0)
     p_max = 1.0  # clip level; SDR is invariant to the absolute scale
     total_p = cfg.m_antennas * p_max / psi
@@ -210,9 +209,8 @@ def _simulate_point(
     m, k = cfg.m_antennas, cfg.n_users
     clip_amp = math.sqrt(p_max)
 
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, point_index], dtype=np.uint64))
-    )
+    key = np.array([cfg.seed, point_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     bins = _used_bin_indices(n, n_used)
     g, redraws = _draw_channels(rng, n_used, k, m)
     w = _precoding_weights(g, cfg.precoder, p_k)
@@ -222,10 +220,11 @@ def _simulate_point(
 
     cross = np.zeros((n_used, k), dtype=np.complex128)
     rec_power = np.zeros((n_used, k))
-    sym_count = 0
+    sym_count = cfg.n_symbols
     clip_count = 0
-    sample_count = 0
     antenna_power_sum = np.zeros(m)
+    spec = np.zeros((_SYMBOL_CHUNK, m, n), dtype=np.complex128)  # antenna-major; unused bins stay 0
+    emitted_power = np.empty((_SYMBOL_CHUNK, n + cfg.cp_len, m))  # symbol-major: sets the sum's order
 
     for start in range(0, cfg.n_symbols, _SYMBOL_CHUNK):
         ns = min(_SYMBOL_CHUNK, cfg.n_symbols - start)
@@ -233,30 +232,28 @@ def _simulate_point(
         phases = rng.integers(0, 16, size=(ns, n_used, k))
         s = np.exp(1j * (2.0 * np.pi / 16.0) * phases)
 
-        x = np.einsum("nmk,snk->snm", w, s)  # frequency domain, used bins
-        spec = np.zeros((ns, n, m), dtype=np.complex128)
-        spec[:, bins, :] = x
+        spec[:ns, :, bins] = np.einsum("nmk,snk->smn", w, s)  # frequency domain
         # Synthesis y_t = sum_f X_f e^{+j 2 pi f t / N}.
-        y = np.fft.ifft(spec, axis=1) * n
-        z = np.concatenate([y[:, n - cfg.cp_len :, :], y], axis=1)
+        y = np.fft.ifft(spec[:ns])
+        y *= n
 
-        power = np.abs(z) ** 2
-        antenna_power_sum += power.sum(axis=(0, 1))
-        clip_count += int(np.count_nonzero(power > p_max))
-        sample_count += power.size
+        power = np.abs(y) ** 2
+        emitted = emitted_power[:ns]  # the prefix repeats the symbol's tail
+        emitted[:, cfg.cp_len :, :] = power.transpose(0, 2, 1)
+        emitted[:, : cfg.cp_len, :] = emitted[:, n:, :]
+        antenna_power_sum += emitted.sum(axis=(0, 1))
+        clip_count += int(np.count_nonzero(emitted > p_max))
 
         # Ideal clipper: magnitude capped at the saturation amplitude.
-        amp = np.sqrt(power)
-        z_clipped = z * np.minimum(1.0, clip_amp / np.maximum(amp, 1e-300))
+        at = np.flatnonzero(power > p_max)
+        y.reshape(-1)[at] *= clip_amp / np.sqrt(power.reshape(-1)[at])
 
-        y_clipped = z_clipped[:, cfg.cp_len :, :]
-        spec_rx = np.fft.fft(y_clipped, axis=1) / n
-        x_rx = spec_rx[:, bins, :]
+        x_rx = np.fft.fft(y).transpose(0, 2, 1)[:, bins, :]  # its layout sets r's summation order
+        x_rx /= n
         r = np.einsum("snm,nkm->snk", x_rx, g)  # zero-noise reception
 
         cross += np.einsum("snk,snk->nk", r, np.conj(s))
         rec_power += np.sum(np.abs(r) ** 2, axis=0)
-        sym_count += ns
 
     # Least-squares projection per (subcarrier, user): r = g_ls * s + resid.
     g_ls = cross / sym_count  # E|s|^2 = 1
@@ -268,10 +265,9 @@ def _simulate_point(
 
     lam = bussgang_gain_soft(psi)
     pred_gain = math.sqrt(lam) * np.abs(lin_gain)
-    per_user_err = np.abs(
-        np.sum(np.abs(g_ls), axis=0) / np.sum(pred_gain, axis=0) - 1.0
-    )
+    per_user_err = np.abs(np.sum(np.abs(g_ls), axis=0) / np.sum(pred_gain, axis=0) - 1.0)
 
+    sample_count = sym_count * (n + cfg.cp_len) * m
     per_antenna_power = antenna_power_sum / (sym_count * (n + cfg.cp_len))
     cond_clip = float(np.mean(np.exp(-p_max / per_antenna_power)))
 

@@ -187,6 +187,7 @@ def two_ue_grid(
         require(name, value, -math.inf)  # a NaN or infinite end fails int(round(...)) below
     if step_db <= 0 or hi_db < lo_db:
         raise ValueError("need step_db > 0 and hi_db >= lo_db")
+    require("(hi_db - lo_db) / step_db", (hi_db - lo_db) / step_db, -math.inf)  # hi_db - lo_db may overflow
     n = int(round((hi_db - lo_db) / step_db)) + 1
     grid = lo_db + step_db * np.arange(n)
     noise = np.full(2, sc.noise_w)

@@ -488,13 +488,15 @@ SWEEP = {"scenario": GRID_2UE["scenario"], "pl_db_grid": [95.0, 100.0]}
         ("grid-2ue", GRID_2UE, "pl_step_db", -5.0, "pl_step_db must be positive"),
         ("sweep-homogeneous", SWEEP, "pl_db_grid", [True, 95.0], "pl_db_grid entries must be a number"),
         ("sweep-homogeneous", SWEEP, "pl_db_grid", ["4", 95.0], "pl_db_grid entries must be a number"),
-        ("sweep-homogeneous", SWEEP, "pl_db_grid", "95", "pl_db_grid entries must be a number"),
+        ("sweep-homogeneous", SWEEP, "pl_db_grid", "95", "pl_db_grid must be a list of numbers"),
+        ("sweep-homogeneous", SWEEP, "pl_db_grid", True, "pl_db_grid must be a list of numbers"),
     ],
 )
 def test_a_path_loss_that_is_no_finite_number_is_an_error_and_writes_nothing(
     tmp_path, capsys, command, payload, key, value, message
 ):
-    # float() read true as 1 dB and "95" as 95 dB, and the run went on
+    # float() read true as 1 dB and "95" as 95 dB, and the run went on;
+    # a pl_db_grid of true failed iterating it, naming no key
     cfg = _write_cfg(tmp_path, {**payload, key: value})
     out = tmp_path / "x"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2

@@ -1,10 +1,12 @@
 """Waveform-level clipper simulation versus the closed-form predictions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dapalloc import linklevel
 from dapalloc.linklevel import (
     LinkSdrPoint,
     LinkSimConfig,
@@ -13,6 +15,7 @@ from dapalloc.linklevel import (
     write_sdr_csv,
 )
 from dapalloc.pa_model import bussgang_gain_soft, distortion_coeff_soft
+import linklevel_reference
 
 # Small but statistically meaningful config: runs in well under a second.
 SMALL = LinkSimConfig(
@@ -220,3 +223,63 @@ def test_config_rejects_a_backoff_that_is_no_number(bad):
 def test_an_int_backoff_is_stored_as_its_float():
     cfg = LinkSimConfig(m_antennas=16, n_users=2, ibo_grid_db=[-2, 4])
     assert cfg.ibo_grid_db == (-2.0, 4.0) and all(type(v) is float for v in cfg.ibo_grid_db)
+
+
+def _point_fields(pt):
+    return {
+        f.name: getattr(pt, f.name) if isinstance(getattr(pt, f.name), np.ndarray)
+        else repr(getattr(pt, f.name))
+        for f in dataclasses.fields(pt)
+    }
+
+
+def test_kernel_is_bitwise_the_reference():
+    # The kernel transforms antenna-major, counts the prefix from the
+    # symbol's tail and scales only the samples that clip; every field
+    # must keep the bits of the symbol-major form.  K=1 catches an x_rx
+    # laid out differently from the fancy index (the sums over r add in
+    # another order), fft sizes 96 and 100 an ifft scaled by norm=.
+    cases = [
+        dict(fft_size=64, cp_len=0, n_users=1, precoder="zf", n_symbols=10),
+        dict(fft_size=96, cp_len=7, n_users=3, precoder="mrt", n_symbols=30),
+        dict(fft_size=128, cp_len=16, n_users=2, precoder="zf", n_symbols=50),
+        dict(fft_size=100, cp_len=5, n_users=1, precoder="mrt", n_symbols=24),
+    ]
+    for case in cases:
+        cfg = LinkSimConfig(m_antennas=8, n_used_subcarriers=40, ibo_grid_db=(-6.0, 3.0, 20.0),
+                            seed=11, **case)
+        clip_fractions = []
+        for index, ibo_db in enumerate(cfg.ibo_grid_db):
+            got = _point_fields(linklevel._simulate_point(cfg, ibo_db, index))
+            want = _point_fields(linklevel_reference.simulate_point(cfg, ibo_db, index))
+            assert got.keys() == want.keys()
+            for name, value in want.items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(got[name], value), (case, ibo_db, name)
+                else:
+                    assert got[name] == value, (case, ibo_db, name)
+            clip_fractions.append(float(want["clip_fraction"]))
+        # the grid spans both ends: most samples clip at -6 dB, none at 20 dB
+        assert clip_fractions[0] > 0.5 and clip_fractions[2] == 0.0, case
+
+
+def test_traced_kernel_records_its_transforms_and_einsums(monkeypatch):
+    # perfbench/tracing.py times the kernel by rebinding linklevel.np; a
+    # kernel that stops calling np.fft.* or np.einsum through it would
+    # read 0 there instead of failing
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    cfg = LinkSimConfig(m_antennas=8, n_users=2, ibo_grid_db=(3.0,), fft_size=64,
+                        n_used_subcarriers=20, cp_len=4, n_symbols=30, seed=1)
+    plain = simulate_sdr(cfg)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        traced = simulate_sdr(cfg)
+    assert repr(traced) == repr(plain)
+    spans = list(tracer.name_id)
+    for name in ("linklevel.point", "linklevel.fft", "linklevel.einsum", "linklevel.linalg"):
+        assert spans.count(tracer.name_of(name)) > 0, name
+    assert min(tracer.observed["flops"]) > 0

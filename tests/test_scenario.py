@@ -197,6 +197,14 @@ def test_two_ue_grid_names_an_end_that_is_no_finite_number(name, bad, kind):
         two_ue_grid(ends["lo_db"], ends["hi_db"], ends["step_db"], _sc(n_users=2))
 
 
+@pytest.mark.parametrize("lo, hi, step", [(-1e308, 1e308, 1.0), (0.0, 1e300, 1e-300)])
+def test_two_ue_grid_names_its_ends_when_their_span_overflows(lo, hi, step):
+    # finite ends whose span overflowed failed in int(round(...)) as
+    # "cannot convert float infinity to integer", naming no argument
+    with pytest.raises(ValueError, match=r"^\(hi_db - lo_db\) / step_db must be finite$"):
+        two_ue_grid(lo, hi, step, _sc(n_users=2))
+
+
 def test_path_losses_of_any_sign_are_accepted_and_others_named():
     grid, _ = two_ue_grid(-10, 0, 5, _sc(n_users=2))
     assert grid.tolist() == [-10.0, -5.0, 0.0]
