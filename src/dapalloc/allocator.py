@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from dapalloc._fields import POSITIVE, check
 from dapalloc.dapa import _unwrap, _user_bounds, default_delta, solve_dapa
 from dapalloc.fpda import breakpoints, solve_fpda
 from dapalloc.metrics import (
@@ -158,10 +159,9 @@ def _ao_rows(
     bracket each row with that round's per-user Lambert-W bounds of the
     users they keep, computing no new bounds.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     if delta is None:
         delta = default_delta(cfg)
+    check(locals(), delta=POSITIVE, max_iters=1)
 
     n_rows = len(ues_rows)
     outcomes: list = [None] * n_rows

@@ -38,6 +38,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from dapalloc._fields import REAL, require
 from dapalloc.allocator import ALGORITHMS
 from dapalloc.dapa import SolverError
 from dapalloc.metrics import SystemConfig, UeSet, evaluate
@@ -293,6 +294,7 @@ def ccdf(values: Sequence[float], label: str = "") -> CcdfSeries:
     is the fraction of samples strictly above it, stepping from
     1 - 1/n down to 0.
     """
+    require("values", values, REAL)
     arr = np.sort(np.asarray(values, dtype=np.float64))
     if arr.size == 0:
         raise ValueError("ccdf needs at least one value")

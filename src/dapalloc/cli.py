@@ -29,14 +29,13 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from typing import Optional
 
 import numpy as np
 
-from dapalloc._fields import require
+from dapalloc._fields import POSITIVE, REAL, require
 
 __all__ = ["main"]
 
@@ -59,11 +58,10 @@ def _reject_unknown(cfg: dict, known: str) -> None:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
 
-def _number_from(cfg: dict, key: str, default, low):
-    """``cfg[key]``, or ``default``, of the kind that ``low`` picks in
-    :func:`~dapalloc._fields.require`."""
+def _number_from(cfg: dict, key: str, default, kind):
+    """``cfg[key]``, or ``default``, of ``kind`` (see :mod:`dapalloc._fields`)."""
     value = cfg.get(key, default)
-    require(key, value, low)
+    require(key, value, kind)
     return value
 
 
@@ -183,9 +181,9 @@ def _cmd_grid_2ue(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, "scenario pl_lo_db pl_hi_db pl_step_db")
     sc = _scenario_from(cfg, args.seed)
-    lo = float(_number_from(cfg, "pl_lo_db", 60.0, -math.inf))
-    hi = float(_number_from(cfg, "pl_hi_db", 150.0, -math.inf))
-    step = float(_number_from(cfg, "pl_step_db", 5.0, 0.0))
+    lo = float(_number_from(cfg, "pl_lo_db", 60.0, REAL))
+    hi = float(_number_from(cfg, "pl_hi_db", 150.0, REAL))
+    step = float(_number_from(cfg, "pl_step_db", 5.0, POSITIVE))
     grid = two_ue_grid(lo, hi, step, sc)
     rows = grid_2ue(sc, grid, args.workers)
     write_table_csv(rows, _out_path(args.out, "grid_2ue.csv"))

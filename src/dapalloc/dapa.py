@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from dapalloc.metrics import Allocation, SystemConfig, UeSet, _rate_rows, evaluate, zf_gain
+from dapalloc._fields import POSITIVE, check, require
+from dapalloc.metrics import Allocation, SystemConfig, UeSet, _check_fractions, _rate_rows, evaluate, zf_gain
 from dapalloc.numerics import ConvergenceError, erfc, erfcx, lambert_w0_of_log
 from dapalloc.pa_model import (
     _ERFCX_SWITCH,
@@ -120,8 +121,7 @@ def power_balance(total_power_p, sigma2, beta, cfg: SystemConfig):
     in between.  ``sigma2`` and ``beta`` may be arrays (evaluated
     elementwise for several users at the same P, or a column of powers).
     """
-    if np.any(np.asarray(total_power_p) <= 0):
-        raise ValueError("total power must be positive")
+    check(locals(), total_power_p=POSITIVE, sigma2=POSITIVE, beta=POSITIVE)
     psi = cfg.m_antennas * cfg.p_max / total_power_p
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -154,10 +154,9 @@ def root_bounds(sigma2, beta, cfg: SystemConfig):
             rounding of the W argument's log, so the bracket's sign is
             not guaranteed (it fails for r up to ~6e-15).
     """
+    check(locals(), sigma2=POSITIVE, beta=POSITIVE)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    if not ((sigma2 > 0).all() and (beta > 0).all()):
-        raise ValueError("noise and channel gain must be positive")
     log_ratio = _log(beta * ETA * cfg.m_antennas * cfg.p_max) - _log(sigma2)
     if (log_ratio < math.log(_MIN_BRACKET_RATIO)).any():
         ratio = math.exp(np.min(log_ratio))
@@ -181,11 +180,10 @@ def _clipper_state(power: np.ndarray, cfg: SystemConfig):
 
 
 def _active(ues: UeSet, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Channel gains, noise powers and fractions of the users with positive fraction."""
-    omega = np.asarray(omega, dtype=np.float64)
+    """Gains, noise powers and fractions of the users with positive fraction; checks the fractions."""
+    omega_given, omega = omega, np.asarray(omega, dtype=np.float64)
+    _check_fractions(omega_given, omega, ues.n_users)
     active = omega > 0.0
-    if not active.any():
-        raise ValueError("at least one power fraction must be positive")
     return ues.beta[active], ues.noise_w[active], omega[active]
 
 
@@ -203,6 +201,7 @@ def sum_rate_derivative(total_power_p, ues, omega, cfg: SystemConfig):
     fractions, ``total_power_p`` an (N, n) array -- gives an (N, n)
     array whose row r is bitwise the call on row r alone.
     """
+    require("total_power_p", total_power_p, POSITIVE)
     if isinstance(ues, UeSet):  # one user set: the chunk with N = 1
         power = np.asarray(total_power_p, dtype=np.float64)
         out = _derivative_rows(power.reshape(1, -1), [ues], [omega], cfg)
@@ -217,8 +216,6 @@ def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig)
     points; each row's user algebra and user sum run on its own active
     users, so each sum has that row's length and bits.
     """
-    if (power <= 0).any():
-        raise ValueError("total power must be positive")
     psi, lam, _, dist = _clipper_state(power, cfg)
     tail = _erfc_over_sqrt(psi)
     # 1 - e^-psi - psi e^-psi ~ psi^2 / 2 at small psi; expm1 avoids the cancellation
@@ -414,17 +411,11 @@ def _solve_rows(
         raise ValueError(f"pa must be {SOFT_LIMITER!r}, the only amplifier the derivative models")
     if delta is None:
         delta = default_delta(cfg)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    omega_rows = [np.asarray(omega, dtype=np.float64) for omega in omega_rows]
-    for ues, omega in zip(ues_rows, omega_rows, strict=True):
-        if omega.size != ues.n_users:
-            raise ValueError("omega length must match the user set")
-        Allocation(1.0, omega)  # the fractions evaluate checks: nonnegative, summing to 1
-
+    require("delta", delta, POSITIVE)
     # Users with zero fraction have constant rate terms in P and do not
     # constrain the bracket.
-    users = [_active(ues, omega) for ues, omega in zip(ues_rows, omega_rows)]
+    users = [_active(ues, omega) for ues, omega in zip(ues_rows, omega_rows, strict=True)]
+    omega_rows = [np.asarray(omega, dtype=np.float64) for omega in omega_rows]
     if bounds is None:
         bounds = _user_bounds([beta for beta, _, _ in users], [sigma2 for _, sigma2, _ in users], cfg)
     else:

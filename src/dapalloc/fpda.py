@@ -16,10 +16,9 @@ against an independent bisection on the water level.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from dapalloc._fields import NONNEGATIVE, POSITIVE, require
 from dapalloc.metrics import SystemConfig, UeSet, zf_gain
 from dapalloc.pa_model import PaOperatingPoint
 
@@ -38,9 +37,7 @@ def breakpoints(
     and effective distortion); the breakpoints keep the users' original
     order.
     """
-    # written so that NaN fails the comparison
-    if not 0.0 < total_power_p < math.inf:
-        raise ValueError("total power must be positive and finite")
+    require("total_power_p", total_power_p, POSITIVE)
     array_gain = zf_gain(cfg, ues)
     return (ues.noise_w + ues.beta * op.effective_distortion) / (
         array_gain * op.lam * total_power_p * ues.beta
@@ -65,11 +62,10 @@ def solve_fpda(g) -> np.ndarray:
     holds at any scale of G; ``mu - G_k`` cancels when G is large
     (about 3.7e-9 lost at G = 2.7e7).
     """
+    require("g", g, NONNEGATIVE)
     g = np.atleast_1d(np.asarray(g, dtype=np.float64))
     if g.ndim != 1 or g.size == 0:
-        raise ValueError("breakpoints must be a non-empty 1-D array")
-    if not np.all(np.isfinite(g)) or np.any(g < 0):
-        raise ValueError("breakpoints must be finite and nonnegative")
+        raise ValueError("g must be a non-empty 1-D array")
     order = np.argsort(g, kind="stable")
     rise = g[order] - g[order[0]]  # G_k - G_min, ascending
     n = rise.size

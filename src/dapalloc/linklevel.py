@@ -36,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from dapalloc._fields import check, require
+from dapalloc._fields import REAL, check, require
+from dapalloc.metrics import _zf_gain
 from dapalloc.pa_model import ETA, bussgang_gain_soft, distortion_coeff_soft
 
 __all__ = [
@@ -97,7 +98,7 @@ class LinkSimConfig:
         if isinstance(self.ibo_grid_db, str) or len(self.ibo_grid_db) == 0:
             raise ValueError("ibo_grid_db must be a non-empty sequence")
         for value in self.ibo_grid_db:
-            require("ibo_grid_db entries", value, -math.inf)
+            require("ibo_grid_db entries", value, REAL)
         object.__setattr__(self, "ibo_grid_db", tuple(float(v) for v in self.ibo_grid_db))
 
 
@@ -134,11 +135,12 @@ def analytic_sdr_db(
     with lam and c the clipper gain/distortion at that back-off.  The
     value diverges (+inf dB) once c underflows at very large back-off.
     """
+    check(locals(), ibo_db=REAL, m_antennas=1, n_users=1)
     psi = 10.0 ** (ibo_db / 10.0)
     lam = bussgang_gain_soft(psi)
     coeff = distortion_coeff_soft(psi)
     if precoder == "zf":
-        num = (m_antennas - n_users) * lam
+        num = _zf_gain(m_antennas, n_users) * lam
         den = n_users * ETA * coeff
     elif precoder == "mrt":
         num = m_antennas * lam

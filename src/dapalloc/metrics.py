@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from dapalloc._fields import check
+from dapalloc._fields import NONNEGATIVE, POSITIVE, check, require
 from dapalloc.pa_model import (
     ETA,
     SOFT_LIMITER,
@@ -91,7 +91,7 @@ class SystemConfig:
     pa: PaModel = field(default_factory=PaModel)
 
     def __post_init__(self) -> None:
-        check(self, m_antennas=1, p_max=0.0, bandwidth_hz=0.0)
+        check(self, m_antennas=1, p_max=POSITIVE, bandwidth_hz=POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,7 @@ class UeSet:
     csi_delta: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        check(self, beta=POSITIVE, noise_w=POSITIVE, csi_delta=NONNEGATIVE)
         beta = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))
         if beta.size == 0:
             raise ValueError("need at least one user")
@@ -118,19 +119,14 @@ class UeSet:
             noise = np.full(beta.shape, noise.item())
         if beta.shape != noise.shape or beta.ndim != 1:
             raise ValueError("beta and noise_w must be 1-D arrays of equal length")
-        # written so that NaN fails each comparison
-        if not np.all((beta > 0) & (beta < np.inf)):
-            raise ValueError("beta must be positive and finite")
-        if not np.all((noise > 0) & (noise < np.inf)):
-            raise ValueError("noise_w must be positive and finite")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "noise_w", noise)
         if self.csi_delta is not None:
             delta = np.atleast_1d(np.asarray(self.csi_delta, dtype=np.float64))
             if delta.shape != beta.shape:
                 raise ValueError("csi_delta must match beta in length")
-            if not np.all((delta >= 0) & (delta < 1)):
-                raise ValueError("csi_delta entries must lie in [0, 1)")
+            if not (delta < 1.0).all():
+                raise ValueError("csi_delta must be below 1")
             object.__setattr__(self, "csi_delta", delta)
 
     @property
@@ -149,21 +145,27 @@ class Allocation:
     omega: np.ndarray
 
     def __post_init__(self) -> None:
-        # written so that NaN fails each comparison
-        if not 0.0 <= self.total_power_p < math.inf:
-            raise ValueError("total_power_p must be nonnegative and finite")
+        require("total_power_p", self.total_power_p, NONNEGATIVE)
         omega = np.atleast_1d(np.asarray(self.omega, dtype=np.float64))
         if omega.ndim != 1:
             raise ValueError("omega must be one-dimensional")
-        if not (omega >= 0).all():
-            raise ValueError("omega entries must be nonnegative")
-        if not abs(float(omega.sum()) - 1.0) <= _OMEGA_SUM_TOL:
-            raise ValueError("omega entries must sum to 1")
+        _check_fractions(self.omega, omega)
         object.__setattr__(self, "omega", omega)
 
     @property
     def per_user_power(self) -> np.ndarray:
         return self.omega * self.total_power_p
+
+
+def _check_fractions(given, omega: np.ndarray, n_users: Optional[int] = None) -> None:
+    """The fractions rule on the ``given`` fractions, with ``omega`` their
+    float array: nonnegative rows (along the last axis) of ``n_users``
+    entries if that is given, each row summing to 1 within 1e-9."""
+    if n_users is not None and omega.shape[-1:] != (n_users,):
+        raise ValueError("omega length must match the user set")
+    require("omega", given, NONNEGATIVE)
+    if not (abs(omega.sum(axis=-1) - 1.0) <= _OMEGA_SUM_TOL).all():
+        raise ValueError("omega entries must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -192,9 +194,7 @@ def operating_point_at(cfg: SystemConfig, total_power_p):
     power = np.asarray(total_power_p, dtype=np.float64)
     if power.ndim > 1:
         raise ValueError("total power must be a scalar or a 1-D array")
-    # written so that NaN fails the comparison
-    if not ((power >= 0.0) & (power < math.inf)).all():
-        raise ValueError("total power must be nonnegative and finite")
+    require("total_power_p", total_power_p, NONNEGATIVE)
     points = [PaOperatingPoint(*state) for state in _states(cfg, power.reshape(-1)).T.tolist()]
     return points[0] if power.ndim == 0 else points
 
@@ -226,10 +226,14 @@ def _states(cfg: SystemConfig, power: np.ndarray) -> np.ndarray:
 
 def zf_gain(cfg: SystemConfig, ues: UeSet) -> int:
     """Zero-forcing array gain M - K of the base station serving ``ues``."""
-    gain = cfg.m_antennas - ues.n_users
-    if gain < 1:
+    return _zf_gain(cfg.m_antennas, ues.n_users)
+
+
+def _zf_gain(m_antennas: int, n_users: int) -> int:
+    """M - K, after the rule K < M."""
+    if n_users >= m_antennas:
         raise ValueError("antenna count must exceed user count")
-    return gain
+    return m_antennas - n_users
 
 
 def sindr(
@@ -249,8 +253,6 @@ def sindr(
     With ``delta_k = 0`` the imperfect-CSI SINDR is bitwise the
     zero-forcing one.
     """
-    if alloc.omega.size != ues.n_users:
-        raise ValueError("allocation size does not match the user set")
     states = np.array([op.lam, op.effective_distortion])
     return _rate_rows(cfg, ues.beta, ues.noise_w, alloc.total_power_p, alloc.omega, precoder,
                       ues.csi_delta, states)[0]
@@ -258,6 +260,7 @@ def sindr(
 
 def rates(cfg: SystemConfig, sindr: np.ndarray) -> np.ndarray:
     """Per-user rates B * log2(1 + gamma) in bit/s."""
+    require("sindr", sindr, NONNEGATIVE)
     return cfg.bandwidth_hz * np.log2(1.0 + np.asarray(sindr, dtype=np.float64))
 
 
@@ -269,21 +272,14 @@ def _rate_rows(cfg, beta, noise, power, omega, precoder="zf", csi_delta=None, st
     ``beta``, ``noise``, ``omega`` and ``csi_delta`` are (..., K) user
     arrays, ``power`` the (...) total powers they broadcast against, and
     ``states`` the (lam, distortion) pair at ``power``, computed here if
-    not given.  Every row gets the checks of :class:`Allocation` and
-    :func:`zf_gain`, with their messages.
+    not given.  Every row gets the checks of :class:`Allocation`,
+    :func:`zf_gain` and the fraction count, with their messages.
     """
+    require("total_power_p", power, NONNEGATIVE)
     power = np.asarray(power, dtype=np.float64)
-    omega = np.ascontiguousarray(omega, dtype=np.float64)
-    # written so that NaN fails each comparison
-    if not ((power >= 0.0) & (power < math.inf)).all():
-        raise ValueError("total_power_p must be nonnegative and finite")
-    if not (omega >= 0).all():
-        raise ValueError("omega entries must be nonnegative")
-    if not (abs(omega.sum(axis=-1) - 1.0) <= _OMEGA_SUM_TOL).all():
-        raise ValueError("omega entries must sum to 1")
-    gain = cfg.m_antennas - omega.shape[-1]
-    if gain < 1:
-        raise ValueError("antenna count must exceed user count")
+    omega_given, omega = omega, np.ascontiguousarray(omega, dtype=np.float64)
+    _check_fractions(omega_given, omega, np.shape(beta)[-1])
+    gain = _zf_gain(cfg.m_antennas, omega.shape[-1])
     lam, dist = _states(cfg, power)[[1, 3]] if states is None else states
     total_power_p, lam, dist = power[..., None], lam[..., None], dist[..., None]
     if precoder == "mrt":
@@ -330,14 +326,11 @@ def evaluate(cfg: SystemConfig, ues, alloc, precoder: str = "zf"):
         raise ValueError("need one allocation per user set")
     ops = operating_point_at(cfg, [a.total_power_p for a in alloc])
     reports: list = [None] * len(ues)
-    by_count: dict = {}
-    for r, one_set in enumerate(ues):
-        by_count.setdefault(one_set.n_users, []).append(r)
+    by_count: dict = {}  # rows of one user count and one fraction count stack
+    for r, (one_set, one_alloc) in enumerate(zip(ues, alloc)):
+        by_count.setdefault((one_set.n_users, one_alloc.omega.size), []).append(r)
     blocks = [rows[i:i + _BLOCK_ROWS] for rows in by_count.values() for i in range(0, len(rows), _BLOCK_ROWS)]
     for rows in blocks:
-        k = ues[rows[0]].n_users
-        if any(alloc[r].omega.size != k for r in rows):
-            raise ValueError("allocation size does not match the user set")
         csi = [ues[r].csi_delta for r in rows]
         gamma, rate, total = _rate_rows(
             cfg,
@@ -365,12 +358,7 @@ def csi_error_factor(beta, pilot_len: int, rho_ul_w: float):
     limits are delta -> 0 for strong channels and delta -> 1 for
     vanishing ones.
     """
-    if pilot_len < 1:
-        raise ValueError("pilot length must be >= 1")
-    if rho_ul_w <= 0:
-        raise ValueError("pilot power must be positive")
+    check(locals(), beta=NONNEGATIVE, pilot_len=1, rho_ul_w=POSITIVE)
     arr = np.asarray(beta, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("beta must be nonnegative")
     out = 1.0 / (1.0 + pilot_len * rho_ul_w * arr)
     return float(out) if np.ndim(beta) == 0 else out

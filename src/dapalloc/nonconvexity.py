@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from dapalloc._fields import NONNEGATIVE, POSITIVE, check, require
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, _rate_rows, evaluate
 
 __all__ = [
@@ -82,8 +83,9 @@ def sum_rate_2ue(p1: float, p2: float, cfg: SystemConfig, ues: UeSet) -> float:
     Evaluated through the metrics module: total power p1 + p2 sets the
     amplifier operating point, the fractions set the per-user split.
     """
-    if p1 < 0 or p2 < 0 or p1 + p2 <= 0:
-        raise ValueError("need p1, p2 >= 0 with p1 + p2 > 0")
+    check(locals(), p1=NONNEGATIVE, p2=NONNEGATIVE)
+    if p1 + p2 <= 0:
+        raise ValueError("need p1 + p2 > 0")
     total = p1 + p2
     alloc = Allocation(total, np.array([p1 / total, p2 / total]))
     return evaluate(cfg, ues, alloc, precoder="zf").sum_rate
@@ -170,11 +172,12 @@ def hessian_eigs(
     the step flags probes whose eigenvalue signs or magnitudes are
     step-dependent (e.g. step below the rounding floor of the rate).
     """
+    for coordinate in probe_point:  # a pair of numbers, each checked as one
+        require("probe_point", coordinate, POSITIVE)
     p1, p2 = float(probe_point[0]), float(probe_point[1])
     if step is None:
         step = _DEFAULT_STEP_FACTOR * (p1 + p2)
-    if step <= 0:
-        raise ValueError("step must be positive")
+    require("step", step, POSITIVE)
     if p1 <= 2.0 * step or p2 <= 2.0 * step:
         raise ValueError("probe point too close to the axes for this step")
     (probe,) = _probes([(p1, p2)], [step], cfg, ues)
@@ -189,6 +192,7 @@ def _grid_probes(
     Each row is rated in one array block, so that the witness search
     can stop after the row that holds its witness.
     """
+    check(locals(), n_points=1, p_min=POSITIVE, p_max=POSITIVE)
     grid = np.geomspace(p_min, p_max, n_points).tolist()
     for p1 in grid:
         points, steps = [], []

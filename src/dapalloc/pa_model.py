@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dapalloc._fields import check
+from dapalloc._fields import BACKOFF, POSITIVE, check, require
 from dapalloc.numerics import erfc, erfcx, integrate_semi_infinite
 
 __all__ = [
@@ -75,7 +75,7 @@ class PaModel:
     smoothness_p: float = 2.0
 
     def __post_init__(self) -> None:
-        check(self, smoothness_p=0.0)
+        check(self, smoothness_p=POSITIVE)
         if self.kind not in (SOFT_LIMITER, RAPP):
             raise ValueError(f"unknown amplifier kind {self.kind!r}")
 
@@ -106,14 +106,7 @@ class PaOperatingPoint:
 def input_backoff(total_power_p, m_antennas: int, p_max: float):
     """Input back-off psi = M * p_max / P for a positive, finite total
     power P, or elementwise for an array of them."""
-    power = np.asarray(total_power_p)
-    # written so that NaN fails the comparison
-    if not np.all((power > 0) & (power < math.inf)):
-        raise ValueError("total power must be positive and finite")
-    if m_antennas < 1:
-        raise ValueError("antenna count must be >= 1")
-    if p_max <= 0:
-        raise ValueError("p_max must be positive")
+    check(locals(), total_power_p=POSITIVE, m_antennas=1, p_max=POSITIVE)
     return m_antennas * p_max / total_power_p
 
 
@@ -134,7 +127,7 @@ def _tail_term(psi):
     if small.any():
         out[small] = 0.5 * _SQRT_PI * root[small] * erfc(root[small])
     if not small.all():
-        rl = root[~small]
+        rl = np.minimum(root[~small], 1e3)  # the product is 0 past psi = 700; keeps inf * 0 out
         with np.errstate(under="ignore"):
             out[~small] = 0.5 * _SQRT_PI * rl * erfcx(rl) * _exp_neg(psi[~small])
     return out
@@ -148,12 +141,10 @@ def bussgang_gain_soft(psi):
     Monotone increasing from 0 at psi = 0 toward 1 as psi -> inf; precise
     small-psi behaviour is lambda ~ pi*psi/4.  Accepts scalars or arrays.
     """
+    require("psi", psi, BACKOFF)
     arr = np.asarray(psi, dtype=np.float64)
-    if (arr < 0).any():
-        raise ValueError("back-off must be nonnegative")
     base = -np.expm1(-arr) + _tail_term(arr)
     out = base * base
-    out = np.where(np.isinf(arr), 1.0, out)
     return float(out) if np.ndim(psi) == 0 else out
 
 
@@ -166,12 +157,10 @@ def distortion_coeff_soft(psi):
     below double-precision resolution of the subtraction and the result
     is clamped at 0.
     """
+    require("psi", psi, BACKOFF)
     arr = np.asarray(psi, dtype=np.float64)
-    if (arr < 0).any():
-        raise ValueError("back-off must be nonnegative")
     total = -np.expm1(-arr)
     out = np.maximum(total - bussgang_gain_soft(arr), 0.0)
-    out = np.where(np.isinf(arr), 0.0, out)
     return float(out) if np.ndim(psi) == 0 else out
 
 
@@ -203,10 +192,10 @@ def _rapp_moment(psi: float, p: float, exponent: float) -> float:
 
 def _rapp_per_point(psi: float, p: float, law) -> float:
     """``law(psi)`` at one back-off, after the Rapp model's input checks."""
-    if p <= 0:
-        raise ValueError("smoothness p must be positive")
-    if psi <= 0:
-        raise ValueError("back-off must be positive for the Rapp model")
+    require("psi", psi, BACKOFF)
+    require("p", p, POSITIVE)
+    if psi == 0.0:  # the law reads log(psi)
+        raise ValueError("psi must be positive for the Rapp model")
     return float(law(float(psi)))
 
 

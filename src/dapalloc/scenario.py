@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dapalloc._fields import check, require
+from dapalloc._fields import POSITIVE, REAL, check, require
 from dapalloc.metrics import UeSet, csi_error_factor
 
 __all__ = [
@@ -68,8 +68,9 @@ class ScenarioConfig:
     rho_ul_w: Optional[float] = None
 
     def __post_init__(self) -> None:
-        check(self, n_users=1, m_antennas=1, p_max=0.0, cell_radius_m=0.0, min_distance_m=0.0,
-              fc_ghz=0.0, n_subcarriers=1, delta_f_hz=0.0, seed=0, pilot_len=1, rho_ul_w=0.0)
+        check(self, n_users=1, m_antennas=1, p_max=POSITIVE, cell_radius_m=POSITIVE,
+              min_distance_m=POSITIVE, fc_ghz=POSITIVE, n_subcarriers=1, delta_f_hz=POSITIVE,
+              seed=0, pilot_len=1, rho_ul_w=POSITIVE)
         if self.m_antennas <= self.n_users:
             raise ValueError("need 1 <= n_users < m_antennas")
         if self.min_distance_m >= self.cell_radius_m:
@@ -106,11 +107,10 @@ def path_loss_db(d_m, fc_ghz: float):
     defined closer in), ``fc_ghz`` in GHz.  The linear channel gain is
     ``beta = 10**(-PL/10)``.
     """
+    check(locals(), d_m=POSITIVE, fc_ghz=POSITIVE)
     d = np.asarray(d_m, dtype=np.float64)
     if np.any(d < 1.0):
         raise ValueError("path-loss model requires distance >= 1 m")
-    if fc_ghz <= 0:
-        raise ValueError("carrier frequency must be positive")
     out = 22.7 + 36.7 * np.log10(d) + 26.0 * np.log10(fc_ghz)
     return float(out) if np.ndim(d_m) == 0 else out
 
@@ -120,8 +120,7 @@ def noise_power_w(n_subcarriers: int, delta_f_hz: float) -> float:
 
     -174 dBm/Hz + 10*log10(n_subcarriers * delta_f), converted to watts.
     """
-    if n_subcarriers < 1 or delta_f_hz <= 0:
-        raise ValueError("need a positive subcarrier grid")
+    check(locals(), n_subcarriers=1, delta_f_hz=POSITIVE)
     dbm = -174.0 + 10.0 * math.log10(n_subcarriers * delta_f_hz)
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
@@ -136,7 +135,8 @@ def drop_ues(sc: ScenarioConfig, drop_id: int) -> UeSet:
     Deterministic in (seed, drop_id): the same pair always produces the
     same UeSet, regardless of generation order or worker count.
     """
-    if drop_id < 0 or drop_id >= 2**64:
+    require("drop_id", drop_id, 0)
+    if drop_id >= 2**64:
         raise ValueError("drop_id must fit in 64 bits")
     # Generator identity (fixed for reproducibility): numpy Philox keyed
     # with (seed, drop_id); user k takes the first draw from the counter
@@ -166,7 +166,7 @@ def homogeneous_sweep(pl_db_grid: Sequence[float], sc: ScenarioConfig) -> list[U
     """One UeSet per grid value, all users at the same path loss."""
     out = []
     for pl in pl_db_grid:
-        require("pl_db_grid entries", pl, -math.inf)
+        require("pl_db_grid entries", pl, REAL)
         beta = np.full(sc.n_users, 10.0 ** (-float(pl) / 10.0))
         out.append(UeSet(beta=beta, noise_w=np.full(sc.n_users, sc.noise_w)))
     return out
@@ -179,16 +179,18 @@ def two_ue_grid(
 
     Returns the grid values and a nested list ``cells[i][j]`` holding the
     two-user set at (grid[i], grid[j]).  The grid is symmetric: swapping
-    the users maps cell (i, j) to (j, i).
+    the users maps cell (i, j) to (j, i).  A grid of more than 10^6 cells
+    (1,000 levels per axis) is rejected before any cell is built.
     """
     if sc.n_users != 2:
         raise ValueError("two_ue_grid requires a 2-user scenario config")
-    for name, value in (("lo_db", lo_db), ("hi_db", hi_db), ("step_db", step_db)):
-        require(name, value, -math.inf)  # a NaN or infinite end fails int(round(...)) below
-    if step_db <= 0 or hi_db < lo_db:
-        raise ValueError("need step_db > 0 and hi_db >= lo_db")
-    require("(hi_db - lo_db) / step_db", (hi_db - lo_db) / step_db, -math.inf)  # hi_db - lo_db may overflow
+    check(locals(), lo_db=REAL, hi_db=REAL, step_db=POSITIVE)  # before int(round(...)) below
+    if hi_db < lo_db:
+        raise ValueError("need hi_db >= lo_db")
+    require("(hi_db - lo_db) / step_db", (hi_db - lo_db) / step_db, REAL)  # hi_db - lo_db may overflow
     n = int(round((hi_db - lo_db) / step_db)) + 1
+    if n > 1000:  # 10^6 cells
+        raise ValueError(f"the grid would have {n * n:,} cells, more than 1,000,000")
     grid = lo_db + step_db * np.arange(n)
     noise = np.full(2, sc.noise_w)
     cells: list[list[UeSet]] = []

@@ -37,6 +37,10 @@ def test_ccdf_frozen():
     assert s.label == "x"
     with pytest.raises(ValueError):
         ccdf([])
+    # a failed drop's NaN sum rate sorted last and became the curve's top point
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            ccdf([bad, 1.0, 2.0])
 
 
 def test_drop_result_rejects_unknown_label():
@@ -63,11 +67,19 @@ MODES = {
 }
 
 
-@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("mode", [*MODES, "grid_2ue"])
 def test_montecarlo_deterministic_across_workers(mode):
     """Worker count is an implementation detail: results must be identical.
     So is the chunking: the serial run solves 7 drops as one chunk, two
-    workers as chunks of 3 and 4."""
+    workers as chunks of 3 and 4.  The same holds for grid cells."""
+    if mode == "grid_2ue":
+        sc = ScenarioConfig(n_users=2, m_antennas=64, p_max=0.1, seed=17)
+        grid = two_ue_grid(80.0, 120.0, 20.0, sc)  # 3 x 3 cells
+        serial, parallel = (grid_2ue(sc, grid, workers=w) for w in (1, 2))
+        assert len(serial) == 9 and [list(r) for r in serial] == [list(r) for r in parallel]
+        for a, b in zip(serial, parallel):
+            assert np.array(list(a.values())).tobytes() == np.array(list(b.values())).tobytes()
+        return
     for n_drops in (6, 7):
         for serial, parallel in zip(MODES[mode](1, n_drops), MODES[mode](2, n_drops), strict=True):
             _assert_bitwise_equal(serial, parallel)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from dapalloc import scenario
 from dapalloc.scenario import (
     ScenarioConfig,
     drop_ues,
@@ -195,6 +196,17 @@ def test_two_ue_grid_names_an_end_that_is_no_finite_number(name, bad, kind):
     ends = {"lo_db": 60.0, "hi_db": 100.0, "step_db": 5.0, name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be {kind}$"):
         two_ue_grid(ends["lo_db"], ends["hi_db"], ends["step_db"], _sc(n_users=2))
+
+
+def test_two_ue_grid_rejects_more_than_a_million_cells_before_building_one(monkeypatch):
+    # 0.01 dB over the default 60-150 dB is 9,001 levels, 81,018,001 cells
+    built = []
+    monkeypatch.setattr(scenario, "UeSet", lambda **kw: built.append(kw))
+    with pytest.raises(ValueError, match="^the grid would have 81,018,001 cells, more than 1,000,000$"):
+        two_ue_grid(60.0, 150.0, 0.01, _sc(n_users=2))
+    with pytest.raises(ValueError, match="^the grid would have 1,002,001 cells, more than 1,000,000$"):
+        two_ue_grid(0.0, 1000.0, 1.0, _sc(n_users=2))  # one level more than 1,000
+    assert built == []
 
 
 @pytest.mark.parametrize("lo, hi, step", [(-1e308, 1e308, 1.0), (0.0, 1e300, 1e-300)])
