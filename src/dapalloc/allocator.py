@@ -157,7 +157,8 @@ def _ao_rows(
     The first round, at equal fractions, is DAPA-E's solve, taken from
     :func:`_equal_split` and its memo of the last chunk.  Later rounds
     bracket each row with that round's per-user Lambert-W bounds of the
-    users they keep, computing no new bounds.
+    users they keep, computing no new bounds, and guess its bisection at
+    its last power, which saves derivative calls and moves no bit.
     """
     if delta is None:
         delta = default_delta(cfg)
@@ -178,7 +179,7 @@ def _ao_rows(
                 [omega[r] for r in open_rows],
                 cfg,
                 delta,
-                _bounds=[bounds[r] for r in open_rows],
+                _bounds=[(*bounds[r], prev_power[r]) for r in open_rows],
             )
         rows, powers = [], []
         for r, result in zip(open_rows, results):

@@ -362,12 +362,19 @@ def grid_2ue(
     ]
 
 
-def _quartiles(values: np.ndarray) -> dict:
-    clean = values[np.isfinite(values)]
-    if clean.size == 0:
-        return {"n": 0, "median": math.nan, "q1": math.nan, "q3": math.nan}
-    q1, q3 = np.percentile(clean, [25, 75])
-    return {"n": int(clean.size), "median": float(np.median(clean)), "q1": float(q1), "q3": float(q3)}
+def _quartiles(arrays: list) -> list[dict]:
+    """Count, median and quartiles of each array's finite values.  Arrays
+    with as many finite values share one numpy call per statistic, whose
+    rows have the bits of 1-D calls."""
+    clean = [values[np.isfinite(values)] for values in arrays]
+    out = [{"n": 0, "median": math.nan, "q1": math.nan, "q3": math.nan}] * len(clean)
+    for size in {values.size for values in clean} - {0}:
+        rows = [i for i, values in enumerate(clean) if values.size == size]
+        stack = np.array([clean[i] for i in rows])
+        stats = zip(np.median(stack, axis=1).tolist(), *np.percentile(stack, [25, 75], axis=1).tolist())
+        for i, (median, q1, q3) in zip(rows, stats):
+            out[i] = {"n": size, "median": median, "q1": q1, "q3": q3}
+    return out
 
 
 def summarize(results: Sequence[DropResult]) -> dict:
@@ -380,13 +387,12 @@ def summarize(results: Sequence[DropResult]) -> dict:
         )
         for label in labels
     }
+    # (label, key, values) of every statistic, rated in one _quartiles call
+    stats = []
     for label, rows in by_label.items():
-        summary["algorithms"][label] = {
-            "sum_rate": _quartiles(np.array([r.sum_rate for r in rows])),
-            "ibo_db": _quartiles(np.array([r.ibo_db for r in rows])),
-            "omega_max": _quartiles(np.array([r.omega_max for r in rows])),
-            "failures": sum(1 for r in rows if r.error is not None),
-        }
+        summary["algorithms"][label] = {"failures": sum(1 for r in rows if r.error is not None)}
+        for key in ("sum_rate", "ibo_db", "omega_max"):
+            stats.append((label, key, np.array([getattr(r, key) for r in rows])))
     if "REF-E" in by_label:
         ref = {r.drop_id: r.sum_rate for r in by_label["REF-E"]}
         for label, rows in by_label.items():
@@ -399,7 +405,9 @@ def summarize(results: Sequence[DropResult]) -> dict:
                     if r.drop_id in ref and math.isfinite(r.sum_rate)
                 ]
             )
-            summary["algorithms"][label]["sum_rate_ratio_vs_ref_e"] = _quartiles(ratios)
+            stats.append((label, "sum_rate_ratio_vs_ref_e", ratios))
+    for (label, key, _), quartiles in zip(stats, _quartiles([values for _, _, values in stats])):
+        summary["algorithms"][label][key] = quartiles
     return summary
 
 
@@ -414,7 +422,7 @@ def write_drop_results_csv(results: Sequence[DropResult], path: str) -> None:
             f"drop_id,algorithm,sum_rate,total_power_p,ibo_db,omega_max,{rate_cols}\n"
         )
         for r in results:
-            rates = ",".join(f"{v:.17g}" for v in r.rates)
+            rates = ",".join(f"{v:.17g}" for v in r.rates.tolist())
             fh.write(
                 f"{r.drop_id},{r.algorithm},{r.sum_rate:.17g},"
                 f"{r.total_power_p:.17g},{r.ibo_db:.17g},{r.omega_max:.17g},{rates}\n"

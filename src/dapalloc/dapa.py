@@ -53,11 +53,13 @@ __all__ = [
 _GUARD_SAMPLES = 32
 _LOOKAHEAD_LEVELS = 5  # midpoint-tree levels per derivative call: 31 points
 _MIN_BRACKET_RATIO = 1e-13  # see root_bounds
-# libm's log, exp and expm1 elementwise: numpy's SIMD versions can differ
-# from them in the last bit, which could move a bracket end or a step.
-_log = np.vectorize(math.log, otypes=[np.float64])
-_exp = np.vectorize(math.exp, otypes=[np.float64])
-_expm1 = np.vectorize(math.expm1, otypes=[np.float64])
+
+
+def _libm(fn, x) -> np.ndarray:
+    """``fn``, a :mod:`math` function, elementwise: numpy's SIMD log, exp and
+    expm1 can differ from libm's in the last bit, which could move a step."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 class SolverError(RuntimeError):
@@ -157,7 +159,7 @@ def root_bounds(sigma2, beta, cfg: SystemConfig):
     check(locals(), sigma2=POSITIVE, beta=POSITIVE)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    log_ratio = _log(beta * ETA * cfg.m_antennas * cfg.p_max) - _log(sigma2)
+    log_ratio = _libm(math.log, beta * ETA * cfg.m_antennas * cfg.p_max) - _libm(math.log, sigma2)
     if (log_ratio < math.log(_MIN_BRACKET_RATIO)).any():
         ratio = math.exp(np.min(log_ratio))
         raise SolverError(
@@ -219,8 +221,8 @@ def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig)
     psi, lam, _, dist = _clipper_state(power, cfg)
     tail = _erfc_over_sqrt(psi)
     # 1 - e^-psi - psi e^-psi ~ psi^2 / 2 at small psi; expm1 avoids the cancellation
-    exp_neg = np.where(psi <= 700.0, _exp(-psi), 0.0)
-    common = np.sqrt(lam) * (-_expm1(-psi) - psi * exp_neg)
+    exp_neg = np.where(psi <= 700.0, _libm(math.exp, -psi), 0.0)
+    common = np.sqrt(lam) * (-_libm(math.expm1, -psi) - psi * exp_neg)
     out = np.empty(power.shape)
     for r, (ues, omega) in enumerate(zip(ues_rows, omega_rows)):
         beta, sigma2, w = _active(ues, omega)
@@ -249,7 +251,43 @@ def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first: Optional[np.ndarray] = None):
+def _guess_path(lo: float, hi: float, guess: float, delta: float) -> list:
+    """The midpoints below the ladder's levels that a walk from (lo, hi)
+    reads if every sign points toward ``guess``, down to where that walk
+    stops: an exact hit, one ulp, or ``delta`` with the root it returns."""
+    path = []
+    while True:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if hi - lo <= delta or mid in (guess, lo, hi):
+            return path[_LOOKAHEAD_LEVELS:]
+        lo, hi = (mid, hi) if guess > mid else (lo, mid)
+
+
+def _points(lo: np.ndarray, hi: np.ndarray, guess: Optional[np.ndarray], delta: float) -> np.ndarray:
+    """The powers one derivative call evaluates for each row: its ladder's
+    31 midpoints, then its path toward its guess, if any, padded with
+    repeats of the row's own points."""
+    ladder = _ladder(lo, hi)[:, 1:-1]
+    if guess is None:
+        return ladder
+    paths = [_guess_path(*row, delta) for row in zip(lo.tolist(), hi.tolist(), guess.tolist())]
+    width = max(map(len, paths))
+    points = np.empty((ladder.shape[0], ladder.shape[1] + width))
+    points[:, : ladder.shape[1]] = ladder
+    for row, path in zip(points, paths):
+        row[ladder.shape[1] :] = path + [row[0]] * (width - len(path))
+    return points
+
+
+def _column(points: list, a: int, b: int, depth: int, mid: float) -> Optional[int]:
+    """Where a row of :func:`_points` holds ``mid``, read ``depth`` steps into a call
+    between ladder ends ``a`` and ``b``: on the ladder, then on the path; None if missed."""
+    col = (a + b) // 2 - 1 if b - a > 1 else 2**_LOOKAHEAD_LEVELS - 1 + depth - _LOOKAHEAD_LEVELS
+    return col if col < len(points) and points[col] == mid else None
+
+
+def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first=None, guess=None):
     """Sign bisection of the derivative on a chunk of N brackets in
     lockstep; returns (midpoints, steps, derivative at each midpoint),
     one per row.
@@ -260,60 +298,58 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first: Optional[np.nd
     before it reaches ``delta``).
 
     Look-ahead: one ``sum_rate_derivative`` call, read through the module
-    name so that a test may replace it, covers the next
-    ``_LOOKAHEAD_LEVELS`` levels of midpoints (31 points) of every open
-    row.  Each row's walk reads only its own path's signs, so its bits,
-    and any NaN it meets, are those of one call per step.  ``first``, if
-    given, holds the derivative at every row's first ladder,
-    ``_ladder(lo, hi)`` with both ends, and stands in for the first call.
+    name so that a test may replace it, covers every open row's
+    :func:`_points`: the next ``_LOOKAHEAD_LEVELS`` levels of midpoints
+    (31 points) and, for a row with a ``guess``, the deeper path that a
+    walk toward it takes.  Each step reads its midpoint's sign off the
+    last call's points, matched by exact float equality, and the row
+    waits for the next call at the first midpoint the call missed; so
+    each row's bits, and any NaN it meets, are those of one call per
+    step, and a wrong guess costs points, never levels.  ``first``, if
+    given, is a (points, values) pair over every row that stands in for
+    the first call.
 
-    A row that stops at an exact zero or one ulp, or at ``delta`` before
-    its walk used every level, returns a midpoint of its ladder, whose
-    derivative is already known; one that stops on the last level, or
-    never walks, gets NaN.
+    A row returns the derivative at its root when the last call
+    evaluated it there, and NaN when it stopped at ``delta`` past the
+    points of that call, or never walked.
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
+    guess = None if guess is None else np.asarray(guess, dtype=np.float64)
     root = 0.5 * (lo + hi)
     at_root = np.full(lo.size, np.nan)
     steps = np.zeros(lo.size, dtype=np.int64)
     open_rows = np.flatnonzero(hi - lo > delta)
     while open_rows.size:
-        ends = _ladder(lo[open_rows], hi[open_rows])
         if first is not None:
-            values, first = first[open_rows, 1:-1], None
+            (points, values), first = first, None
+            points, values = points[open_rows], values[open_rows]
         else:
+            points = _points(lo[open_rows], hi[open_rows], None if guess is None else guess[open_rows], delta)
             values = sum_rate_derivative(
-                ends[:, 1:-1], [ues_rows[r] for r in open_rows], [omega_rows[r] for r in open_rows], cfg
+                points, [ues_rows[r] for r in open_rows], [omega_rows[r] for r in open_rows], cfg
             )
         still_open = []
-        for i, r in enumerate(open_rows):
+        for r, row_points, row_values in zip(open_rows.tolist(), points.tolist(), values.tolist()):
             row_lo, row_hi, n = float(lo[r]), float(hi[r]), int(steps[r])
-            a, b = 0, ends.shape[1] - 1  # (lo, hi) == (ends[a], ends[b])
-            stop = None
-            while b - a > 1 and row_hi - row_lo > delta:
-                m = (a + b) // 2
-                mid = float(ends[i, m])
-                s = int(np.sign(values[i, m - 1]))  # int(nan) raises
-                if s == 0:  # exact stationary point
-                    stop, n = mid, n + 1
+            a, b, depth = 0, 2**_LOOKAHEAD_LEVELS, 0  # (row_lo, row_hi) are the ladder's ends a and b
+            while True:
+                mid = 0.5 * (row_lo + row_hi)
+                col = _column(row_points, a, b, depth, mid)
+                if row_hi - row_lo <= delta or col is None:  # at delta, mid is the root
                     break
-                n += 1
+                s = int(np.sign(row_values[col]))  # int(nan) raises
+                n, depth = n + 1, depth + 1
                 step = (mid, row_hi) if s > 0 else (row_lo, mid)
-                if step == (row_lo, row_hi):  # one ulp wide: mid is lo or hi
-                    stop = mid
+                if s == 0 or step == (row_lo, row_hi):  # exact stationary point, or one ulp
                     break
                 row_lo, row_hi = step
-                a, b = (m, b) if s > 0 else (a, m)
+                a, b = ((a + b) // 2, b) if s > 0 else (a, (a + b) // 2)
             lo[r], hi[r], steps[r] = row_lo, row_hi, n
-            if stop is not None:
-                root[r], at_root[r] = stop, values[i, m - 1]
-            elif row_hi - row_lo > delta:
+            if row_hi - row_lo > delta and col is None:
                 still_open.append(r)
             else:
-                root[r] = 0.5 * (row_lo + row_hi)
-                if b - a > 1:  # ends[(a + b) // 2] is that midpoint, bit for bit
-                    at_root[r] = values[i, (a + b) // 2 - 1]
+                root[r], at_root[r] = mid, np.nan if col is None else row_values[col]
         open_rows = np.array(still_open, dtype=np.intp)
     return root, steps, at_root
 
@@ -342,14 +378,16 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, 
     midpoints per derivative call, and the guard rates its 32 samples in
     one call.  Every bit is that of one scalar call per point.
 
-    Derivative calls per solve: one per five bisection levels, the first
-    of which also holds the bracket ends that the sign check reads (33
-    points), and as many for a guard re-bisection.  The residual reads
-    the derivative at the returned power off the last ladder when the
-    walk stopped on it: at an exact zero, at one ulp, or at ``delta``
-    before the ladder's last level.  One more call, over the rows of a
-    chunk that need it, covers the rest: walks that stopped on the last
-    level, brackets already within ``delta``, and roots the guard moved.
+    Derivative calls per solve: each covers at least five bisection
+    levels, and the path a walk toward a guessed root would take (the
+    smallest per-user bound midpoint, or the optimizer's last power), so
+    a walk that goes where its guess points ends in one call.  The first
+    call also holds the bracket ends that the sign check reads; a guard
+    re-bisection walks unguessed.  The residual reads the derivative at
+    the returned power off the last call when it evaluated that power.
+    One more call, over the rows of a chunk that need it, covers the
+    rest: walks that stopped at ``delta`` past their points, brackets
+    already within ``delta``, and roots the guard moved.
 
     A chunk -- ``ues`` and ``omega`` sequences of N user sets and
     fractions sharing ``cfg`` and ``delta`` -- is solved in lockstep and
@@ -361,7 +399,8 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, 
     derivative models; any other raises ``ValueError``.
 
     ``_bounds`` is private to the alternating optimizer, whose later
-    rounds pass each set's per-user Lambert-W bounds from its first.
+    rounds pass each set's per-user Lambert-W bounds from its first and
+    its last power as the guess.
     """
     if isinstance(ues, UeSet):  # one user set: the chunk with N = 1
         return _unwrap(_solve_rows([ues], [omega], cfg, delta, _bounds))
@@ -405,7 +444,7 @@ def _solve_rows(
 
     ``bounds``, if given, holds each set's per-user bounds over all of
     its users (or their error), as :func:`_user_bounds` gives them, and
-    no :func:`root_bounds` call is made.
+    maybe a guess after them; no :func:`root_bounds` call is made.
     """
     if cfg.pa.kind != SOFT_LIMITER:
         raise ValueError(f"pa must be {SOFT_LIMITER!r}, the only amplifier the derivative models")
@@ -420,25 +459,29 @@ def _solve_rows(
         bounds = _user_bounds([beta for beta, _, _ in users], [sigma2 for _, sigma2, _ in users], cfg)
     else:
         bounds = [
-            row if isinstance(row, Exception) else (row[0][omega > 0.0], row[1][omega > 0.0])
+            row if isinstance(row, Exception) else (row[0][omega > 0.0], row[1][omega > 0.0], *row[2:])
             for row, omega in zip(bounds, omega_rows, strict=True)
         ]
-    # Each row's bracket spans its active users' bounds; errors stay, the
-    # rest are replaced.
+    # Each row's bracket spans its active users' bounds, and its guess is
+    # the power passed with them or its smallest bound midpoint; errors
+    # stay, the rest are replaced.
     outcomes: list = [
-        row if isinstance(row, Exception) else (float(np.min(row[0])), float(np.max(row[1])))
+        row
+        if isinstance(row, Exception)
+        else (np.min(row[0]), np.max(row[1]), *(row[2:] or [np.min(row[0] + row[1]) / 2]))
         for row in bounds
     ]
     rows = [r for r, bracket in enumerate(outcomes) if not isinstance(bracket, Exception)]
     if not rows:
         return outcomes
-    lo, hi = np.array([outcomes[r] for r in rows]).T
+    lo, hi, guess = np.array([outcomes[r] for r in rows]).T
     ues_rows = [ues_rows[r] for r in rows]
     omega_rows = [omega_rows[r] for r in rows]
-    # The sign check reads the ends of the bisection's first ladder, so
-    # one derivative call serves both.
-    ladder = sum_rate_derivative(_ladder(lo, hi), ues_rows, omega_rows, cfg)
-    d_lo, d_hi = ladder[:, 0], ladder[:, -1]
+    # The sign check reads the bracket ends, evaluated with the walk's
+    # first points, so one derivative call serves both.
+    points = np.column_stack([lo, hi, _points(lo, hi, guess, delta)])
+    values = sum_rate_derivative(points, ues_rows, omega_rows, cfg)
+    d_lo, d_hi = values[:, 0], values[:, 1]
     violated = (d_lo < 0.0) | (d_hi > 0.0)
     for i in np.flatnonzero(violated):
         outcomes[rows[i]] = SolverError(
@@ -461,7 +504,9 @@ def _solve_rows(
     omega_rows = [omega_rows[i] for i in keep]
     lo, hi, d_lo = lo[keep], hi[keep], d_lo[keep]
 
-    roots, iterations, d_root = _walk(lo, hi, delta, ues_rows, omega_rows, cfg, ladder[keep])
+    roots, iterations, d_root = _walk(
+        lo, hi, delta, ues_rows, omega_rows, cfg, (points[keep, 2:], values[keep, 2:]), guess[keep]
+    )
     # Multi-root guard: scan each bracket for a better objective.  Column
     # 0 rates the root, as evaluate would.
     samples = np.array([np.geomspace(a, b, _GUARD_SAMPLES) for a, b in zip(lo, hi)])

@@ -22,6 +22,7 @@ from dapalloc.metrics import UeSet
 from dapalloc.pa_model import ETA
 from dapalloc.scenario import ScenarioConfig, drop_ues
 from dapa_reference import bisect_walk
+from test_acceptance import _by_config, _random_instances
 from test_properties import PROPERTY, _stub_row, _stub_target, _stub_value
 
 SC = ScenarioConfig(n_users=60, m_antennas=64, p_max=0.1, cell_radius_m=2000.0, seed=2024)
@@ -360,6 +361,126 @@ def test_walk_returns_the_ladder_derivative_at_its_root(rows, log_delta):
             assert _bits(value) == _bits(_stub_value(root, *row_stub))
 
 
+# A guess at a stub row's root: its kind, a fraction of the bracket width,
+# and a midpoint-tree position (depth, turns) as _stub_target reads them.
+_stub_guess = st.tuples(
+    st.sampled_from(["inside", "below", "above", "lo", "hi", "ladder", "deep", "diverging"]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 64),
+    st.integers(0, 2**64 - 1),
+)
+
+
+def _guess_at(kind, fraction, depth, turns, lo, hi, row_depth, row_turns):
+    width = hi - lo
+    return {
+        "inside": lo + fraction * width,
+        "below": lo - fraction * width,
+        "above": hi + fraction * width,
+        "lo": lo,
+        "hi": hi,
+        # a midpoint on the ladder's levels, and one at any depth, where the path stops
+        "ladder": _stub_target(lo, hi, depth % dapa._LOOKAHEAD_LEVELS, turns),
+        "deep": _stub_target(lo, hi, depth, turns),
+        # the root's own turns with the first one flipped: the paths part at once
+        "diverging": _stub_target(lo, hi, max(row_depth, 1), row_turns ^ 1),
+    }[kind]
+
+
+def _stub(p, ues, *rest):
+    """A stub derivative: row r's values are its (target, exact) stub's."""
+    if isinstance(ues, tuple):  # the sequential walk's one-set form
+        return _stub_value(p, *ues)
+    return np.array([_stub_value(row, *row_stub) for row, row_stub in zip(p, ues)])
+
+
+def _stub_walks(rows, delta):
+    """The lockstep walk on stub rows with their guesses, the same walk
+    with the guesses' paths removed, and each row alone through the
+    sequential walk: (walk, calls per row, calls per row unguessed, the
+    sequential walks, the stubs)."""
+    brackets = [(lo, lo + 10.0**log_width) for (lo, log_width, *_), _ in rows]
+    stubs = [
+        (_stub_target(lo, hi, depth, turns), exact)
+        for (lo, hi), ((_, _, depth, turns, exact), _) in zip(brackets, rows)
+    ]
+    guesses = [
+        _guess_at(*guess, lo, hi, depth, turns)
+        for (lo, hi), ((_, _, depth, turns, _), guess) in zip(brackets, rows)
+    ]
+
+    def walk():
+        calls = [0] * len(stubs)
+
+        def counted(p, ues, *rest):
+            for row_stub in ues:
+                calls[next(i for i, s in enumerate(stubs) if s is row_stub)] += 1
+            if max(calls) > 200:  # a row of these walks takes at most about 70 steps
+                raise AssertionError("walk does not terminate")
+            return _stub(p, ues, *rest)
+
+        with mock.patch.object(dapa, "sum_rate_derivative", counted):
+            walked = dapa._walk(
+                [lo for lo, _ in brackets], [hi for _, hi in brackets], delta, stubs, [None] * len(rows),
+                None, guess=guesses,
+            )
+        return walked, calls
+
+    walked, calls = walk()
+    with mock.patch.object(dapa, "_guess_path", lambda *args: []):
+        _, unguessed = walk()
+    with mock.patch.object(dapa, "sum_rate_derivative", _stub):
+        slow = [bisect_walk(lo, hi, delta, stub, None, None) for (lo, hi), stub in zip(brackets, stubs)]
+    return walked, calls, unguessed, slow, stubs
+
+
+# Rows that stop at an exact zero (guessed exactly), at one ulp and at
+# delta, and guesses at the bracket's ends, outside it, on a ladder
+# midpoint and on a path that parts from the root's at the first level.
+_GUESSED_ROWS = [
+    ((1.0, 0.0, 7, 0b1011001, True), ("deep", 0.0, 7, 0b1011001)),
+    ((1e5, 0.0, 64, 12345, False), ("inside", 0.3, 0, 0)),
+    ((1e-6, -3.0, 64, 99, False), ("below", 0.5, 0, 0)),
+    ((2.0, 1.0, 40, 2**40 - 1, False), ("hi", 0.0, 0, 0)),
+    ((3.0, 2.0, 33, 0, True), ("lo", 0.0, 0, 0)),
+]
+_MORE_GUESSED_ROWS = [
+    ((1.0, 0.0, 30, 0b10110, False), ("diverging", 0.0, 0, 0)),
+    ((1.0, -2.0, 30, 0b10110, True), ("ladder", 0.0, 3, 0b101)),
+    ((5.0, 0.5, 50, 987654321, False), ("above", 0.7, 0, 0)),
+]
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    rows=st.lists(st.tuples(_stub_row, _stub_guess), min_size=2, max_size=5), log_delta=st.floats(-16.0, 0.0)
+)
+@example(rows=_GUESSED_ROWS, log_delta=-12.0)
+@example(rows=_MORE_GUESSED_ROWS, log_delta=-9.0)
+def test_speculative_walk_is_the_plain_walk_in_no_more_calls(rows, log_delta):
+    # On stub derivatives, with any guess: each row returns the
+    # sequential walk's root and steps and, when it knows it, the
+    # derivative at its root, bit for bit; it knows it at an exact zero
+    # and at one ulp.  No row makes more derivative calls than it does
+    # with its guess's path removed.
+    (roots, steps, at_root), calls, unguessed, slow, stubs = _stub_walks(rows, 10.0**log_delta)
+    for root, n, value, (root_1, n_1, stop), row_stub in zip(roots, steps, at_root, slow, stubs):
+        assert (_bits(root), n) == (_bits(root_1), n_1)
+        if np.isnan(value):
+            assert stop == "delta"
+        else:
+            assert _bits(value) == _bits(_stub_value(root_1, *row_stub))
+    assert all(c <= c_1 for c, c_1 in zip(calls, unguessed))
+
+
+def test_pinned_guessed_walks_stop_by_every_rule_and_save_calls():
+    # The first pinned example ends by every stop rule, and each of its
+    # guesses leads its walk part of the way, so saves calls.
+    _, calls, unguessed, slow, _ = _stub_walks(_GUESSED_ROWS, 1e-12)
+    assert {stop for _, _, stop in slow} == {"zero", "ulp", "delta"}
+    assert all(c < c_1 for c, c_1 in zip(calls, unguessed))
+
+
 def test_later_rounds_are_plain_solves_at_their_fractions(ao_runs):
     # Later rounds bracket from the first round's per-user bounds; each
     # round's power is bitwise a fresh solve at the last round's fractions,
@@ -369,3 +490,82 @@ def test_later_rounds_are_plain_solves_at_their_fractions(ao_runs):
             fresh = solve_dapa(ues, omega, CFG)
             expected = last if fresh.sum_rate < rate else fresh.total_power_p
             assert _bits(power) == _bits(expected)
+
+
+def _awkward(case):
+    """(cfg, chunk, delta, max_iters) of an optimizer run whose guesses are awkward."""
+    if case == "drops-5":
+        return CFG, DROPS, None, 5
+    # c13's 500 instances in its config chunks; chunk 4 keeps a last power
+    # once, and chunk 7 has a last power outside its next bracket
+    cfg, chunk = list(_by_config(_random_instances(np.random.default_rng(13), 500)))[
+        {"c13-kept": 4, "c13-outside": 7}[case]
+    ]
+    return cfg, chunk, 1e-6 * cfg.m_antennas * cfg.p_max, 100
+
+
+@pytest.mark.parametrize("case", ["drops-5", "c13-kept", "c13-outside"])
+def test_later_rounds_are_plain_solves_where_the_guess_is_awkward(case):
+    # A later round guesses its walk at the last power.  The guess is
+    # awkward where the round's active users change, so its bracket moves;
+    # where the last power lies outside that bracket; and where the ascent
+    # safeguard kept the last power.  Each round's power is still bitwise
+    # a fresh solve at the last round's fractions, or the kept power.
+    cfg, chunk, delta, max_iters = _awkward(case)
+    seen = {"moved": 0, "outside": 0, "kept": 0}
+    for ues, (_, trace) in zip(chunk, allocator._ao_rows(chunk, cfg, delta, max_iters), strict=True):
+        active = np.ones(ues.n_users, dtype=bool)  # the first round's fractions are equal
+        for (last, omega, rate), (power, _, _) in zip(trace.iterates, trace.iterates[1:]):
+            fresh = solve_dapa(ues, omega, cfg, delta)
+            kept = fresh.sum_rate < rate
+            assert _bits(power) == _bits(last if kept else fresh.total_power_p)
+            seen["moved"] += not np.array_equal(omega > 0.0, active)
+            seen["outside"] += not fresh.bracket_lo <= last <= fresh.bracket_hi
+            seen["kept"] += kept
+            active = omega > 0.0
+    premise = {"drops-5": ("moved", "kept"), "c13-kept": ("moved", "kept"), "c13-outside": ("outside",)}
+    assert all(seen[key] for key in premise[case]), seen
+
+
+def _derivative_calls_per_solve(monkeypatch):
+    """Run the optimizer on the lockstep chunk; return its outcomes and,
+    per total-power solve, each user set's derivative calls."""
+    log, calls = [], {}
+    derivative, solve = dapa.sum_rate_derivative, allocator.solve_dapa
+
+    def counted(p, ues_rows, *rest):
+        for ues in ues_rows:
+            calls[id(ues)] = calls.get(id(ues), 0) + 1
+        return derivative(p, ues_rows, *rest)
+
+    def logged(*args, **kwargs):
+        calls.clear()
+        outcomes = solve(*args, **kwargs)
+        log.append(dict(calls))
+        return outcomes
+
+    monkeypatch.setattr(dapa, "sum_rate_derivative", counted)
+    monkeypatch.setattr(allocator, "solve_dapa", logged)
+    monkeypatch.setattr(allocator, "_equal_split_memo", None, raising=False)
+    return allocator._ao_rows(CHUNK, CFG), log
+
+
+def test_guessed_solves_make_no_more_derivative_calls(monkeypatch):
+    # Every round's walk is guessed: the first at the smallest per-user
+    # bound midpoint, later ones at the last power.  Without the guesses'
+    # paths the optimizer gives the same bits, and no row of any solve
+    # makes fewer derivative calls.
+    guessed, log = _derivative_calls_per_solve(monkeypatch)
+    monkeypatch.undo()
+    monkeypatch.setattr(dapa, "_guess_path", lambda *args: [])
+    plain, plain_log = _derivative_calls_per_solve(monkeypatch)
+    for outcome, expected in zip(guessed, plain, strict=True):
+        if isinstance(outcome, Exception):
+            assert str(outcome) == str(expected)
+        else:
+            _same_run(outcome, expected)
+    assert len(log) == len(plain_log)
+    for calls, plain_calls in zip(log, plain_log):
+        assert calls.keys() == plain_calls.keys()
+        assert all(calls[row] <= plain_calls[row] for row in calls)
+    assert sum(map(sum, (c.values() for c in log))) < sum(map(sum, (c.values() for c in plain_log)))
