@@ -65,6 +65,18 @@ def _number_from(cfg: dict, key: str, default, kind):
     return value
 
 
+def _numbers_from(cfg: dict, key: str) -> np.ndarray:
+    """``cfg[key]``, a number or a list of them, as a float array.  A bool
+    or string fails by name here; a float conversion reads true as 1.0."""
+    value = cfg[key]
+    if isinstance(value, list):
+        for entry in value:
+            require(f"{key} entries", entry, REAL)
+    else:
+        require(key, value, REAL)
+    return np.asarray(value, dtype=np.float64)
+
+
 def _scenario_from(cfg: dict, seed: Optional[int]):
     from dapalloc.scenario import ScenarioConfig
 
@@ -89,14 +101,14 @@ def _ue_set_from(cfg: dict):
     if "beta" in cfg and "pl_db" in cfg:
         raise ValueError("give either 'beta' or 'pl_db', not both")
     if "beta" in cfg:
-        beta = np.asarray(cfg["beta"], dtype=np.float64)
+        beta = _numbers_from(cfg, "beta")
     elif "pl_db" in cfg:
-        beta = 10.0 ** (-np.asarray(cfg["pl_db"], dtype=np.float64) / 10.0)
+        beta = 10.0 ** (-_numbers_from(cfg, "pl_db") / 10.0)
     else:
         raise ValueError("config needs a 'beta' or 'pl_db' array")
     if "noise_w" not in cfg:
         raise ValueError("config needs 'noise_w' (scalar watts or per-user array)")
-    return UeSet(beta=beta, noise_w=np.asarray(cfg["noise_w"], dtype=np.float64))
+    return UeSet(beta=beta, noise_w=_numbers_from(cfg, "noise_w"))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

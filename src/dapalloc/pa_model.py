@@ -14,8 +14,9 @@ Two amplifier laws are supported:
   amplitude, hard-limited above.  Gain and distortion have closed forms
   in ``erfc``.
 * ``rapp`` -- smooth saturation with knee sharpness ``p``; the moments
-  have no closed form and are computed by Gaussian-decay quadrature
-  (``numerics.integrate_semi_infinite``).
+  have no closed form and are computed by a fixed Gauss-Legendre rule
+  (``numerics.integrate_semi_infinite``) with extra panel ends around
+  the knee t = sqrt(psi).
   As ``p -> inf`` the Rapp curves converge to the soft limiter.
 
 The fraction ``dist_coeff`` returned here is normalized to the input
@@ -164,6 +165,13 @@ def distortion_coeff_soft(psi):
     return float(out) if np.ndim(psi) == 0 else out
 
 
+# Panel ends of the Rapp moments, as multiples of the knee t = sqrt(psi):
+# a fixed spread around it, plus 1 +- j/p for j = 1, 2, 3, since the knee
+# sharpens to a corner as p grows.
+_KNEE_SPREAD = (0.25, 0.5, 0.8, 1.0, 1.25, 2.0, 4.0)
+_KNEE_STEPS = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
+
+
 def _rapp_moment(psi: float, p: float, exponent: float) -> float:
     """integral_0^inf 2 t^3 (1 + (t^2/psi)^p)^(exponent) exp(-t^2) dt.
 
@@ -173,21 +181,18 @@ def _rapp_moment(psi: float, p: float, exponent: float) -> float:
     """
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        out = np.zeros_like(t)
-        pos = t > 0.0
-        if pos.any():
-            tp = t[pos]
-            log_r = p * (2.0 * np.log(tp) - math.log(psi))
-            # log(1 + r^p): exact via log1p when r^p is representable,
-            # asymptotically log_r when it is astronomically large.
-            big = log_r > 50.0
-            log1p_rp = np.where(big, log_r, np.log1p(np.exp(np.minimum(log_r, 50.0))))
-            with np.errstate(under="ignore"):
-                out[pos] = 2.0 * tp**3 * np.exp(exponent * log1p_rp - tp * tp)
-        return out
+        log_r = p * (2.0 * np.log(t) - math.log(psi))
+        # log(1 + r^p): exact via log1p when r^p is representable,
+        # asymptotically log_r when it is astronomically large.
+        big = log_r > 50.0
+        log1p_rp = np.where(big, log_r, np.log1p(np.exp(np.minimum(log_r, 50.0))))
+        with np.errstate(under="ignore"):
+            return 2.0 * t**3 * np.exp(exponent * log1p_rp - t * t)
 
-    return integrate_semi_infinite(integrand)
+    knee = math.sqrt(psi)
+    scales = _KNEE_SPREAD + tuple(1.0 + j / p for j in _KNEE_STEPS)
+    # a scale <= 0 gives a break of 0, below 0 or (psi = inf) NaN; the rule ignores it
+    return integrate_semi_infinite(integrand, breaks=[knee * s for s in scales])
 
 
 def _rapp_per_point(psi: float, p: float, law) -> float:

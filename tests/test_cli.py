@@ -446,6 +446,34 @@ def test_solve_names_a_missing_user_key(tmp_path, capsys, drop, message):
     assert _read_error(capsys) == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"beta": ["1e-10", "2e-10"]}, "beta entries must be a number"),
+        ({"beta": [True, 1e-10]}, "beta entries must be a number"),
+        ({"beta": "1e-10"}, "beta must be a number"),
+        ({"pl_db": [True, 100]}, "pl_db entries must be a number"),
+        ({"pl_db": ["100"]}, "pl_db entries must be a number"),
+        ({"pl_db": False}, "pl_db must be a number"),
+        ({"noise_w": "7e-14"}, "noise_w must be a number"),
+        ({"noise_w": [True]}, "noise_w entries must be a number"),
+    ],
+    ids=["str-beta", "bool-beta", "str-beta-scalar", "bool-pl", "str-pl", "bool-pl-scalar",
+         "str-noise", "bool-noise"],
+)
+def test_solve_rejects_a_user_value_that_is_no_number(tmp_path, capsys, values, message):
+    # a float conversion read "1e-10" as 1e-10 and true as a 1 dB path loss,
+    # and the solve went on
+    payload = {**SOLVE_CFG, **values}
+    if "pl_db" in values:
+        del payload["beta"]
+    cfg = _write_cfg(tmp_path, payload)
+    out = tmp_path / "x"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert _read_error(capsys) == {"type": "ValueError", "message": message}
+    assert not out.exists()
+
+
 def test_sweep_homogeneous_default_grid(tmp_path, capsys):
     scenario = {"n_users": 2, "m_antennas": 16, "p_max": 0.1, "seed": 0}
     cfg = _write_cfg(tmp_path, {"scenario": scenario, "algorithms": ["REF-E"]})

@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from dapalloc import numerics
 from dapalloc.numerics import (
-    ConvergenceError,
     erfc,
     erfcx,
     integrate_semi_infinite,
@@ -183,11 +181,3 @@ class TestQuadrature:
     def test_non_vectorized_integrand_rejected(self):
         with pytest.raises(ValueError):
             integrate_semi_infinite(lambda t: 1.0)  # scalar, wrong shape
-
-    def test_subdivision_exhaustion(self, monkeypatch):
-        # a sharp ridge the seed grid cannot resolve within two splits
-        monkeypatch.setattr(numerics, "_QUAD_MAX_SPLITS", 2)
-        with pytest.raises(ConvergenceError):
-            integrate_semi_infinite(
-                lambda t: np.exp(-((t - 2.3) ** 2) * 1e6) + np.exp(-t * t) * np.sin(40 * t) ** 2
-            )
