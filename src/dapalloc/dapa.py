@@ -189,7 +189,16 @@ def _active(ues: UeSet, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ues.beta[active], ues.noise_w[active], omega[active]
 
 
-def sum_rate_derivative(total_power_p, ues, omega, cfg: SystemConfig):
+def _plan(ues: UeSet, active: tuple, cfg: SystemConfig) -> tuple:
+    """A row's derivative terms that stay fixed while P moves: its
+    :func:`_active` (beta, sigma2, w), the ZF gain, the power balance's
+    lead and the back-off scale."""
+    beta, sigma2, w = active
+    scale = (_SQRT_PI / 2.0) * beta * ETA * cfg.m_antennas * cfg.p_max
+    return beta, sigma2, w, zf_gain(cfg, ues), _balance_lead(sigma2, beta, cfg), scale
+
+
+def sum_rate_derivative(total_power_p, ues, omega, cfg: SystemConfig, *, _plans=None):
     """d(sum rate)/dP at fixed fractions, ideal-clipper amplifier.
 
     Each user contributes (positive rate-curvature factor) x (common
@@ -202,39 +211,42 @@ def sum_rate_derivative(total_power_p, ues, omega, cfg: SystemConfig):
     calls.  A chunk -- ``ues`` and ``omega`` sequences of N user sets and
     fractions, ``total_power_p`` an (N, n) array -- gives an (N, n)
     array whose row r is bitwise the call on row r alone.
+
+    ``_plans`` is private to the solver: each row's :func:`_plan`, built
+    once per solve, so that no call repeats the fractions check.
     """
     require("total_power_p", total_power_p, POSITIVE)
     if isinstance(ues, UeSet):  # one user set: the chunk with N = 1
         power = np.asarray(total_power_p, dtype=np.float64)
-        out = _derivative_rows(power.reshape(1, -1), [ues], [omega], cfg)
+        out = _derivative_rows(power.reshape(1, -1), [ues], [omega], cfg, _plans)
         return float(out[0, 0]) if power.ndim == 0 else out.reshape(power.shape)
-    return _derivative_rows(np.asarray(total_power_p, dtype=np.float64), ues, omega, cfg)
+    return _derivative_rows(np.asarray(total_power_p, dtype=np.float64), ues, omega, cfg, _plans)
 
 
-def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig) -> np.ndarray:
+def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig, plans=None) -> np.ndarray:
     """:func:`sum_rate_derivative` on a chunk: row r of ``power`` on row r's users.
 
     The terms that depend on P alone are computed once over every row's
     points; each row's user algebra and user sum run on its own active
-    users, so each sum has that row's length and bits.
+    users, so each sum has that row's length and bits.  Without
+    ``plans``, each row's :func:`_plan` is built here.
     """
     psi, lam, _, dist = _clipper_state(power, cfg)
     tail = _erfc_over_sqrt(psi)
     # 1 - e^-psi - psi e^-psi ~ psi^2 / 2 at small psi; expm1 avoids the cancellation
     exp_neg = np.where(psi <= 700.0, _libm(math.exp, -psi), 0.0)
     common = np.sqrt(lam) * (-_libm(math.expm1, -psi) - psi * exp_neg)
+    if plans is None:
+        plans = [_plan(ues, _active(ues, omega), cfg) for ues, omega in zip(ues_rows, omega_rows)]
     out = np.empty(power.shape)
-    for r, (ues, omega) in enumerate(zip(ues_rows, omega_rows)):
-        beta, sigma2, w = _active(ues, omega)
+    for r, (beta, sigma2, w, array_gain, lead, scale) in enumerate(plans):
         column, lam_r, dist_r = power[r, :, None], lam[r, :, None], dist[r, :, None]
-        array_gain = zf_gain(cfg, ues)
         denom = sigma2 + beta * dist_r
         gamma = array_gain * lam_r * w * column * beta / denom
         rate_factor = (
             cfg.bandwidth_hz / (math.log(2.0) * (1.0 + gamma)) * array_gain * w * beta / denom**2
         )
-        balance = _balance_lead(sigma2, beta, cfg) - tail[r, :, None]
-        scale = (_SQRT_PI / 2.0) * beta * ETA * cfg.m_antennas * cfg.p_max
+        balance = lead - tail[r, :, None]
         out[r] = np.sum(rate_factor * common[r, :, None] * scale * balance, axis=-1)
     return out
 
@@ -254,25 +266,39 @@ def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _guess_path(lo: float, hi: float, guess: float, delta: float) -> list:
     """The midpoints below the ladder's levels that a walk from (lo, hi)
     reads if every sign points toward ``guess``, down to where that walk
-    stops: an exact hit, one ulp, or ``delta`` with the root it returns."""
+    stops: an exact hit, one ulp, or ``delta`` with the root it returns
+    and, below the ladder's leaves, the root of a walk that parts from
+    the path at that last step."""
     path = []
     while True:
         mid = 0.5 * (lo + hi)
         path.append(mid)
         if hi - lo <= delta or mid in (guess, lo, hi):
+            if hi - lo <= delta and len(path) > _LOOKAHEAD_LEVELS + 1:
+                path.append(0.5 * (sibling[0] + sibling[1]))
             return path[_LOOKAHEAD_LEVELS:]
-        lo, hi = (mid, hi) if guess > mid else (lo, mid)
+        (lo, hi), sibling = ((mid, hi), (lo, mid)) if guess > mid else ((lo, mid), (mid, hi))
 
 
 def _points(lo: np.ndarray, hi: np.ndarray, guess: Optional[np.ndarray], delta: float) -> np.ndarray:
     """The powers one derivative call evaluates for each row: its ladder's
-    31 midpoints, then its path toward its guess, if any, padded with
-    repeats of the row's own points."""
-    ladder = _ladder(lo, hi)[:, 1:-1]
-    if guess is None:
-        return ladder
-    paths = [_guess_path(*row, delta) for row in zip(lo.tolist(), hi.tolist(), guess.tolist())]
+    31 midpoints, then its path toward its guess, if any, and the 32
+    midpoints of its ladder's leaves if a walk can stop at ``delta`` on
+    a leaf (its root is then that leaf's midpoint), padded with repeats
+    of the row's own points."""
+    ends = _ladder(lo, hi)
+    ladder = ends[:, 1:-1]
+    paths = [[] for _ in ladder] if guess is None else [
+        _guess_path(*row, delta) for row in zip(lo.tolist(), hi.tolist(), guess.tolist())
+    ]
+    # a leaf at most delta wide below a wider bracket
+    leaf_stop = np.diff(ends, axis=1).min(axis=1) <= delta
+    leaf_stop &= (ends[:, 2::2] - ends[:, :-2:2]).max(axis=1) > delta
+    for r in np.flatnonzero(leaf_stop):
+        paths[r] += (0.5 * (ends[r, :-1] + ends[r, 1:])).tolist()
     width = max(map(len, paths))
+    if not width:
+        return ladder
     points = np.empty((ladder.shape[0], ladder.shape[1] + width))
     points[:, : ladder.shape[1]] = ladder
     for row, path in zip(points, paths):
@@ -287,7 +313,7 @@ def _column(points: list, a: int, b: int, depth: int, mid: float) -> Optional[in
     return col if col < len(points) and points[col] == mid else None
 
 
-def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first=None, guess=None):
+def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first=None, guess=None, plans=None):
     """Sign bisection of the derivative on a chunk of N brackets in
     lockstep; returns (midpoints, steps, derivative at each midpoint),
     one per row.
@@ -307,11 +333,14 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first=None, guess=Non
     each row's bits, and any NaN it meets, are those of one call per
     step, and a wrong guess costs points, never levels.  ``first``, if
     given, is a (points, values) pair over every row that stands in for
-    the first call.
+    the first call; ``plans``, if given, are the rows' :func:`_plan`.
 
     A row returns the derivative at its root when the last call
-    evaluated it there, and NaN when it stopped at ``delta`` past the
-    points of that call, or never walked.
+    evaluated it there, which :func:`_points` arranges for every stop
+    at ``delta`` on the ladder, on a leaf below it, and where a walk
+    parts from its guess's path; with ``first``, a bracket already
+    within ``delta`` reads its centre.  Elsewhere, which is rare, and
+    for a row that never walks without ``first``, it returns NaN.
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
@@ -319,15 +348,16 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first=None, guess=Non
     root = 0.5 * (lo + hi)
     at_root = np.full(lo.size, np.nan)
     steps = np.zeros(lo.size, dtype=np.int64)
-    open_rows = np.flatnonzero(hi - lo > delta)
+    # with first, a bracket already within delta reads its root off the ladder's centre
+    open_rows = np.arange(lo.size) if first is not None else np.flatnonzero(hi - lo > delta)
     while open_rows.size:
         if first is not None:
             (points, values), first = first, None
-            points, values = points[open_rows], values[open_rows]
         else:
             points = _points(lo[open_rows], hi[open_rows], None if guess is None else guess[open_rows], delta)
             values = sum_rate_derivative(
-                points, [ues_rows[r] for r in open_rows], [omega_rows[r] for r in open_rows], cfg
+                points, _pick(ues_rows, open_rows), _pick(omega_rows, open_rows), cfg,
+                _plans=_pick(plans, open_rows),
             )
         still_open = []
         for r, row_points, row_values in zip(open_rows.tolist(), points.tolist(), values.tolist()):
@@ -349,9 +379,16 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first=None, guess=Non
             if row_hi - row_lo > delta and col is None:
                 still_open.append(r)
             else:
+                if col is None and mid in row_points:  # a leaf's midpoint, or a path's sibling
+                    col = row_points.index(mid)
                 root[r], at_root[r] = mid, np.nan if col is None else row_values[col]
         open_rows = np.array(still_open, dtype=np.intp)
     return root, steps, at_root
+
+
+def _pick(items: Optional[list], index) -> Optional[list]:
+    """The items at ``index``, or None for None."""
+    return None if items is None else [items[i] for i in index]
 
 
 def default_delta(cfg: SystemConfig) -> float:
@@ -383,11 +420,11 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, 
     smallest per-user bound midpoint, or the optimizer's last power), so
     a walk that goes where its guess points ends in one call.  The first
     call also holds the bracket ends that the sign check reads; a guard
-    re-bisection walks unguessed.  The residual reads the derivative at
-    the returned power off the last call when it evaluated that power.
-    One more call, over the rows of a chunk that need it, covers the
-    rest: walks that stopped at ``delta`` past their points, brackets
-    already within ``delta``, and roots the guard moved.
+    re-bisection walks unguessed.  Every call reuses each row's plan,
+    its active users and the terms fixed in P, set up once per solve.
+    The residual reads the derivative at the returned power off the
+    walk's points, which hold the roots where a walk can stop (see
+    :func:`_walk`); the rows whose root the guard moved get one more call.
 
     A chunk -- ``ues`` and ``omega`` sequences of N user sets and
     fractions sharing ``cfg`` and ``delta`` -- is solved in lockstep and
@@ -475,12 +512,12 @@ def _solve_rows(
     if not rows:
         return outcomes
     lo, hi, guess = np.array([outcomes[r] for r in rows]).T
-    ues_rows = [ues_rows[r] for r in rows]
-    omega_rows = [omega_rows[r] for r in rows]
+    plans = [_plan(ues_rows[r], users[r], cfg) for r in rows]
+    ues_rows, omega_rows = _pick(ues_rows, rows), _pick(omega_rows, rows)
     # The sign check reads the bracket ends, evaluated with the walk's
     # first points, so one derivative call serves both.
     points = np.column_stack([lo, hi, _points(lo, hi, guess, delta)])
-    values = sum_rate_derivative(points, ues_rows, omega_rows, cfg)
+    values = sum_rate_derivative(points, ues_rows, omega_rows, cfg, _plans=plans)
     d_lo, d_hi = values[:, 0], values[:, 1]
     violated = (d_lo < 0.0) | (d_hi > 0.0)
     for i in np.flatnonzero(violated):
@@ -499,17 +536,15 @@ def _solve_rows(
     keep = np.flatnonzero(~violated)
     if not keep.size:
         return outcomes
-    rows = [rows[i] for i in keep]
-    ues_rows = [ues_rows[i] for i in keep]
-    omega_rows = [omega_rows[i] for i in keep]
+    rows, ues_rows, omega_rows, plans = (_pick(items, keep) for items in (rows, ues_rows, omega_rows, plans))
     lo, hi, d_lo = lo[keep], hi[keep], d_lo[keep]
 
     roots, iterations, d_root = _walk(
-        lo, hi, delta, ues_rows, omega_rows, cfg, (points[keep, 2:], values[keep, 2:]), guess[keep]
+        lo, hi, delta, ues_rows, omega_rows, cfg, (points[keep, 2:], values[keep, 2:]), guess[keep], plans
     )
     # Multi-root guard: scan each bracket for a better objective.  Column
     # 0 rates the root, as evaluate would.
-    samples = np.array([np.geomspace(a, b, _GUARD_SAMPLES) for a, b in zip(lo, hi)])
+    samples = np.geomspace(lo, hi, _GUARD_SAMPLES, axis=1)
     power = np.column_stack([roots, samples])
     _, lam, _, dist = _clipper_state(power, cfg)
     # row by row: a chunk of a whole run's drops stacked into one (N, 33, K)
@@ -524,8 +559,9 @@ def _solve_rows(
     if fired.size:
         sub_lo = samples[fired, np.maximum(i_best[fired] - 1, 0)]
         sub_hi = samples[fired, np.minimum(i_best[fired] + 1, _GUARD_SAMPLES - 1)]
+        sub_ues, sub_omega, sub_plans = (_pick(items, fired) for items in (ues_rows, omega_rows, plans))
         sub_roots, iterations[fired], _ = _walk(
-            sub_lo, sub_hi, delta, [ues_rows[i] for i in fired], [omega_rows[i] for i in fired], cfg
+            sub_lo, sub_hi, delta, sub_ues, sub_omega, cfg, plans=sub_plans
         )
         for i, sub_root in zip(fired, sub_roots):
             for candidate in (float(sub_root), float(samples[i, i_best[i]])):
@@ -535,12 +571,12 @@ def _solve_rows(
                     best_p[i] = candidate
                     d_root[i] = np.nan
 
-    # Rows without the derivative at their power from the walk get one call.
+    # Rows without the derivative at their power from the walk -- in
+    # practice those the guard moved -- get one call.
     fresh = np.flatnonzero(np.isnan(d_root))
     if fresh.size:
-        d_root[fresh] = _derivative_rows(
-            best_p[fresh, np.newaxis], [ues_rows[i] for i in fresh], [omega_rows[i] for i in fresh], cfg
-        )[:, 0]
+        fresh_ues, fresh_omega, fresh_plans = (_pick(items, fresh) for items in (ues_rows, omega_rows, plans))
+        d_root[fresh] = _derivative_rows(best_p[fresh, None], fresh_ues, fresh_omega, cfg, fresh_plans)[:, 0]
     d_root = np.abs(d_root)
     for i, r in enumerate(rows):
         outcomes[r] = DapaResult(

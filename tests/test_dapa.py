@@ -191,7 +191,7 @@ def test_derivative_sign_helper():
 
 def test_nan_derivative_stops_the_solver(monkeypatch):
     # a NaN derivative has no sign; bisection must fail, not pick a side
-    monkeypatch.setattr(dapa, "sum_rate_derivative", lambda p, *rest: np.full(np.shape(p), math.nan))
+    monkeypatch.setattr(dapa, "sum_rate_derivative", lambda p, *rest, **kwargs: np.full(np.shape(p), math.nan))
     with pytest.raises(ValueError):
         solve_dapa(_homog_ues(1), np.array([1.0]), _cfg())
 
@@ -217,9 +217,9 @@ def test_nan_off_the_visited_path_is_never_read(monkeypatch):
         expected = solve_dapa(ues, omega, cfg)
         visited = []
 
-        def recording(p, *rest):
+        def recording(p, *rest, **kwargs):
             visited.append(p)
-            return real(p, *rest)
+            return real(p, *rest, **kwargs)
 
         monkeypatch.setattr(dapa, "sum_rate_derivative", recording)
         bisect_on_sign(
@@ -228,8 +228,8 @@ def test_nan_off_the_visited_path_is_never_read(monkeypatch):
         on_path = visited + [expected.bracket_lo, expected.bracket_hi]
         injected = []
 
-        def nan_off_path(p, *rest):
-            values = real(p, *rest)
+        def nan_off_path(p, *rest, **kwargs):
+            values = real(p, *rest, **kwargs)
             if np.ndim(p) > 0:
                 values = np.where(np.isin(p, on_path), values, math.nan)
                 injected.append(int(np.isnan(values).sum()))
@@ -255,6 +255,20 @@ def test_batched_derivative_and_guard_rates_are_bitwise():
         rates = _rate_rows(cfg, ues.beta, ues.noise_w, powers, omega)[2]
         evaluated = [evaluate(cfg, ues, Allocation(float(p), omega)).sum_rate for p in powers]
         assert rates.tobytes() == np.array(evaluated).tobytes()
+
+
+def test_guard_samples_in_one_call_are_each_rows_own():
+    # The guard takes every row's 32 log-spaced samples from one
+    # np.geomspace call along axis 1; each row is bitwise the one-row
+    # call on its own bracket, for widths from 1e-12 to four decades
+    # above the bracket's lower end and 1 to 128 rows.
+    rng = np.random.default_rng(1800)
+    for n_rows in (1, 2, 3, 4, 8, 33, 128):
+        lo = 10.0 ** rng.uniform(-6.0, 4.0, size=n_rows)
+        hi = lo * (1.0 + 10.0 ** rng.uniform(-12.0, 4.0, size=n_rows))
+        grid = np.geomspace(lo, hi, dapa._GUARD_SAMPLES, axis=1)
+        rows = [np.geomspace(a, b, dapa._GUARD_SAMPLES) for a, b in zip(lo, hi)]
+        assert grid.tobytes() == np.array(rows).tobytes()
 
 
 # -------------------------------------------------------------- solve_dapa
@@ -339,11 +353,11 @@ def test_bisection_stops_at_a_one_ulp_bracket(monkeypatch):
     points = [0]
     real = dapa.sum_rate_derivative
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         points[0] += np.size(args[0])
         if points[0] > 1000:
             raise AssertionError("bisection does not terminate")
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(dapa, "sum_rate_derivative", counted)
     res = solve_dapa(ues, np.array([1.0]), cfg)

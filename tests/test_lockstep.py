@@ -93,9 +93,9 @@ def _negate_rows(monkeypatch, negated):
     """Make ``dapa.sum_rate_derivative`` flip its sign on the rows whose
     user set is one of ``negated`` (by identity)."""
 
-    def stub(p, ues_rows, omega_rows, cfg):
+    def stub(p, ues_rows, omega_rows, cfg, **kwargs):
         flip = np.array([any(ues is n for n in negated) for ues in ues_rows])
-        values = sum_rate_derivative(p, ues_rows, omega_rows, cfg)
+        values = sum_rate_derivative(p, ues_rows, omega_rows, cfg, **kwargs)
         return np.where(flip[:, None], -values, values)
 
     monkeypatch.setattr(dapa, "sum_rate_derivative", stub)
@@ -316,14 +316,13 @@ def test_derivative_residual_is_a_fresh_derivative_ratio(delta, monkeypatch):
     assert moved > 0
     if delta is None:
         assert stops == {"delta", "zero"}
-        # rows on the last level and moved rows are fresh, the rest not
-        assert moved < sum(fresh_rows) < len(sets)
+        assert any(stop == "delta" and steps % dapa._LOOKAHEAD_LEVELS == 0 for steps, stop in walks)
     elif delta == 1e-30:
         assert stops == {"ulp", "zero"}
-        assert sum(fresh_rows) == moved
     else:
         assert any(steps == 0 for steps, _ in walks)
-        assert sum(fresh_rows) == len(sets)
+    # the walk's points hold every root it returns; only the roots the guard moved are fresh
+    assert sum(fresh_rows) == moved
 
 
 @settings(PROPERTY, max_examples=150)
@@ -334,10 +333,10 @@ def test_derivative_residual_is_a_fresh_derivative_ratio(delta, monkeypatch):
     log_delta=-12.0,
 )
 def test_walk_returns_the_ladder_derivative_at_its_root(rows, log_delta):
-    # On stub derivatives: a row that stops at an exact zero or one ulp,
-    # or at delta before its ladder's last level, returns the derivative
-    # at its root; a row that stops on the last level, or never walks,
-    # returns NaN.
+    # On stub derivatives: a row that stops at an exact zero, at one ulp
+    # or at delta, on a ladder level or on the midpoints of its last
+    # level's leaves, returns the derivative at its root; a row that never
+    # walks returns NaN.
     delta = 10.0**log_delta
     brackets = [(lo, lo + 10.0**log_width) for lo, log_width, *_ in rows]
     stubs = [
@@ -345,7 +344,7 @@ def test_walk_returns_the_ladder_derivative_at_its_root(rows, log_delta):
         for (lo, hi), (_, _, depth, turns, exact) in zip(brackets, rows)
     ]
 
-    def stub(p, ues, *rest):
+    def stub(p, ues, *rest, **kwargs):
         if isinstance(ues, tuple):  # the sequential walk's one-set form
             return _stub_value(p, *ues)
         return np.array([_stub_value(row, *row_stub) for row, row_stub in zip(p, ues)])
@@ -356,7 +355,7 @@ def test_walk_returns_the_ladder_derivative_at_its_root(rows, log_delta):
         )
         slow = [bisect_walk(lo, hi, delta, row_stub, None, None) for (lo, hi), row_stub in zip(brackets, stubs)]
     for value, (root, steps, stop), row_stub in zip(at_root, slow, stubs):
-        assert np.isnan(value) == (stop == "delta" and steps % dapa._LOOKAHEAD_LEVELS == 0)
+        assert np.isnan(value) == (steps == 0)
         if not np.isnan(value):
             assert _bits(value) == _bits(_stub_value(root, *row_stub))
 
@@ -387,7 +386,7 @@ def _guess_at(kind, fraction, depth, turns, lo, hi, row_depth, row_turns):
     }[kind]
 
 
-def _stub(p, ues, *rest):
+def _stub(p, ues, *rest, **kwargs):
     """A stub derivative: row r's values are its (target, exact) stub's."""
     if isinstance(ues, tuple):  # the sequential walk's one-set form
         return _stub_value(p, *ues)
@@ -412,12 +411,12 @@ def _stub_walks(rows, delta):
     def walk():
         calls = [0] * len(stubs)
 
-        def counted(p, ues, *rest):
+        def counted(p, ues, *rest, **kwargs):
             for row_stub in ues:
                 calls[next(i for i, s in enumerate(stubs) if s is row_stub)] += 1
             if max(calls) > 200:  # a row of these walks takes at most about 70 steps
                 raise AssertionError("walk does not terminate")
-            return _stub(p, ues, *rest)
+            return _stub(p, ues, *rest, **kwargs)
 
         with mock.patch.object(dapa, "sum_rate_derivative", counted):
             walked = dapa._walk(
@@ -533,10 +532,10 @@ def _derivative_calls_per_solve(monkeypatch):
     log, calls = [], {}
     derivative, solve = dapa.sum_rate_derivative, allocator.solve_dapa
 
-    def counted(p, ues_rows, *rest):
+    def counted(p, ues_rows, *rest, **kwargs):
         for ues in ues_rows:
             calls[id(ues)] = calls.get(id(ues), 0) + 1
-        return derivative(p, ues_rows, *rest)
+        return derivative(p, ues_rows, *rest, **kwargs)
 
     def logged(*args, **kwargs):
         calls.clear()
@@ -569,3 +568,53 @@ def test_guessed_solves_make_no_more_derivative_calls(monkeypatch):
         assert calls.keys() == plain_calls.keys()
         assert all(calls[row] <= plain_calls[row] for row in calls)
     assert sum(map(sum, (c.values() for c in log))) < sum(map(sum, (c.values() for c in plain_log)))
+
+
+def test_each_solve_plans_its_rows_once_and_calls_again_only_for_moved_roots(monkeypatch):
+    # Every total-power solve of the optimizer on the lockstep chunk takes
+    # each row's active users, and so checks its fractions, exactly once,
+    # and never inside a derivative call.  The walk's points hold every
+    # root it returns, so a closing derivative call at the returned powers
+    # covers only the rows whose root the guard moved.
+    active, walk, rows, solve = dapa._active, dapa._walk, dapa._derivative_rows, allocator.solve_dapa
+    log, inside = [], [0]
+
+    def counted_active(ues, omega):
+        log[-1]["active"].append((id(ues), inside[0] > 0))
+        return active(ues, omega)
+
+    def spied_walk(lo, hi, delta, ues_rows, *rest, **kwargs):
+        roots, steps, at_root = walk(lo, hi, delta, ues_rows, *rest, **kwargs)
+        log[-1]["walks"].append(dict(zip(map(id, ues_rows), roots.tolist())))
+        return roots, steps, at_root
+
+    def spied_rows(power, ues_rows, *rest):
+        if power.shape[1] == 1:  # the closing call at the returned powers
+            log[-1]["closing"].extend(map(id, ues_rows))
+        inside[0] += 1
+        try:
+            return rows(power, ues_rows, *rest)
+        finally:
+            inside[0] -= 1
+
+    def logged(ues_rows, *args, **kwargs):
+        log.append({"rows": list(map(id, ues_rows)), "active": [], "walks": [], "closing": []})
+        outcomes = solve(ues_rows, *args, **kwargs)
+        log[-1]["powers"] = {
+            id(ues): res.total_power_p for ues, res in zip(ues_rows, outcomes) if isinstance(res, DapaResult)
+        }
+        return outcomes
+
+    monkeypatch.setattr(dapa, "_active", counted_active)
+    monkeypatch.setattr(dapa, "_walk", spied_walk)
+    monkeypatch.setattr(dapa, "_derivative_rows", spied_rows)
+    monkeypatch.setattr(allocator, "solve_dapa", logged)
+    monkeypatch.setattr(allocator, "_equal_split_memo", None, raising=False)
+    allocator._ao_rows(CHUNK, CFG)
+    assert len(log) > 5
+    for solved in log:
+        assert sorted(ues for ues, _ in solved["active"]) == sorted(solved["rows"])
+        assert not any(in_derivative for _, in_derivative in solved["active"])
+        walked = solved["walks"][0]  # the bisection; a guard re-walk comes after it
+        moved = {ues for ues, power in solved["powers"].items() if power != walked[ues]}
+        assert sorted(solved["closing"]) == sorted(moved)

@@ -73,7 +73,7 @@ def test_traced_rapp_chunk_equals_the_untraced_run(monkeypatch):
     # The tracer's wrappers and observers see every chunk argument of a
     # Rapp-mode run; one that breaks on a chunk, or a trace that moves a
     # bit of the results, fails here.
-    from dapalloc import bench
+    from dapalloc import bench, dapa
     from dapalloc.scenario import ScenarioConfig
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -82,6 +82,14 @@ def test_traced_rapp_chunk_equals_the_untraced_run(monkeypatch):
     sc = ScenarioConfig(n_users=4, m_antennas=8, p_max=0.1, seed=2024)
     plain = bench.evaluate_rapp_mode(sc, 2)
     tracer = tracing.Tracer()
+    evaluated = []  # per derivative evaluation: more than one power per row
+    rows = dapa._derivative_rows
+
+    def counted(power, *rest):
+        evaluated.append(power.shape[1] > 1)
+        return rows(power, *rest)
+
+    monkeypatch.setattr(dapa, "_derivative_rows", counted)
     with tracing.instrument(tracer):
         traced = bench.evaluate_rapp_mode(sc, 2)
     assert [list(map(_result_bits, rs)) for rs in traced] == [
@@ -89,6 +97,12 @@ def test_traced_rapp_chunk_equals_the_untraced_run(monkeypatch):
     ]
     assert all(r.error is None for rs in plain for r in rs)
     assert len(tracer.observed["rapp_psi"]) == 5  # 2 drops x 2 DAPA powers + 1 shared REF power
+    # every walk's derivative call, in every total-power solve, goes through the traced name
+    names = [tracer.names[i] for i in tracer.name_id]
+    solves = {i for i, name in enumerate(names) if name == "dapa.solve"}
+    walked = [p for name, p in zip(names, tracer.parent) if name == "dapa.derivative"]
+    assert solves and set(walked) == solves
+    assert len(walked) == sum(evaluated) > len(solves)
 
 
 def test_traced_scan_equals_the_untraced_run(monkeypatch):

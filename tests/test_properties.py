@@ -20,6 +20,7 @@ from dapalloc.dapa import SolverError, default_delta, power_balance, root_bounds
 from dapalloc.metrics import SystemConfig, UeSet
 from dapalloc.pa_model import ETA, input_backoff
 from dapa_reference import bisect_on_sign, bisect_walk
+from test_acceptance import NOISE_W, _homog_config, _sum_rate
 
 SIGMA2 = 7.2e-14
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -87,11 +88,11 @@ def test_solve_dapa_returns_or_raises_solver_error(problem):
     points = [0]
     real = dapa.sum_rate_derivative
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         points[0] += np.size(args[0])
         if points[0] > 2000:
             raise AssertionError("bisection does not terminate")
-        return real(*args)
+        return real(*args, **kwargs)
 
     with mock.patch.object(dapa, "sum_rate_derivative", counted):
         try:
@@ -152,7 +153,7 @@ def test_lookahead_bisection_matches_on_stub_derivatives(
     target = 0.5 * (a + b)
     points = [0]
 
-    def stub(p, *rest):
+    def stub(p, *rest, **kwargs):
         points[0] += np.size(p)
         if points[0] > 2000:
             raise AssertionError("bisection does not terminate")
@@ -201,7 +202,7 @@ def _stub_chunk(rows, delta):
     ]
     points = [0]
 
-    def stub(p, ues, *rest):
+    def stub(p, ues, *rest, **kwargs):
         points[0] += np.size(p)
         if points[0] > 20000:
             raise AssertionError("bisection does not terminate")
@@ -265,6 +266,23 @@ def _solved(strategy, ues, cfg):
 
 
 STRATEGY_PROPERTY = settings(PROPERTY, max_examples=60)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    m=st.sampled_from([32, 64, 128, 512]),
+    p_max=st.sampled_from([0.01, 0.1]),
+    pl_db=st.lists(st.floats(70.0, 150.0), min_size=2, max_size=8),
+)
+def test_dominance_ladder_on_generated_instances(m, p_max, pl_db):
+    # c07's three relations, each within 1e-9 relative, on instances
+    # drawn from the ranges of its 500 pinned ones: K 2 to 8, M in
+    # {32, 64, 128, 512}, a 10 or 100 mW cap, path loss 70 to 150 dB.
+    cfg = _homog_config(m, p_max)
+    ues = UeSet(beta=10.0 ** (-np.array(pl_db) / 10.0), noise_w=NOISE_W)
+    rate = {name: _sum_rate(cfg, ues, ALGORITHMS[name](ues, cfg)) for name in ALGORITHMS}
+    for better, worse in (("DAPA-FPDA", "DAPA-E"), ("DAPA-FPDA", "REF-FPDA"), ("REF-FPDA", "REF-E")):
+        assert rate[better] >= rate[worse] * (1.0 - 1e-9), (better, worse, rate)
 
 # Water-filling once lost the unit sum on this set: both breakpoints are
 # about 2.7e7, where mu - G_k cancels (REF-FPDA and DAPA-FPDA raised).
