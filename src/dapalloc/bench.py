@@ -190,12 +190,15 @@ def _run(
     Each solver failure is logged under ``unit`` and its set's id once
     every span is back, so the log is in (set, strategy) order.
     """
-    # a str is a sequence too: "REF-E" would read as five labels
-    if isinstance(algorithms, str) or len(algorithms) == 0:
+    # a str would read as five labels and a dict as its keys
+    is_str_list = isinstance(algorithms, (list, tuple)) and all(isinstance(a, str) for a in algorithms)
+    if not is_str_list or not algorithms:
         raise ValueError("algorithms must be a non-empty sequence of strategy labels")
-    for label in algorithms:
+    for i, label in enumerate(algorithms):
         if label not in ALGORITHMS:
             raise ValueError(f"unknown algorithm label {label!r}")
+        if label in algorithms[:i]:  # every result row would be written twice
+            raise ValueError(f"algorithms lists {label!r} twice")
     if isinstance(sets, list):
         n_sets, prebuilt = len(sets), sets
     else:

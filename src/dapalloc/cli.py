@@ -125,7 +125,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         m_antennas=cfg["m_antennas"], p_max=cfg["p_max"], bandwidth_hz=cfg["bandwidth_hz"]
     )
     label = cfg.get("algorithm", "DAPA-FPDA")
-    if label not in ALGORITHMS:
+    if not isinstance(label, str) or label not in ALGORITHMS:  # a list is unhashable
         raise ValueError(f"unknown algorithm label {label!r}")
     alloc = ALGORITHMS[label](ues, sys_cfg)
     report = evaluate(sys_cfg, ues, alloc, precoder="zf")

@@ -306,84 +306,57 @@ def _points(lo: np.ndarray, hi: np.ndarray, guess: Optional[np.ndarray], delta: 
     return points
 
 
-def _column(points: list, a: int, b: int, depth: int, mid: float) -> Optional[int]:
-    """Where a row of :func:`_points` holds ``mid``, read ``depth`` steps into a call
-    between ladder ends ``a`` and ``b``: on the ladder, then on the path; None if missed."""
-    col = (a + b) // 2 - 1 if b - a > 1 else 2**_LOOKAHEAD_LEVELS - 1 + depth - _LOOKAHEAD_LEVELS
-    return col if col < len(points) and points[col] == mid else None
-
-
-def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, first=None, guess=None, plans=None):
+def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, tables=None, guess=None, plans=None):
     """Sign bisection of the derivative on a chunk of N brackets in
-    lockstep; returns (midpoints, steps, derivative at each midpoint),
-    one per row.
+    lockstep; returns (midpoints, steps), one per row.
 
     Each row stops on its own: at an exact zero of the derivative, when
     its bracket is at most ``delta`` wide, or when a step leaves it
     unchanged (at P > delta / eps the bracket reaches one float ulp
     before it reaches ``delta``).
 
-    Look-ahead: one ``sum_rate_derivative`` call, read through the module
-    name so that a test may replace it, covers every open row's
-    :func:`_points`: the next ``_LOOKAHEAD_LEVELS`` levels of midpoints
-    (31 points) and, for a row with a ``guess``, the deeper path that a
-    walk toward it takes.  Each step reads its midpoint's sign off the
-    last call's points, matched by exact float equality, and the row
-    waits for the next call at the first midpoint the call missed; so
-    each row's bits, and any NaN it meets, are those of one call per
-    step, and a wrong guess costs points, never levels.  ``first``, if
-    given, is a (points, values) pair over every row that stands in for
-    the first call; ``plans``, if given, are the rows' :func:`_plan`.
-
-    A row returns the derivative at its root when the last call
-    evaluated it there, which :func:`_points` arranges for every stop
-    at ``delta`` on the ladder, on a leaf below it, and where a walk
-    parts from its guess's path; with ``first``, a bracket already
-    within ``delta`` reads its centre.  Elsewhere, which is rare, and
-    for a row that never walks without ``first``, it returns NaN.
+    Each row steps while its next midpoint is in its table, a
+    ``{power: derivative}`` dict (``tables[r]``, if given, which may
+    already hold values).  One ``sum_rate_derivative`` call, read through
+    the module name so that a test may replace it, adds the
+    :func:`_points` of every row whose midpoint is missing: the next
+    ``_LOOKAHEAD_LEVELS`` levels of midpoints (31 points), a ``guess``'s
+    path, and the roots where a walk below them can stop at ``delta``.
+    Each value is elementwise in P, so each step has the bits of one call
+    at its midpoint; a row reads only its own path, so a NaN elsewhere
+    is never read, and a wrong guess costs points, never levels.
+    ``plans``, if given, are the rows' :func:`_plan`.
     """
-    lo = np.array(lo, dtype=np.float64)
-    hi = np.array(hi, dtype=np.float64)
+    lo, hi = np.array([lo, hi], dtype=np.float64)
     guess = None if guess is None else np.asarray(guess, dtype=np.float64)
-    root = 0.5 * (lo + hi)
-    at_root = np.full(lo.size, np.nan)
+    tables = [{} for _ in range(lo.size)] if tables is None else tables
     steps = np.zeros(lo.size, dtype=np.int64)
-    # with first, a bracket already within delta reads its root off the ladder's centre
-    open_rows = np.arange(lo.size) if first is not None else np.flatnonzero(hi - lo > delta)
-    while open_rows.size:
-        if first is not None:
-            (points, values), first = first, None
-        else:
-            points = _points(lo[open_rows], hi[open_rows], None if guess is None else guess[open_rows], delta)
-            values = sum_rate_derivative(
-                points, _pick(ues_rows, open_rows), _pick(omega_rows, open_rows), cfg,
-                _plans=_pick(plans, open_rows),
-            )
-        still_open = []
-        for r, row_points, row_values in zip(open_rows.tolist(), points.tolist(), values.tolist()):
-            row_lo, row_hi, n = float(lo[r]), float(hi[r]), int(steps[r])
-            a, b, depth = 0, 2**_LOOKAHEAD_LEVELS, 0  # (row_lo, row_hi) are the ladder's ends a and b
-            while True:
+    open_rows = list(range(lo.size))
+    while True:
+        missing = []
+        for r in open_rows:
+            row_lo, row_hi, n, table = float(lo[r]), float(hi[r]), int(steps[r]), tables[r]
+            while row_hi - row_lo > delta:  # at delta, the midpoint is the root
                 mid = 0.5 * (row_lo + row_hi)
-                col = _column(row_points, a, b, depth, mid)
-                if row_hi - row_lo <= delta or col is None:  # at delta, mid is the root
+                if mid not in table:
+                    missing.append(r)
                     break
-                s = int(np.sign(row_values[col]))  # int(nan) raises
-                n, depth = n + 1, depth + 1
+                s = int(np.sign(table[mid]))  # int(nan) raises
+                n += 1
                 step = (mid, row_hi) if s > 0 else (row_lo, mid)
                 if s == 0 or step == (row_lo, row_hi):  # exact stationary point, or one ulp
                     break
                 row_lo, row_hi = step
-                a, b = ((a + b) // 2, b) if s > 0 else (a, (a + b) // 2)
             lo[r], hi[r], steps[r] = row_lo, row_hi, n
-            if row_hi - row_lo > delta and col is None:
-                still_open.append(r)
-            else:
-                if col is None and mid in row_points:  # a leaf's midpoint, or a path's sibling
-                    col = row_points.index(mid)
-                root[r], at_root[r] = mid, np.nan if col is None else row_values[col]
-        open_rows = np.array(still_open, dtype=np.intp)
-    return root, steps, at_root
+        if not missing:
+            return 0.5 * (lo + hi), steps
+        open_rows = missing
+        points = _points(lo[missing], hi[missing], None if guess is None else guess[missing], delta)
+        values = sum_rate_derivative(
+            points, _pick(ues_rows, missing), _pick(omega_rows, missing), cfg, _plans=_pick(plans, missing)
+        )
+        for r, row_points, row_values in zip(missing, points.tolist(), values.tolist()):
+            tables[r].update(zip(row_points, row_values))
 
 
 def _pick(items: Optional[list], index) -> Optional[list]:
@@ -422,9 +395,12 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, 
     call also holds the bracket ends that the sign check reads; a guard
     re-bisection walks unguessed.  Every call reuses each row's plan,
     its active users and the terms fixed in P, set up once per solve.
-    The residual reads the derivative at the returned power off the
-    walk's points, which hold the roots where a walk can stop (see
-    :func:`_walk`); the rows whose root the guard moved get one more call.
+    Each row keeps one ``{power: derivative}`` table that every call
+    fills: the sign check, the walk and the guard's re-walk read their
+    signs from it, and the residual reads the returned power there (the
+    walk's points hold the roots where a walk can stop; see
+    :func:`_walk`).  A row whose returned power no call evaluated gets
+    one more call.
 
     A chunk -- ``ues`` and ``omega`` sequences of N user sets and
     fractions sharing ``cfg`` and ``delta`` -- is solved in lockstep and
@@ -515,7 +491,7 @@ def _solve_rows(
     plans = [_plan(ues_rows[r], users[r], cfg) for r in rows]
     ues_rows, omega_rows = _pick(ues_rows, rows), _pick(omega_rows, rows)
     # The sign check reads the bracket ends, evaluated with the walk's
-    # first points, so one derivative call serves both.
+    # first points, so one derivative call serves both and starts each row's table.
     points = np.column_stack([lo, hi, _points(lo, hi, guess, delta)])
     values = sum_rate_derivative(points, ues_rows, omega_rows, cfg, _plans=plans)
     d_lo, d_hi = values[:, 0], values[:, 1]
@@ -538,10 +514,9 @@ def _solve_rows(
         return outcomes
     rows, ues_rows, omega_rows, plans = (_pick(items, keep) for items in (rows, ues_rows, omega_rows, plans))
     lo, hi, d_lo = lo[keep], hi[keep], d_lo[keep]
+    tables = [dict(zip(p, v)) for p, v in zip(points[keep].tolist(), values[keep].tolist())]
 
-    roots, iterations, d_root = _walk(
-        lo, hi, delta, ues_rows, omega_rows, cfg, (points[keep, 2:], values[keep, 2:]), guess[keep], plans
-    )
+    roots, iterations = _walk(lo, hi, delta, ues_rows, omega_rows, cfg, tables, guess[keep], plans)
     # Multi-root guard: scan each bracket for a better objective.  Column
     # 0 rates the root, as evaluate would.
     samples = np.geomspace(lo, hi, _GUARD_SAMPLES, axis=1)
@@ -559,9 +534,11 @@ def _solve_rows(
     if fired.size:
         sub_lo = samples[fired, np.maximum(i_best[fired] - 1, 0)]
         sub_hi = samples[fired, np.minimum(i_best[fired] + 1, _GUARD_SAMPLES - 1)]
-        sub_ues, sub_omega, sub_plans = (_pick(items, fired) for items in (ues_rows, omega_rows, plans))
-        sub_roots, iterations[fired], _ = _walk(
-            sub_lo, sub_hi, delta, sub_ues, sub_omega, cfg, plans=sub_plans
+        sub_ues, sub_omega, sub_tables, sub_plans = (
+            _pick(items, fired) for items in (ues_rows, omega_rows, tables, plans)
+        )
+        sub_roots, iterations[fired] = _walk(
+            sub_lo, sub_hi, delta, sub_ues, sub_omega, cfg, sub_tables, plans=sub_plans
         )
         for i, sub_root in zip(fired, sub_roots):
             for candidate in (float(sub_root), float(samples[i, i_best[i]])):
@@ -569,10 +546,10 @@ def _solve_rows(
                 if obj > best_obj[i]:
                     best_obj[i] = obj
                     best_p[i] = candidate
-                    d_root[i] = np.nan
 
-    # Rows without the derivative at their power from the walk -- in
-    # practice those the guard moved -- get one call.
+    # The residual reads each row's table at its power; a row whose table
+    # lacks it (in practice, the guard moved its root) or holds NaN gets one call.
+    d_root = np.array([table.get(p, np.nan) for table, p in zip(tables, best_p.tolist())])
     fresh = np.flatnonzero(np.isnan(d_root))
     if fresh.size:
         fresh_ues, fresh_omega, fresh_plans = (_pick(items, fresh) for items in (ues_rows, omega_rows, plans))

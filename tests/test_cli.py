@@ -433,6 +433,35 @@ def test_a_montecarlo_value_of_the_wrong_kind_is_an_error_and_writes_nothing(
     assert not out.exists()
 
 
+_SWEEP_CFG = {"scenario": MC_SCENARIO["scenario"], "pl_db_grid": [100.0]}
+_NO_LABELS = "algorithms must be a non-empty sequence of strategy labels"
+_TWICE = "algorithms lists 'REF-E' twice"
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("solve", {**SOLVE_CFG, "algorithm": ["DAPA-E"]}, "unknown algorithm label ['DAPA-E']"),
+        ("montecarlo", {**MC_SCENARIO, "algorithms": [["REF-E"]]}, _NO_LABELS),
+        ("montecarlo", {**MC_SCENARIO, "algorithms": {"REF-E": 1}}, _NO_LABELS),
+        ("sweep-homogeneous", {**_SWEEP_CFG, "algorithms": {"REF-E": 1}}, _NO_LABELS),
+        ("montecarlo", {**MC_SCENARIO, "algorithms": ["REF-E", "REF-E"]}, _TWICE),
+        ("sweep-homogeneous", {**_SWEEP_CFG, "algorithms": ["REF-E", "REF-E"]}, _TWICE),
+    ],
+    ids=["solve-list", "mc-nested-list", "mc-object", "sweep-object", "mc-repeat", "sweep-repeat"],
+)
+def test_a_strategy_label_of_the_wrong_kind_is_named_and_writes_nothing(
+    tmp_path, capsys, command, payload, message
+):
+    # a list label failed as "unhashable type: 'list'", an object ran as
+    # its keys, and a repeated label wrote every CSV row twice
+    cfg = _write_cfg(tmp_path, payload)
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert _read_error(capsys) == {"type": "ValueError", "message": message}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "drop, message",
     [

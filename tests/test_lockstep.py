@@ -292,12 +292,12 @@ def test_derivative_residual_is_a_fresh_derivative_ratio(delta, monkeypatch):
     # two users of drop 0 whose walk takes 30 steps: it ends on the last level
     pair = UeSet(beta=DROPS[0].beta[52:54], noise_w=DROPS[0].noise_w[52:54])
     sets, omegas = DROPS + [pair] + sets, [_equal(ues) for ues in DROPS + [pair]] + omegas
-    fresh_rows = []
+    fresh_rows, evaluated = [], _record_evaluated_powers(monkeypatch)
     real = dapa._derivative_rows
 
     def spied(power, ues_rows, *rest):
         if power.shape[1] == 1:  # the closing call at the returned powers
-            fresh_rows.append(len(ues_rows))
+            fresh_rows.extend(map(id, ues_rows))
         return real(power, ues_rows, *rest)
 
     monkeypatch.setattr(dapa, "_derivative_rows", spied)
@@ -321,8 +321,24 @@ def test_derivative_residual_is_a_fresh_derivative_ratio(delta, monkeypatch):
         assert stops == {"ulp", "zero"}
     else:
         assert any(steps == 0 for steps, _ in walks)
-    # the walk's points hold every root it returns; only the roots the guard moved are fresh
-    assert sum(fresh_rows) == moved
+    # only the rows whose returned power no derivative call evaluated are fresh
+    assert sorted(fresh_rows) == sorted(
+        id(ues) for ues, res in zip(sets, outcomes) if res.total_power_p not in evaluated[id(ues)]
+    )
+
+
+def _record_evaluated_powers(monkeypatch):
+    """Spy on ``dapa.sum_rate_derivative``; return the dict it fills with
+    every power evaluated for each user set, by ``id``."""
+    evaluated, derivative = {}, dapa.sum_rate_derivative
+
+    def recorded(p, ues_rows, *rest, **kwargs):
+        for ues, row in zip(ues_rows, p):
+            evaluated.setdefault(id(ues), set()).update(row.tolist())
+        return derivative(p, ues_rows, *rest, **kwargs)
+
+    monkeypatch.setattr(dapa, "sum_rate_derivative", recorded)
+    return evaluated
 
 
 @settings(PROPERTY, max_examples=150)
@@ -335,8 +351,8 @@ def test_derivative_residual_is_a_fresh_derivative_ratio(delta, monkeypatch):
 def test_walk_returns_the_ladder_derivative_at_its_root(rows, log_delta):
     # On stub derivatives: a row that stops at an exact zero, at one ulp
     # or at delta, on a ladder level or on the midpoints of its last
-    # level's leaves, returns the derivative at its root; a row that never
-    # walks returns NaN.
+    # level's leaves, holds the derivative at its root in its table; a row
+    # that never walks holds nothing.
     delta = 10.0**log_delta
     brackets = [(lo, lo + 10.0**log_width) for lo, log_width, *_ in rows]
     stubs = [
@@ -349,10 +365,13 @@ def test_walk_returns_the_ladder_derivative_at_its_root(rows, log_delta):
             return _stub_value(p, *ues)
         return np.array([_stub_value(row, *row_stub) for row, row_stub in zip(p, ues)])
 
+    tables = [{} for _ in rows]
     with mock.patch.object(dapa, "sum_rate_derivative", stub):
-        _, _, at_root = dapa._walk(
-            [lo for lo, _ in brackets], [hi for _, hi in brackets], delta, stubs, [None] * len(rows), None
+        roots, _ = dapa._walk(
+            [lo for lo, _ in brackets], [hi for _, hi in brackets], delta, stubs, [None] * len(rows), None,
+            tables,
         )
+        at_root = [table.get(root, np.nan) for table, root in zip(tables, roots.tolist())]
         slow = [bisect_walk(lo, hi, delta, row_stub, None, None) for (lo, hi), row_stub in zip(brackets, stubs)]
     for value, (root, steps, stop), row_stub in zip(at_root, slow, stubs):
         assert np.isnan(value) == (steps == 0)
@@ -396,7 +415,8 @@ def _stub(p, ues, *rest, **kwargs):
 def _stub_walks(rows, delta):
     """The lockstep walk on stub rows with their guesses, the same walk
     with the guesses' paths removed, and each row alone through the
-    sequential walk: (walk, calls per row, calls per row unguessed, the
+    sequential walk: (the walk's roots, steps and each row's table value
+    at its root or NaN, calls per row, calls per row unguessed, the
     sequential walks, the stubs)."""
     brackets = [(lo, lo + 10.0**log_width) for (lo, log_width, *_), _ in rows]
     stubs = [
@@ -409,7 +429,7 @@ def _stub_walks(rows, delta):
     ]
 
     def walk():
-        calls = [0] * len(stubs)
+        calls, tables = [0] * len(stubs), [{} for _ in stubs]
 
         def counted(p, ues, *rest, **kwargs):
             for row_stub in ues:
@@ -419,11 +439,11 @@ def _stub_walks(rows, delta):
             return _stub(p, ues, *rest, **kwargs)
 
         with mock.patch.object(dapa, "sum_rate_derivative", counted):
-            walked = dapa._walk(
+            roots, steps = dapa._walk(
                 [lo for lo, _ in brackets], [hi for _, hi in brackets], delta, stubs, [None] * len(rows),
-                None, guess=guesses,
+                None, tables, guess=guesses,
             )
-        return walked, calls
+        return (roots, steps, [table.get(root, np.nan) for table, root in zip(tables, roots.tolist())]), calls
 
     walked, calls = walk()
     with mock.patch.object(dapa, "_guess_path", lambda *args: []):
@@ -458,10 +478,10 @@ _MORE_GUESSED_ROWS = [
 @example(rows=_MORE_GUESSED_ROWS, log_delta=-9.0)
 def test_speculative_walk_is_the_plain_walk_in_no_more_calls(rows, log_delta):
     # On stub derivatives, with any guess: each row returns the
-    # sequential walk's root and steps and, when it knows it, the
-    # derivative at its root, bit for bit; it knows it at an exact zero
-    # and at one ulp.  No row makes more derivative calls than it does
-    # with its guess's path removed.
+    # sequential walk's root and steps, and its table holds the
+    # derivative at its root, if at all, bit for bit; it holds it at an
+    # exact zero and at one ulp.  No row makes more derivative calls
+    # than it does with its guess's path removed.
     (roots, steps, at_root), calls, unguessed, slow, stubs = _stub_walks(rows, 10.0**log_delta)
     for root, n, value, (root_1, n_1, stop), row_stub in zip(roots, steps, at_root, slow, stubs):
         assert (_bits(root), n) == (_bits(root_1), n_1)
@@ -573,20 +593,16 @@ def test_guessed_solves_make_no_more_derivative_calls(monkeypatch):
 def test_each_solve_plans_its_rows_once_and_calls_again_only_for_moved_roots(monkeypatch):
     # Every total-power solve of the optimizer on the lockstep chunk takes
     # each row's active users, and so checks its fractions, exactly once,
-    # and never inside a derivative call.  The walk's points hold every
-    # root it returns, so a closing derivative call at the returned powers
-    # covers only the rows whose root the guard moved.
-    active, walk, rows, solve = dapa._active, dapa._walk, dapa._derivative_rows, allocator.solve_dapa
+    # and never inside a derivative call.  Each row's table holds every
+    # value its derivative calls evaluated, so a closing derivative call
+    # at the returned powers covers only the rows whose returned power no
+    # call evaluated.
+    active, rows, solve = dapa._active, dapa._derivative_rows, allocator.solve_dapa
     log, inside = [], [0]
 
     def counted_active(ues, omega):
         log[-1]["active"].append((id(ues), inside[0] > 0))
         return active(ues, omega)
-
-    def spied_walk(lo, hi, delta, ues_rows, *rest, **kwargs):
-        roots, steps, at_root = walk(lo, hi, delta, ues_rows, *rest, **kwargs)
-        log[-1]["walks"].append(dict(zip(map(id, ues_rows), roots.tolist())))
-        return roots, steps, at_root
 
     def spied_rows(power, ues_rows, *rest):
         if power.shape[1] == 1:  # the closing call at the returned powers
@@ -598,15 +614,17 @@ def test_each_solve_plans_its_rows_once_and_calls_again_only_for_moved_roots(mon
             inside[0] -= 1
 
     def logged(ues_rows, *args, **kwargs):
-        log.append({"rows": list(map(id, ues_rows)), "active": [], "walks": [], "closing": []})
+        evaluated.clear()
+        log.append({"rows": list(map(id, ues_rows)), "active": [], "closing": []})
         outcomes = solve(ues_rows, *args, **kwargs)
         log[-1]["powers"] = {
             id(ues): res.total_power_p for ues, res in zip(ues_rows, outcomes) if isinstance(res, DapaResult)
         }
+        log[-1]["evaluated"] = dict(evaluated)
         return outcomes
 
+    evaluated = _record_evaluated_powers(monkeypatch)
     monkeypatch.setattr(dapa, "_active", counted_active)
-    monkeypatch.setattr(dapa, "_walk", spied_walk)
     monkeypatch.setattr(dapa, "_derivative_rows", spied_rows)
     monkeypatch.setattr(allocator, "solve_dapa", logged)
     monkeypatch.setattr(allocator, "_equal_split_memo", None, raising=False)
@@ -615,6 +633,38 @@ def test_each_solve_plans_its_rows_once_and_calls_again_only_for_moved_roots(mon
     for solved in log:
         assert sorted(ues for ues, _ in solved["active"]) == sorted(solved["rows"])
         assert not any(in_derivative for _, in_derivative in solved["active"])
-        walked = solved["walks"][0]  # the bisection; a guard re-walk comes after it
-        moved = {ues for ues, power in solved["powers"].items() if power != walked[ues]}
-        assert sorted(solved["closing"]) == sorted(moved)
+        evaluated_at = solved["evaluated"]
+        unevaluated = {ues for ues, power in solved["powers"].items() if power not in evaluated_at[ues]}
+        assert sorted(solved["closing"]) == sorted(unevaluated)
+
+
+def test_the_walk_reads_each_sign_by_power_not_by_position(monkeypatch):
+    # Each row looks its midpoints up by power, so a derivative call
+    # whose points come in another order gives the same walk: six chunks
+    # of four drops at equal split, with each row's points reversed, give
+    # the same roots, steps and residuals in as many derivative calls.
+    # A walk that reads by column would wait for points it never finds;
+    # the cap makes that fail instead of hang.
+    chunks = [[drop_ues(SC, drop_id) for drop_id in range(4 * i, 4 * i + 4)] for i in range(6)]
+    derivative = dapa.sum_rate_derivative
+
+    def solved():
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] > 2000:
+                raise AssertionError("the walk does not advance")
+            return derivative(*args, **kwargs)
+
+        monkeypatch.setattr(dapa, "sum_rate_derivative", counted)
+        outcomes = [solve_dapa(chunk, list(map(_equal, chunk)), CFG) for chunk in chunks]
+        return sum(outcomes, []), calls[0]
+
+    outcomes, calls = solved()
+    points = dapa._points
+    monkeypatch.setattr(dapa, "_points", lambda *args: np.ascontiguousarray(points(*args)[:, ::-1]))
+    reversed_outcomes, reversed_calls = solved()
+    assert reversed_calls == calls
+    for outcome, expected in zip(reversed_outcomes, outcomes, strict=True):
+        assert _bits(outcome) == _bits(expected)

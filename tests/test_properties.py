@@ -107,7 +107,7 @@ def test_solve_dapa_returns_or_raises_solver_error(problem):
 
 def _lookahead(lo, hi, delta, ues, omega, cfg):
     """The lockstep bisection on a one-row chunk, as (midpoint, steps)."""
-    roots, steps, _ = dapa._walk([lo], [hi], delta, [ues], [omega], cfg)
+    roots, steps = dapa._walk([lo], [hi], delta, [ues], [omega], cfg)
     return roots[0], steps[0]
 
 
