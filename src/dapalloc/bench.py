@@ -205,6 +205,8 @@ def _run(
         n_sets, prebuilt = sets, None
     if n_sets < 1:
         raise ValueError(f"need at least one {unit}")
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ValueError("workers must be an int")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n_spans = min(n_sets, workers)

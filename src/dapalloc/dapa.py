@@ -266,36 +266,25 @@ def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _guess_path(lo: float, hi: float, guess: float, delta: float) -> list:
     """The midpoints below the ladder's levels that a walk from (lo, hi)
     reads if every sign points toward ``guess``, down to where that walk
-    stops: an exact hit, one ulp, or ``delta`` with the root it returns
-    and, below the ladder's leaves, the root of a walk that parts from
-    the path at that last step."""
+    stops: an exact hit, one ulp, or ``delta``, whose midpoint is the
+    root it returns."""
     path = []
     while True:
         mid = 0.5 * (lo + hi)
         path.append(mid)
         if hi - lo <= delta or mid in (guess, lo, hi):
-            if hi - lo <= delta and len(path) > _LOOKAHEAD_LEVELS + 1:
-                path.append(0.5 * (sibling[0] + sibling[1]))
             return path[_LOOKAHEAD_LEVELS:]
-        (lo, hi), sibling = ((mid, hi), (lo, mid)) if guess > mid else ((lo, mid), (mid, hi))
+        lo, hi = (mid, hi) if guess > mid else (lo, mid)
 
 
 def _points(lo: np.ndarray, hi: np.ndarray, guess: Optional[np.ndarray], delta: float) -> np.ndarray:
     """The powers one derivative call evaluates for each row: its ladder's
-    31 midpoints, then its path toward its guess, if any, and the 32
-    midpoints of its ladder's leaves if a walk can stop at ``delta`` on
-    a leaf (its root is then that leaf's midpoint), padded with repeats
-    of the row's own points."""
-    ends = _ladder(lo, hi)
-    ladder = ends[:, 1:-1]
+    31 midpoints, then its path toward its guess, if any, padded with
+    repeats of the row's own points."""
+    ladder = _ladder(lo, hi)[:, 1:-1]
     paths = [[] for _ in ladder] if guess is None else [
         _guess_path(*row, delta) for row in zip(lo.tolist(), hi.tolist(), guess.tolist())
     ]
-    # a leaf at most delta wide below a wider bracket
-    leaf_stop = np.diff(ends, axis=1).min(axis=1) <= delta
-    leaf_stop &= (ends[:, 2::2] - ends[:, :-2:2]).max(axis=1) > delta
-    for r in np.flatnonzero(leaf_stop):
-        paths[r] += (0.5 * (ends[r, :-1] + ends[r, 1:])).tolist()
     width = max(map(len, paths))
     if not width:
         return ladder
@@ -310,21 +299,21 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, tables=None, guess=No
     """Sign bisection of the derivative on a chunk of N brackets in
     lockstep; returns (midpoints, steps), one per row.
 
-    Each row stops on its own: at an exact zero of the derivative, when
-    its bracket is at most ``delta`` wide, or when a step leaves it
-    unchanged (at P > delta / eps the bracket reaches one float ulp
-    before it reaches ``delta``).
+    Each row stops on its own, at a midpoint it evaluated: at an exact
+    zero of the derivative, when its bracket is at most ``delta`` wide,
+    or when a step leaves it unchanged (at P > delta / eps the bracket
+    reaches one float ulp before it reaches ``delta``).
 
     Each row steps while its next midpoint is in its table, a
     ``{power: derivative}`` dict (``tables[r]``, if given, which may
     already hold values).  One ``sum_rate_derivative`` call, read through
     the module name so that a test may replace it, adds the
     :func:`_points` of every row whose midpoint is missing: the next
-    ``_LOOKAHEAD_LEVELS`` levels of midpoints (31 points), a ``guess``'s
-    path, and the roots where a walk below them can stop at ``delta``.
-    Each value is elementwise in P, so each step has the bits of one call
-    at its midpoint; a row reads only its own path, so a NaN elsewhere
-    is never read, and a wrong guess costs points, never levels.
+    ``_LOOKAHEAD_LEVELS`` levels of midpoints (31 points) and a
+    ``guess``'s path.  Each value is elementwise in P, so each step has
+    the bits of one call at its midpoint; a row reads only its own path,
+    so a NaN elsewhere is never read, and a wrong guess costs points,
+    never levels.
     ``plans``, if given, are the rows' :func:`_plan`.
     """
     lo, hi = np.array([lo, hi], dtype=np.float64)
@@ -336,10 +325,8 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, tables=None, guess=No
         missing = []
         for r in open_rows:
             row_lo, row_hi, n, table = float(lo[r]), float(hi[r]), int(steps[r]), tables[r]
-            while row_hi - row_lo > delta:  # at delta, the midpoint is the root
-                mid = 0.5 * (row_lo + row_hi)
-                if mid not in table:
-                    missing.append(r)
+            while (mid := 0.5 * (row_lo + row_hi)) in table:
+                if row_hi - row_lo <= delta:  # at delta, the midpoint is the root
                     break
                 s = int(np.sign(table[mid]))  # int(nan) raises
                 n += 1
@@ -347,6 +334,8 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, tables=None, guess=No
                 if s == 0 or step == (row_lo, row_hi):  # exact stationary point, or one ulp
                     break
                 row_lo, row_hi = step
+            else:  # its next midpoint, or the root it would return, is missing
+                missing.append(r)
             lo[r], hi[r], steps[r] = row_lo, row_hi, n
         if not missing:
             return 0.5 * (lo + hi), steps
@@ -397,16 +386,17 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, 
     its active users and the terms fixed in P, set up once per solve.
     Each row keeps one ``{power: derivative}`` table that every call
     fills: the sign check, the walk and the guard's re-walk read their
-    signs from it, and the residual reads the returned power there (the
-    walk's points hold the roots where a walk can stop; see
-    :func:`_walk`).  A row whose returned power no call evaluated gets
+    signs from it, and the residual reads the returned power there: every
+    root a walk returns is a point it evaluated.  A row whose returned
+    power is a guard sample no call evaluated, or NaN in its table, gets
     one more call.
 
     A chunk -- ``ues`` and ``omega`` sequences of N user sets and
     fractions sharing ``cfg`` and ``delta`` -- is solved in lockstep and
     gives a list of N outcomes: a :class:`DapaResult`, or the
     :class:`SolverError` or :class:`~dapalloc.numerics.ConvergenceError`
-    that row raised.  Each row is bitwise its own one-set solve.
+    that row raised.  Each row is bitwise its own one-set solve; an
+    empty chunk gives an empty list.
 
     ``cfg.pa`` must be the ideal clipper, the only amplifier the
     derivative models; any other raises ``ValueError``.
@@ -436,6 +426,8 @@ def _user_bounds(beta_rows: list, sigma2_rows: list, cfg: SystemConfig) -> list:
     each row gets the bits of its own call.  If it fails, each row is
     bounded alone to tell which rows fail.
     """
+    if not beta_rows:  # an empty chunk
+        return []
     try:
         lower, upper = root_bounds(np.concatenate(sigma2_rows), np.concatenate(beta_rows), cfg)
     except (SolverError, ConvergenceError) as exc:
@@ -547,8 +539,8 @@ def _solve_rows(
                     best_obj[i] = obj
                     best_p[i] = candidate
 
-    # The residual reads each row's table at its power; a row whose table
-    # lacks it (in practice, the guard moved its root) or holds NaN gets one call.
+    # The residual reads each row's table at its power; a row whose power
+    # is a guard sample no call evaluated, or whose table holds NaN, gets one call.
     d_root = np.array([table.get(p, np.nan) for table, p in zip(tables, best_p.tolist())])
     fresh = np.flatnonzero(np.isnan(d_root))
     if fresh.size:

@@ -172,7 +172,9 @@ def hessian_eigs(
     the step flags probes whose eigenvalue signs or magnitudes are
     step-dependent (e.g. step below the rounding floor of the rate).
     """
-    for coordinate in probe_point:  # a pair of numbers, each checked as one
+    if np.shape(probe_point) != (2,):
+        raise ValueError("probe_point must be a pair (p1, p2)")
+    for coordinate in probe_point:  # each checked as one number
         require("probe_point", coordinate, POSITIVE)
     p1, p2 = float(probe_point[0]), float(probe_point[1])
     if step is None:

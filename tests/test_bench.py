@@ -305,17 +305,19 @@ TWO_UE_SC = ScenarioConfig(n_users=2, m_antennas=64, p_max=0.1, seed=17)
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: run_montecarlo(SMALL_SC, n_drops=5, workers=0),
-        lambda: evaluate_rapp_mode(SMALL_SC, 5, workers=-1),
-        lambda: evaluate_icsi_mode(SMALL_SC, 5, workers=0),
-        lambda: grid_2ue(TWO_UE_SC, two_ue_grid(90.0, 110.0, 10.0, TWO_UE_SC), workers=0),
+        lambda workers: run_montecarlo(SMALL_SC, n_drops=5, workers=workers),
+        lambda workers: evaluate_rapp_mode(SMALL_SC, 5, workers=workers),
+        lambda workers: evaluate_icsi_mode(SMALL_SC, 5, workers=workers),
+        lambda workers: grid_2ue(TWO_UE_SC, two_ue_grid(90.0, 110.0, 10.0, TWO_UE_SC), workers=workers),
     ],
     ids=["montecarlo", "rapp", "icsi", "grid"],
 )
 def test_fewer_than_one_worker_is_rejected(run):
-    # it used to solve nothing (and return no rows) or fail inside zip
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        run()
+    # 0 and -1 used to solve nothing (and return no rows) or fail inside
+    # zip, 2.5 failed inside range, and True ran as one worker
+    for workers, message in [(0, ">= 1"), (-1, ">= 1"), (2.5, "an int"), (True, "an int")]:
+        with pytest.raises(ValueError, match=f"^workers must be {message}$"):
+            run(workers)
 
 
 @pytest.mark.parametrize(

@@ -463,6 +463,20 @@ def test_a_strategy_label_of_the_wrong_kind_is_named_and_writes_nothing(
 
 
 @pytest.mark.parametrize(
+    "scenario, kind", [(5, "int"), ("nusers", "str"), ([3, 16], "list")], ids=["number", "string", "list"]
+)
+def test_a_scenario_that_is_not_an_object_is_named_and_writes_nothing(tmp_path, capsys, scenario, kind):
+    # a number failed as "'int' object is not iterable", and a string was
+    # read as its letters ("unknown scenario keys: ['e', 'n', ...]")
+    cfg = _write_cfg(tmp_path, {**MC_SCENARIO, "scenario": scenario})
+    out = tmp_path / "x"
+    assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == 2
+    message = f"scenario must be an object of scenario keys, not {kind}"
+    assert _read_error(capsys) == {"type": "ValueError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "drop, message",
     [
         (("beta", "pl_db"), "config needs a 'beta' or 'pl_db' array"),

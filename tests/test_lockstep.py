@@ -194,6 +194,15 @@ def test_strategies_on_a_chunk_are_their_one_set_calls(label):
         assert _bits(outcome.omega) == _bits(alloc.omega)
 
 
+@pytest.mark.parametrize(
+    "solve", [*ALGORITHMS.values(), lambda ues, cfg: solve_dapa(ues, [], cfg)], ids=[*ALGORITHMS, "solve_dapa"]
+)
+def test_an_empty_chunk_has_no_outcomes(solve):
+    # as for evaluate and sum_rate_derivative; the DAPA paths used to
+    # fail inside np.concatenate
+    assert solve([], CFG) == []
+
+
 def _equal(ues):
     return np.full(ues.n_users, 1.0 / ues.n_users)
 
@@ -271,15 +280,21 @@ def test_a_changed_chunk_is_solved_afresh(monkeypatch):
     assert _bits(got[5].total_power_p) != _bits(allocator.dapa_e(DROPS[5], CFG).total_power_p)
 
 
-def _guard_sets():
-    """The twelve mixed-channel sets of the guard test above, with fractions."""
-    rng = np.random.default_rng(8)
+def _guard_sets(seed=8, n_sets=12):
+    """Mixed-channel sets with fractions; by default the twelve of the
+    guard test above."""
+    rng = np.random.default_rng(seed)
     noise = np.full(4, 7.2e-14)
     sets = [
         UeSet(beta=10.0 ** rng.uniform(-12, 20, size=4) * noise / (ETA * 64 * 0.1), noise_w=noise)
-        for _ in range(12)
+        for _ in range(n_sets)
     ]
     return sets, [rng.dirichlet(np.ones(4)) for _ in sets]
+
+
+# A mixed-channel set whose guard returns one of its samples, a power no
+# derivative call evaluated, at every delta below and in the optimizer.
+(SAMPLED,), (SAMPLED_OMEGA,) = _guard_sets(seed=218, n_sets=1)
 
 
 @pytest.mark.parametrize("delta", [None, 1e-30, 1e9], ids=["delta", "one-ulp", "no-walk"])
@@ -287,11 +302,13 @@ def test_derivative_residual_is_a_fresh_derivative_ratio(delta, monkeypatch):
     # The default delta ends walks on the ladder's last level and before
     # it, 1e-30 drives them to one ulp, and 1e9 is wider than some
     # brackets, so those rows never walk.  Some guard rows stop at an
-    # exact zero (the derivative underflows), and the guard moves their roots.
+    # exact zero (the derivative underflows), and the guard moves their
+    # roots; in every case some row returns a guard sample.
     sets, omegas = _guard_sets()
     # two users of drop 0 whose walk takes 30 steps: it ends on the last level
     pair = UeSet(beta=DROPS[0].beta[52:54], noise_w=DROPS[0].noise_w[52:54])
-    sets, omegas = DROPS + [pair] + sets, [_equal(ues) for ues in DROPS + [pair]] + omegas
+    sets = DROPS + [pair] + sets + [SAMPLED]
+    omegas = [_equal(ues) for ues in DROPS + [pair]] + omegas + [SAMPLED_OMEGA]
     fresh_rows, evaluated = [], _record_evaluated_powers(monkeypatch)
     real = dapa._derivative_rows
 
@@ -321,10 +338,14 @@ def test_derivative_residual_is_a_fresh_derivative_ratio(delta, monkeypatch):
         assert stops == {"ulp", "zero"}
     else:
         assert any(steps == 0 for steps, _ in walks)
-    # only the rows whose returned power no derivative call evaluated are fresh
+    # only the rows whose returned power no derivative call evaluated are
+    # fresh, and that power is one of the guard's samples, never a walk's root
     assert sorted(fresh_rows) == sorted(
         id(ues) for ues, res in zip(sets, outcomes) if res.total_power_p not in evaluated[id(ues)]
     )
+    samples = [np.geomspace(res.bracket_lo, res.bracket_hi, dapa._GUARD_SAMPLES).tolist() for res in outcomes]
+    sampled = {id(ues) for ues, res, row in zip(sets, outcomes, samples) if res.total_power_p in row}
+    assert fresh_rows and set(fresh_rows) <= sampled
 
 
 def _record_evaluated_powers(monkeypatch):
@@ -348,11 +369,11 @@ def _record_evaluated_powers(monkeypatch):
     rows=[(1.0, 0.0, 7, 0b1011001, True), (1e5, 0.0, 64, 12345, False), (1e-6, -3.0, 64, 99, False)],
     log_delta=-12.0,
 )
+@example(rows=[(1.0, 0.0, 0, 0, False)] * 2, log_delta=0.0)  # brackets within delta: no step
 def test_walk_returns_the_ladder_derivative_at_its_root(rows, log_delta):
-    # On stub derivatives: a row that stops at an exact zero, at one ulp
-    # or at delta, on a ladder level or on the midpoints of its last
-    # level's leaves, holds the derivative at its root in its table; a row
-    # that never walks holds nothing.
+    # On stub derivatives: every row, whether it stops at an exact zero,
+    # at one ulp or at delta, on a ladder level or below it, or never
+    # steps, holds the derivative at its root in its table.
     delta = 10.0**log_delta
     brackets = [(lo, lo + 10.0**log_width) for lo, log_width, *_ in rows]
     stubs = [
@@ -373,10 +394,8 @@ def test_walk_returns_the_ladder_derivative_at_its_root(rows, log_delta):
         )
         at_root = [table.get(root, np.nan) for table, root in zip(tables, roots.tolist())]
         slow = [bisect_walk(lo, hi, delta, row_stub, None, None) for (lo, hi), row_stub in zip(brackets, stubs)]
-    for value, (root, steps, stop), row_stub in zip(at_root, slow, stubs):
-        assert np.isnan(value) == (steps == 0)
-        if not np.isnan(value):
-            assert _bits(value) == _bits(_stub_value(root, *row_stub))
+    for value, (root, _, _), row_stub in zip(at_root, slow, stubs):
+        assert _bits(value) == _bits(_stub_value(root, *row_stub))
 
 
 # A guess at a stub row's root: its kind, a fraction of the bracket width,
@@ -479,16 +498,12 @@ _MORE_GUESSED_ROWS = [
 def test_speculative_walk_is_the_plain_walk_in_no_more_calls(rows, log_delta):
     # On stub derivatives, with any guess: each row returns the
     # sequential walk's root and steps, and its table holds the
-    # derivative at its root, if at all, bit for bit; it holds it at an
-    # exact zero and at one ulp.  No row makes more derivative calls
-    # than it does with its guess's path removed.
+    # derivative at its root, bit for bit.  No row makes more derivative
+    # calls than it does with its guess's path removed.
     (roots, steps, at_root), calls, unguessed, slow, stubs = _stub_walks(rows, 10.0**log_delta)
-    for root, n, value, (root_1, n_1, stop), row_stub in zip(roots, steps, at_root, slow, stubs):
+    for root, n, value, (root_1, n_1, _), row_stub in zip(roots, steps, at_root, slow, stubs):
         assert (_bits(root), n) == (_bits(root_1), n_1)
-        if np.isnan(value):
-            assert stop == "delta"
-        else:
-            assert _bits(value) == _bits(_stub_value(root_1, *row_stub))
+        assert _bits(value) == _bits(_stub_value(root_1, *row_stub))
     assert all(c <= c_1 for c, c_1 in zip(calls, unguessed))
 
 
@@ -591,12 +606,12 @@ def test_guessed_solves_make_no_more_derivative_calls(monkeypatch):
 
 
 def test_each_solve_plans_its_rows_once_and_calls_again_only_for_moved_roots(monkeypatch):
-    # Every total-power solve of the optimizer on the lockstep chunk takes
-    # each row's active users, and so checks its fractions, exactly once,
-    # and never inside a derivative call.  Each row's table holds every
-    # value its derivative calls evaluated, so a closing derivative call
-    # at the returned powers covers only the rows whose returned power no
-    # call evaluated.
+    # Every total-power solve of the optimizer on the lockstep chunk and
+    # a set whose guard returns a sample takes each row's active users,
+    # and so checks its fractions, exactly once, and never inside a
+    # derivative call.  Each row's table holds every value its derivative
+    # calls evaluated, so a closing derivative call at the returned powers
+    # covers only the rows whose returned power no call evaluated.
     active, rows, solve = dapa._active, dapa._derivative_rows, allocator.solve_dapa
     log, inside = [], [0]
 
@@ -628,14 +643,17 @@ def test_each_solve_plans_its_rows_once_and_calls_again_only_for_moved_roots(mon
     monkeypatch.setattr(dapa, "_derivative_rows", spied_rows)
     monkeypatch.setattr(allocator, "solve_dapa", logged)
     monkeypatch.setattr(allocator, "_equal_split_memo", None, raising=False)
-    allocator._ao_rows(CHUNK, CFG)
+    allocator._ao_rows(CHUNK + [SAMPLED], CFG)
     assert len(log) > 5
-    for solved in log:
+    closing, unevaluated = [], []
+    for i, solved in enumerate(log):
         assert sorted(ues for ues, _ in solved["active"]) == sorted(solved["rows"])
         assert not any(in_derivative for _, in_derivative in solved["active"])
-        evaluated_at = solved["evaluated"]
-        unevaluated = {ues for ues, power in solved["powers"].items() if power not in evaluated_at[ues]}
-        assert sorted(solved["closing"]) == sorted(unevaluated)
+        closing += [(i, ues) for ues in solved["closing"]]
+        unevaluated += [
+            (i, ues) for ues, power in solved["powers"].items() if power not in solved["evaluated"][ues]
+        ]
+    assert closing and sorted(closing) == sorted(unevaluated)
 
 
 def test_the_walk_reads_each_sign_by_power_not_by_position(monkeypatch):

@@ -76,6 +76,10 @@ def test_step_validation():
     one_user = type(UES)(beta=np.array([1e-10]), noise_w=np.array([1e-13]))
     with pytest.raises(ValueError):
         hessian_eigs((1e-2, 1e-1), CFG, one_user)
+    # a third coordinate used to be dropped, and a lone one raised IndexError
+    for point in [(1e-2, 1e-1, 7.0), (1e-2,), 1e-2, np.full((2, 2), 1e-2)]:
+        with pytest.raises(ValueError, match=r"^probe_point must be a pair \(p1, p2\)$"):
+            hessian_eigs(point, CFG, UES)
 
 
 def test_scan_grid_skips_axis_hugging_points():
