@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 _GUARD_SAMPLES = 32
-_LOOKAHEAD_LEVELS = 5  # midpoint-tree levels per derivative call: 31 points
+_LOOKAHEAD_LEVELS = 3  # midpoint-tree levels per call (7 points); a steered path goes deeper
 _MIN_BRACKET_RATIO = 1e-13  # see root_bounds
 
 
@@ -114,6 +114,12 @@ def _erfc_over_sqrt(psi):
     return out
 
 
+def _require_clipper(cfg: SystemConfig) -> None:
+    """``cfg.pa`` must be the ideal clipper, the only amplifier the derivative models."""
+    if cfg.pa.kind != SOFT_LIMITER:
+        raise ValueError(f"pa must be {SOFT_LIMITER!r}, the only amplifier the derivative models")
+
+
 def power_balance(total_power_p, sigma2, beta, cfg: SystemConfig):
     """The per-user power-balance function whose root is that user's
     optimal total power.
@@ -124,6 +130,7 @@ def power_balance(total_power_p, sigma2, beta, cfg: SystemConfig):
     elementwise for several users at the same P, or a column of powers).
     """
     check(locals(), total_power_p=POSITIVE, sigma2=POSITIVE, beta=POSITIVE)
+    _require_clipper(cfg)
     psi = cfg.m_antennas * cfg.p_max / total_power_p
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -157,6 +164,7 @@ def root_bounds(sigma2, beta, cfg: SystemConfig):
             not guaranteed (it fails for r up to ~6e-15).
     """
     check(locals(), sigma2=POSITIVE, beta=POSITIVE)
+    _require_clipper(cfg)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     log_ratio = _libm(math.log, beta * ETA * cfg.m_antennas * cfg.p_max) - _libm(math.log, sigma2)
@@ -216,11 +224,16 @@ def sum_rate_derivative(total_power_p, ues, omega, cfg: SystemConfig, *, _plans=
     once per solve, so that no call repeats the fractions check.
     """
     require("total_power_p", total_power_p, POSITIVE)
+    _require_clipper(cfg)
+    power = np.asarray(total_power_p, dtype=np.float64)
     if isinstance(ues, UeSet):  # one user set: the chunk with N = 1
-        power = np.asarray(total_power_p, dtype=np.float64)
         out = _derivative_rows(power.reshape(1, -1), [ues], [omega], cfg, _plans)
         return float(out[0, 0]) if power.ndim == 0 else out.reshape(power.shape)
-    return _derivative_rows(np.asarray(total_power_p, dtype=np.float64), ues, omega, cfg, _plans)
+    if len(omega) != len(ues):
+        raise ValueError("omega must have one fraction vector per user set")
+    if power.ndim != 2 or len(power) != len(ues):
+        raise ValueError("total_power_p must have one row per user set")
+    return _derivative_rows(power, ues, omega, cfg, _plans)
 
 
 def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig, plans=None) -> np.ndarray:
@@ -265,9 +278,9 @@ def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _guess_path(lo: float, hi: float, guess: float, delta: float) -> list:
     """The midpoints below the ladder's levels that a walk from (lo, hi)
-    reads if every sign points toward ``guess``, down to where that walk
-    stops: an exact hit, one ulp, or ``delta``, whose midpoint is the
-    root it returns."""
+    reads if every sign points toward ``guess`` (the caller's or
+    :func:`_steer`'s), down to where that walk stops: an exact hit, one
+    ulp, or ``delta``, whose midpoint is the root it returns."""
     path = []
     while True:
         mid = 0.5 * (lo + hi)
@@ -277,13 +290,31 @@ def _guess_path(lo: float, hi: float, guess: float, delta: float) -> list:
         lo, hi = (mid, hi) if guess > mid else (lo, mid)
 
 
-def _points(lo: np.ndarray, hi: np.ndarray, guess: Optional[np.ndarray], delta: float) -> np.ndarray:
+def _steer(table: dict, lo: float, hi: float, guess: float) -> float:
+    """The root where a row's table puts it: inverse interpolation in log P
+    through lo, hi and the nearest point beyond each, else false position
+    in log P; ``guess`` if an end is missing, NaN or not of strict sign, or
+    if the estimate is the log midpoint, as a sign-only table gives."""
+    f_lo, f_hi, width = table.get(lo, math.nan), table.get(hi, math.nan), math.log(hi / lo)
+    if not (f_lo > 0.0 > f_hi and width > 0.0):
+        return guess
+    below = max((p for p in table if p < lo), default=lo)
+    above = min((p for p in table if p > hi), default=hi)
+    ys = {math.log(p / lo) / width: table[p] for p in (below, lo, hi, above)}  # by log-bracket fraction t
+    t = f_lo / (f_lo - f_hi)
+    if len(set(ys.values())) == len(ys):  # Lagrange in y at y = 0
+        t_4 = sum(t_k * math.prod(y / (y - y_k) for y in ys.values() if y != y_k) for t_k, y_k in ys.items())
+        t = t_4 if 0.0 < t_4 < 1.0 else t
+    return lo * math.exp(t * width) if 0.0 < t < 1.0 and t != 0.5 else guess  # in range before exp
+
+
+def _points(lo: np.ndarray, hi: np.ndarray, guess: Optional[list], delta: float) -> np.ndarray:
     """The powers one derivative call evaluates for each row: its ladder's
-    31 midpoints, then its path toward its guess, if any, padded with
-    repeats of the row's own points."""
+    2^levels - 1 midpoints, then its path toward its guess, if any,
+    padded with repeats of the row's own points."""
     ladder = _ladder(lo, hi)[:, 1:-1]
     paths = [[] for _ in ladder] if guess is None else [
-        _guess_path(*row, delta) for row in zip(lo.tolist(), hi.tolist(), guess.tolist())
+        _guess_path(*row, delta) for row in zip(lo.tolist(), hi.tolist(), guess)
     ]
     width = max(map(len, paths))
     if not width:
@@ -309,15 +340,16 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, tables=None, guess=No
     already hold values).  One ``sum_rate_derivative`` call, read through
     the module name so that a test may replace it, adds the
     :func:`_points` of every row whose midpoint is missing: the next
-    ``_LOOKAHEAD_LEVELS`` levels of midpoints (31 points) and a
-    ``guess``'s path.  Each value is elementwise in P, so each step has
-    the bits of one call at its midpoint; a row reads only its own path,
-    so a NaN elsewhere is never read, and a wrong guess costs points,
-    never levels.
-    ``plans``, if given, are the rows' :func:`_plan`.
+    ``_LOOKAHEAD_LEVELS`` levels of midpoints (7 points) and, with a
+    ``guess``, the path toward the root that :func:`_steer` reads off the
+    row's table, or toward ``guess[r]`` where it reads none, as on a first
+    call.  Each value is elementwise in P, so each step has the bits of
+    one call at its midpoint; a row reads only its own path, so a NaN
+    elsewhere is never read, and a wrong guess costs points, never
+    levels.  ``plans``, if given, are the rows' :func:`_plan`.
     """
     lo, hi = np.array([lo, hi], dtype=np.float64)
-    guess = None if guess is None else np.asarray(guess, dtype=np.float64)
+    guess = None if guess is None else np.asarray(guess, dtype=np.float64).tolist()
     tables = [{} for _ in range(lo.size)] if tables is None else tables
     steps = np.zeros(lo.size, dtype=np.int64)
     open_rows = list(range(lo.size))
@@ -340,7 +372,10 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, tables=None, guess=No
         if not missing:
             return 0.5 * (lo + hi), steps
         open_rows = missing
-        points = _points(lo[missing], hi[missing], None if guess is None else guess[missing], delta)
+        steered = None if guess is None else [
+            _steer(tables[r], lo.item(r), hi.item(r), guess[r]) for r in missing
+        ]
+        points = _points(lo[missing], hi[missing], steered, delta)
         values = sum_rate_derivative(
             points, _pick(ues_rows, missing), _pick(omega_rows, missing), cfg, _plans=_pick(plans, missing)
         )
@@ -373,23 +408,24 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, 
     if the K-term derivative had several sign changes), bisection is
     re-run inside the best sample's sub-interval and the best candidate
     wins.  This guard keeps the common single-root case untouched.  Both
-    stages batch their points: bisection evaluates five levels of
+    stages batch their points: bisection evaluates three levels of
     midpoints per derivative call, and the guard rates its 32 samples in
     one call.  Every bit is that of one scalar call per point.
 
-    Derivative calls per solve: each covers at least five bisection
-    levels, and the path a walk toward a guessed root would take (the
-    smallest per-user bound midpoint, or the optimizer's last power), so
-    a walk that goes where its guess points ends in one call.  The first
-    call also holds the bracket ends that the sign check reads; a guard
-    re-bisection walks unguessed.  Every call reuses each row's plan,
-    its active users and the terms fixed in P, set up once per solve.
-    Each row keeps one ``{power: derivative}`` table that every call
-    fills: the sign check, the walk and the guard's re-walk read their
-    signs from it, and the residual reads the returned power there: every
-    root a walk returns is a point it evaluated.  A row whose returned
-    power is a guard sample no call evaluated, or NaN in its table, gets
-    one more call.
+    Derivative calls per solve: each covers at least three bisection
+    levels and the path a walk toward a guessed root would take, so a
+    walk that goes where its guess points ends in that call.  The first
+    call guesses the smallest per-user bound midpoint, or the optimizer's
+    last power, and later ones where the row's table interpolates the
+    root.  The first call also holds the bracket ends that the sign
+    check reads; a guard re-bisection walks unguessed.  Every call
+    reuses each row's plan, its active users and the terms fixed in P,
+    set up once per solve.  Each row keeps one ``{power: derivative}``
+    table that every call fills: the sign check, the walk and the guard's
+    re-walk read their signs from it, and the residual reads the returned
+    power there: every root a walk returns is a point it evaluated.  A
+    row whose returned power is a guard sample no call evaluated, or NaN
+    in its table, gets one more call.
 
     A chunk -- ``ues`` and ``omega`` sequences of N user sets and
     fractions sharing ``cfg`` and ``delta`` -- is solved in lockstep and
@@ -451,14 +487,15 @@ def _solve_rows(
     its users (or their error), as :func:`_user_bounds` gives them, and
     maybe a guess after them; no :func:`root_bounds` call is made.
     """
-    if cfg.pa.kind != SOFT_LIMITER:
-        raise ValueError(f"pa must be {SOFT_LIMITER!r}, the only amplifier the derivative models")
+    _require_clipper(cfg)
+    if len(omega_rows) != len(ues_rows):
+        raise ValueError("omega must have one fraction vector per user set")
     if delta is None:
         delta = default_delta(cfg)
     require("delta", delta, POSITIVE)
     # Users with zero fraction have constant rate terms in P and do not
     # constrain the bracket.
-    users = [_active(ues, omega) for ues, omega in zip(ues_rows, omega_rows, strict=True)]
+    users = [_active(ues, omega) for ues, omega in zip(ues_rows, omega_rows)]
     omega_rows = [np.asarray(omega, dtype=np.float64) for omega in omega_rows]
     if bounds is None:
         bounds = _user_bounds([beta for beta, _, _ in users], [sigma2 for _, sigma2, _ in users], cfg)
@@ -484,7 +521,7 @@ def _solve_rows(
     ues_rows, omega_rows = _pick(ues_rows, rows), _pick(omega_rows, rows)
     # The sign check reads the bracket ends, evaluated with the walk's
     # first points, so one derivative call serves both and starts each row's table.
-    points = np.column_stack([lo, hi, _points(lo, hi, guess, delta)])
+    points = np.column_stack([lo, hi, _points(lo, hi, guess.tolist(), delta)])
     values = sum_rate_derivative(points, ues_rows, omega_rows, cfg, _plans=plans)
     d_lo, d_hi = values[:, 0], values[:, 1]
     violated = (d_lo < 0.0) | (d_hi > 0.0)

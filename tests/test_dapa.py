@@ -399,17 +399,46 @@ def test_solver_validation():
         lambda ues, cfg: solve_dapa(ues, np.full(ues.n_users, 1.0 / ues.n_users), cfg),
         dapa_e,
         ALGORITHMS["DAPA-FPDA"],
+        lambda ues, cfg: sum_rate_derivative(0.3, ues, np.full(ues.n_users, 1.0 / ues.n_users), cfg),
+        lambda ues, cfg: power_balance(0.3, ues.noise_w, ues.beta, cfg),
+        lambda ues, cfg: root_bounds(ues.noise_w, ues.beta, cfg),
     ],
-    ids=["solve_dapa", "dapa_e", "DAPA-FPDA"],
+    ids=["solve_dapa", "dapa_e", "DAPA-FPDA", "sum_rate_derivative", "power_balance", "root_bounds"],
 )
 def test_solvers_reject_a_rapp_config(solve):
     # The derivative models the clipper only.  Solving on it while
     # water-filling on the Rapp law would mix two amplifiers in one
-    # allocation.
+    # allocation, and the derivative, the balance and the bounds gave
+    # clipper numbers for a Rapp config.
     cfg = SystemConfig(m_antennas=64, p_max=0.01, bandwidth_hz=18e6, pa=PaModel(RAPP, 2.0))
     ues = UeSet(beta=np.array([1e-9, 1e-11, 1e-12]), noise_w=NOISE_FULLBAND)
-    with pytest.raises(ValueError, match="^pa must be"):
+    with pytest.raises(ValueError, match="^pa must be 'soft_limiter', the only amplifier the derivative models$"):
         solve(ues, cfg)
+
+
+def test_a_chunk_of_mismatched_shapes_fails_by_name():
+    # Extra power rows were returned as uninitialised memory, extra
+    # fractions were cut off by zip, and too few fractions failed solve_dapa
+    # inside zip; each now names the argument.
+    cfg, u = _cfg(), _homog_ues(2)
+    half = np.full(2, 0.5)
+    power_rows = "^total_power_p must have one row per user set$"
+    omega_rows = "^omega must have one fraction vector per user set$"
+    cases = [
+        (lambda: sum_rate_derivative(np.ones((2, 3)), [u], [half], cfg), power_rows),
+        (lambda: sum_rate_derivative(np.ones((1, 3)), [u, u], [half, half], cfg), power_rows),
+        (lambda: sum_rate_derivative(np.ones(2), [u, u], [half, half], cfg), power_rows),
+        (lambda: sum_rate_derivative(np.ones((1, 3)), [u], [half, half], cfg), omega_rows),
+        (lambda: sum_rate_derivative(np.ones((2, 3)), [u, u], [half], cfg), omega_rows),
+        (lambda: solve_dapa([u, u], [half], cfg), omega_rows),
+        (lambda: solve_dapa([u], [half, half], cfg), omega_rows),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # matching shapes, the empty chunk among them, still pass
+    assert sum_rate_derivative(np.ones((2, 3)), [u, u], [half, half], cfg).shape == (2, 3)
+    assert sum_rate_derivative(np.ones((0, 3)), [], [], cfg).shape == (0, 3)
 
 
 def test_solver_error_carries_diagnostics():

@@ -7,6 +7,7 @@ they stop.  A ninth row whose channels are below the Lambert-W bracket's
 floor raises ``SolverError`` alone while the other rows finish.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -515,6 +516,43 @@ def test_pinned_guessed_walks_stop_by_every_rule_and_save_calls():
     assert all(c < c_1 for c, c_1 in zip(calls, unguessed))
 
 
+def _log_affine(p, roots, *rest, **kwargs):
+    """A stub derivative affine in log P, log(root) - log(P): row r's
+    "user set" is its root, and each value is libm's, one power at a time."""
+    if isinstance(roots, float):  # the sequential walk's one-set form
+        return math.log(roots) - math.log(p)
+    return np.array([[math.log(root) - math.log(x) for x in row] for root, row in zip(roots, p.tolist())])
+
+
+def test_a_smooth_derivative_steers_each_walk_home_in_two_calls():
+    # On a derivative affine in log P the interpolated guess is the root
+    # to a few ulps, so from the second call on each row's path leads to
+    # where its walk stops, however wrong the caller's guess was.  Without
+    # the steering these walks take a call per three levels.
+    brackets = [(1.0, 2.0), (1.0, 2.0), (3e-3, 7e-3), (0.25, 0.375), (10.0, 40.0)]
+    fractions = [0.3, 0.55, 0.8, 0.4141, 0.77]
+    roots = [lo + f * (hi - lo) for (lo, hi), f in zip(brackets, fractions)]
+    guesses = [1.0, 2.0, 1e-9, 0.25, 1e9]  # the ends, and far outside
+    delta, calls = 1e-12, [0] * len(roots)
+
+    def counted(p, ues_rows, *rest, **kwargs):
+        for root in ues_rows:
+            calls[roots.index(root)] += 1
+        return _log_affine(p, ues_rows)
+
+    with mock.patch.object(dapa, "sum_rate_derivative", counted):
+        walked, steps = dapa._walk(
+            [lo for lo, _ in brackets], [hi for _, hi in brackets], delta, roots, [None] * len(roots), None,
+            guess=guesses,
+        )
+    with mock.patch.object(dapa, "sum_rate_derivative", _log_affine):
+        slow = [bisect_walk(lo, hi, delta, root, None, None) for (lo, hi), root in zip(brackets, roots)]
+    for root, n, (root_1, n_1, _) in zip(walked, steps, slow):
+        assert (_bits(root), n) == (_bits(root_1), n_1)
+    assert min(n for _, n, _ in slow) >= 30
+    assert max(calls) <= 2, calls
+
+
 def test_later_rounds_are_plain_solves_at_their_fractions(ao_runs):
     # Later rounds bracket from the first round's per-user bounds; each
     # round's power is bitwise a fresh solve at the last round's fractions,
@@ -603,6 +641,31 @@ def test_guessed_solves_make_no_more_derivative_calls(monkeypatch):
         assert calls.keys() == plain_calls.keys()
         assert all(calls[row] <= plain_calls[row] for row in calls)
     assert sum(map(sum, (c.values() for c in log))) < sum(map(sum, (c.values() for c in plain_log)))
+
+
+def test_the_strategies_keep_their_derivative_call_budget(monkeypatch):
+    # DAPA-FPDA then DAPA-E on the lockstep chunk: nine chunked solves
+    # (DAPA-E is the optimizer's first round), 22 derivative calls in all
+    # with each row steered by its own table (32 with one fixed guess per
+    # solve and five levels a call).
+    counts = {"calls": 0, "solves": 0}
+    derivative, solve = dapa.sum_rate_derivative, allocator.solve_dapa
+
+    def counted(*args, **kwargs):
+        counts["calls"] += 1
+        return derivative(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dapa, "sum_rate_derivative", counted)
+    monkeypatch.setattr(allocator, "solve_dapa", counted_solve)
+    monkeypatch.setattr(allocator, "_equal_split_memo", None, raising=False)
+    allocator.dapa_fpda(CHUNK, CFG)
+    allocator.dapa_e(CHUNK, CFG)
+    assert counts["solves"] == 9
+    assert counts["calls"] <= 22, counts
 
 
 def test_each_solve_plans_its_rows_once_and_calls_again_only_for_moved_roots(monkeypatch):
