@@ -30,7 +30,7 @@ import numpy as np
 
 from dapalloc._fields import POSITIVE, check, require
 from dapalloc.metrics import Allocation, SystemConfig, UeSet, _check_fractions, _rate_rows, evaluate, zf_gain
-from dapalloc.numerics import ConvergenceError, erfc, erfcx, lambert_w0_of_log
+from dapalloc.numerics import ConvergenceError, _libm, erfc, erfcx, lambert_w0_of_log
 from dapalloc.pa_model import (
     _ERFCX_SWITCH,
     _SQRT_PI,
@@ -53,13 +53,6 @@ __all__ = [
 _GUARD_SAMPLES = 32
 _LOOKAHEAD_LEVELS = 3  # midpoint-tree levels per call (7 points); a steered path goes deeper
 _MIN_BRACKET_RATIO = 1e-13  # see root_bounds
-
-
-def _libm(fn, x) -> np.ndarray:
-    """``fn``, a :mod:`math` function, elementwise: numpy's SIMD log, exp and
-    expm1 can differ from libm's in the last bit, which could move a step."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 class SolverError(RuntimeError):

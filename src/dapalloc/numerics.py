@@ -1,12 +1,11 @@
 """Self-contained special functions and a fixed quadrature rule.
 
-Everything here is plain numpy so that results are bit-stable across
-environments and so the library has no runtime dependency on scipy.  The
-module provides exactly what the power-allocation code needs:
+The library has no runtime dependency on scipy; this module provides
+exactly what the power-allocation code needs:
 
 * ``erfc`` / ``erfcx`` -- complementary error function and its scaled
-  variant, via Cody-style rational approximations (three argument
-  regions, accurate to ~1e-16 relative in double precision),
+  variant: ``erfc`` is the platform libm's, and ``erfcx`` adds Cody's
+  rational approximation for x > 4,
 * ``lambert_w0_of_log`` -- principal Lambert W of ``exp(log_x)`` by
   Newton iteration, which never forms the (possibly overflowing)
   exponential,
@@ -14,8 +13,13 @@ module provides exactly what the power-allocation code needs:
   on ``[0, inf)`` for integrands with a Gaussian decay envelope, with
   extra panel ends where the caller knows the integrand bends.
 
-All functions accept scalars or numpy arrays and preserve the floating
-dtype of the input (float64 stays float64, longdouble stays longdouble).
+``erfc``, and the ``exp``/``expm1``/``log`` that :mod:`dapalloc.dapa`
+takes through :func:`_libm`, follow the platform's libm, so their last
+bits (and the solvers' digests) can differ between hosts whose libm
+differs; the rest is numpy.  All functions accept scalars or numpy
+arrays, return a Python float for a 0-d float64 input, and return the
+input's float dtype (other dtypes are read as float64); ``erfc``
+computes in float64 whatever that dtype.
 """
 
 from __future__ import annotations
@@ -39,46 +43,11 @@ class ConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# erfc / erfcx: rational approximations in three regions (|x| <= 0.46875,
-# 0.46875 < x <= 4, x > 4), following W. J. Cody's classic scheme.  The
-# coefficients below are the standard published ones; each region is a
-# ratio of polynomials evaluated by Horner recurrences.
+# erfc / erfcx.  erfc is the platform libm's, element by element; erfcx
+# keeps W. J. Cody's rational approximation (1969, Math. Comp. 23) for
+# x > 4, where exp(x^2) * erfc(x) would overflow or lose its digits.
 # ---------------------------------------------------------------------------
 
-_ERF_A = (
-    3.16112374387056560e00,
-    1.13864154151050156e02,
-    3.77485237685302021e02,
-    3.20937758913846947e03,
-    1.85777706184603153e-1,
-)
-_ERF_B = (
-    2.36012909523441209e01,
-    2.44024637934444173e02,
-    1.28261652607737228e03,
-    2.84423683343917062e03,
-)
-_ERF_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e00,
-    6.61191906371416295e01,
-    2.98635138197400131e02,
-    8.81952221241769090e02,
-    1.71204761263407058e03,
-    2.05107837782607147e03,
-    1.23033935479799725e03,
-    2.15311535474403846e-8,
-)
-_ERF_D = (
-    1.57449261107098347e01,
-    1.17693950891312499e02,
-    5.37181101862009858e02,
-    1.62138957456669019e03,
-    3.29079923573345963e03,
-    4.36261909014324716e03,
-    3.43936767414372164e03,
-    1.23033935480374942e03,
-)
 _ERF_P = (
     3.05326634961232344e-1,
     3.60344899949804439e-1,
@@ -96,29 +65,22 @@ _ERF_Q = (
 )
 
 _ONE_OVER_SQRT_PI = 5.6418958354775628695e-1  # 1/sqrt(pi)
-_REGION_SMALL = 0.46875
-_REGION_MID = 4.0
+_ERFCX_LARGE = 4.0  # erfcx's rational approximation covers x > 4
 
 
-def _erf_small(x: np.ndarray) -> np.ndarray:
-    """erf(x) for |x| <= 0.46875 (rational approximation in x^2)."""
-    z = x * x
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
+def _libm(fn, x) -> np.ndarray:
+    """``fn``, a :mod:`math` function, mapped over the elements of ``x``.
 
-
-def _erfcx_mid(y: np.ndarray) -> np.ndarray:
-    """exp(y^2) * erfc(y) for 0.46875 < y <= 4."""
-    num = _ERF_C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _ERF_C[i]) * y
-        den = (den + _ERF_D[i]) * y
-    return (num + _ERF_C[7]) / (den + _ERF_D[7])
+    ``x`` is a float array.  Each element is computed in float64 by the
+    platform's libm, so the result follows libm's last bits rather than
+    numpy's SIMD loops, and is returned in ``x``'s dtype and shape.  The
+    map costs a Python call per element: it beats numpy's per-call
+    overhead on the small arrays the solvers pass, but is slower than a
+    numpy ufunc chain from about 10^4 elements on.
+    """
+    flat = x.astype(np.float64, copy=False).ravel().tolist()
+    out = np.fromiter(map(fn, flat), np.float64, x.size).reshape(x.shape)
+    return out.astype(x.dtype, copy=False)
 
 
 def _erfcx_large(y: np.ndarray) -> np.ndarray:
@@ -133,34 +95,6 @@ def _erfcx_large(y: np.ndarray) -> np.ndarray:
     return (_ONE_OVER_SQRT_PI - r) / y
 
 
-def _erfcx_tail(y: np.ndarray) -> np.ndarray:
-    """exp(y^2) * erfc(y) for y > 0.46875: the mid and large regions."""
-    # one-region arrays (every scalar call) skip the masked assembly
-    large = y > _REGION_MID
-    if not large.any():
-        return _erfcx_mid(y)
-    if large.all():
-        return _erfcx_large(y)
-    out = np.empty_like(y)
-    out[~large] = _erfcx_mid(y[~large])
-    out[large] = _erfcx_large(y[large])
-    return out
-
-
-def _exp_neg_sq(y: np.ndarray) -> np.ndarray:
-    """exp(-y^2) with reduced rounding for large y.
-
-    Splitting y into a 1/16-grid part and a remainder keeps the argument
-    of each exponential small enough that the product loses less than an
-    ulp, which matters once y^2 is in the hundreds.  The grid part is
-    capped at 128, where exp(-128^2) is 0 even in longdouble (whose
-    erfc underflows near y = 107), so y = inf gives 0, not inf - inf.
-    """
-    ysq = np.trunc(np.minimum(y, 128.0) * 16.0) / 16.0
-    # minus the remainder (y - ysq)(y + ysq), without a separate negation
-    return np.exp(-ysq * ysq) * np.exp((ysq - y) * (y + ysq))
-
-
 def _dispatch_unary(x, core) -> np.ndarray | float:
     """Apply ``core`` to ``x`` as a floating ndarray, unwrap 0-d results."""
     arr = np.asarray(x)
@@ -173,41 +107,23 @@ def _dispatch_unary(x, core) -> np.ndarray | float:
 
 
 def erfc(x):
-    """Complementary error function, accurate over the full real line.
+    """Complementary error function over the full real line: the
+    platform libm's ``erfc``, element by element (see :func:`_libm`).
 
-    Relative error is ~1e-16 for moderate arguments and stays below
-    1e-13 out to the underflow edge near x = 26.5.  Accepts scalars or
-    arrays; negative arguments use erfc(-x) = 2 - erfc(x).
+    Accepts scalars or arrays.  Computes in float64 and returns the
+    input's float dtype; glibc's ``erfc`` is within a few ulp, and
+    underflows to 0 past x = 27.23 without a warning.
     """
-
-    def core(ax: np.ndarray) -> np.ndarray:
-        y = np.abs(ax)
-        out = np.empty_like(y)
-
-        small = y <= _REGION_SMALL
-        tail = ~small
-        if small.any():
-            out[small] = 1.0 - _erf_small(ax[small])
-        if tail.any():
-            yt = y[tail]
-            with np.errstate(under="ignore"):
-                out[tail] = _erfcx_tail(yt) * _exp_neg_sq(yt)
-
-        neg = ax < 0
-        if neg.any():
-            # erf is odd; the small-region branch already handled signs.
-            flip = neg & tail
-            out[flip] = 2.0 - out[flip]
-        return out
-
-    return _dispatch_unary(x, core)
+    return _dispatch_unary(x, lambda ax: _libm(math.erfc, ax))
 
 
 def erfcx(x):
     """Scaled complementary error function exp(x^2) * erfc(x) for x >= 0.
 
     The scaling removes the Gaussian decay, so values stay representable
-    for arbitrarily large arguments (erfcx(x) ~ 1/(x sqrt(pi))).
+    for arbitrarily large arguments (erfcx(x) ~ 1/(x sqrt(pi))).  Up to
+    x = 4 it is exp(x^2) * erfc(x); past that, Cody's rational
+    approximation in 1/x^2.
 
     Raises:
         ValueError: if any argument is negative (exp(x^2) would
@@ -218,15 +134,13 @@ def erfcx(x):
     def core(ax: np.ndarray) -> np.ndarray:
         if (ax < 0).any():
             raise ValueError("erfcx requires x >= 0")
+        large = ax > _ERFCX_LARGE
+        if large.all():  # every in-library call: psi > 25 (pa_model._ERFCX_SWITCH)
+            return _erfcx_large(ax)
         out = np.empty_like(ax)
-
-        small = ax <= _REGION_SMALL
-        tail = ~small
-        if small.any():
-            xs = ax[small]
-            out[small] = np.exp(xs * xs) * (1.0 - _erf_small(xs))
-        if tail.any():
-            out[tail] = _erfcx_tail(ax[tail])
+        out[large] = _erfcx_large(ax[large])
+        small = ax[~large]
+        out[~large] = np.exp(small * small) * erfc(small)
         return out
 
     return _dispatch_unary(x, core)
