@@ -1,17 +1,21 @@
 """Digit account of a source tree: its results, bit for bit, and how far
 they moved from another tree's.
 
-    python tests/digit_account.py [--tree PATH] [--parent PATH]
+    python tests/digit_account.py [--parent PATH]
 
-``--tree`` defaults to the checkout holding this script.  For the tree it
-prints one SHA-256 line per source of results:
+The tree is the checkout holding this script; to account another checkout,
+run that checkout's copy of the script.  For the tree it prints one SHA-256
+line per source of results:
 
 * ``digest <workload>``: the reference batch (batch 0, full shape) of each
   ``perfbench`` workload, hashed as ``perfbench/run.py`` hashes it: for each
   result file in name order, its name, a NUL byte, then its bytes;
 * ``c07``: c07's 500 instances (``test_acceptance._random_instances`` at
   seed 20240819, one chunk per config, in first-seen order), hashed the
-  same way over the two files below;
+  same way over the two files below.  The instances come from the
+  ``tests/test_acceptance.py`` beside this script, run against each tree's
+  ``src/``, so both trees solve the same inputs; a parent whose ``src/``
+  lacks a name that file imports cannot be accounted;
 * ``montecarlo <mode> workers=<n>``: the files ``dapalloc montecarlo``
   writes (20 users, M = 64, ``p_max`` 0.1 W, 24 drops, seed 31) in the
   plain, rapp (``smoothness_p`` 2) and icsi (``csi_delta`` 0.1) modes,
@@ -43,10 +47,11 @@ columns ``rate_<i>`` are folded into ``rate_*``; a JSON summary is one
 column of its numeric leaves.  A text cell that differs, or a row only one
 tree has, counts as moved by ``inf``.
 
-Each tree runs in its own process, with its ``src/`` and ``perfbench/``
-first on the path and BLAS pinned to one thread, as ``perfbench/run.py``
-pins it.  ``--dump DIR`` is that process: it writes the tree's result
-files under DIR.  A tree takes about 12 s on a 2-core host.
+Each tree runs in its own process, with this script's ``tests/`` first on
+the path, then the tree's ``src/`` and ``perfbench/``, and BLAS pinned to
+one thread, as ``perfbench/run.py`` pins it.  ``--dump DIR`` is that
+process: it writes the tree's result files under DIR.  A tree takes about
+12 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
 
 
-# --- the tree's side: runs with the tree's src/ and perfbench/ first on the path
+# --- the tree's side: runs with this tests/, then the tree's src/ and perfbench/, on the path
 
 
 def _dump_workloads(out: Path) -> None:
@@ -258,7 +263,6 @@ def _moves(tree_out: Path, parent_out: Path) -> list[tuple]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tree", type=Path, default=HERE.parent)
     parser.add_argument("--parent", type=Path, default=None)
     parser.add_argument("--dump", type=Path, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -266,7 +270,7 @@ def main(argv=None) -> int:
         _dump(args.dump)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"tree": args.tree.resolve()}
+        trees = {"tree": HERE.parent}
         if args.parent is not None:
             trees["parent"] = args.parent.resolve()
         digests = {side: _run_tree(path, Path(tmp) / side) for side, path in trees.items()}
