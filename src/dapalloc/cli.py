@@ -279,7 +279,8 @@ def _cmd_linklevel(args: argparse.Namespace) -> int:
         raise ValueError(f"bad linklevel config: {exc}") from exc
     points = simulate_sdr(sim_cfg)
     write_sdr_csv(points, _out_path(args.out, "linklevel.csv"))
-    worst = max(abs(p.sdr_meas_db - p.sdr_analytic_db) for p in points)
+    worst = max(abs(p.sdr_meas_db - p.sdr_analytic_db) if p.sdr_meas_db != p.sdr_analytic_db
+                else 0.0 for p in points)  # two +inf SDRs are 0 dB apart, not inf - inf = nan
     print(
         f"wrote linklevel.csv ({len(points)} points) to {args.out}; "
         f"worst |measured - analytic| = {worst:.3f} dB"

@@ -16,6 +16,11 @@ line per source of results:
   ``tests/test_acceptance.py`` beside this script, run against each tree's
   ``src/``, so both trees solve the same inputs; a parent whose ``src/``
   lacks a name that file imports cannot be accounted;
+* ``c02``: every ``LinkSdrPoint`` field of the c02 reference sweep, the
+  ``linklevel-sdr`` workload's reference batch (its shape, ZF, seed 2024
+  for each user count), hashed the same way over the file below.  The
+  workload's CSV leaves out ``per_antenna_power``, the clip diagnostics,
+  ``mean_tx_power_per_antenna`` and ``bussgang_gain_err``;
 * ``montecarlo <mode> workers=<n>``: the files ``dapalloc montecarlo``
   writes (20 users, M = 64, ``p_max`` 0.1 W, 24 drops, seed 31) in the
   plain, rapp (``smoothness_p`` 2) and icsi (``csi_delta`` 0.1) modes,
@@ -36,6 +41,13 @@ the same double), and an empty cell where a row has no value.
   ``allocator._ao_rows`` on each chunk at its default ``delta``, the
   iterate's power and sum rate repeated on each of its users' lines; a
   row that raised has one line with ``round`` and ``user`` empty.
+
+c02's byte layout: one CSV file, ``c02_points.csv``, in the same form
+(a header line, ``\\n`` line ends, floats as ``repr``).  Its columns are
+``LinkSdrPoint``'s fields in declaration order, with ``per_antenna_power``
+spread over one cell per antenna, ``per_antenna_power_0`` to
+``per_antenna_power_<M-1>``; one line per point, the user counts in the
+workload's order and each sweep in grid order.
 
 With ``--parent PATH`` it also runs the parent tree and prints, for each
 table (a result file kind) and column, how many cells moved and the
@@ -162,6 +174,30 @@ def _dump_c07(out: Path) -> None:
     )
 
 
+def _dump_c02(out: Path) -> None:
+    import dataclasses
+
+    from workloads import REFERENCE_SEED, WORKLOADS
+
+    from dapalloc.linklevel import LinkSdrPoint, LinkSimConfig, simulate_sdr
+
+    shape = WORKLOADS["linklevel-sdr"].shape
+    sizes = {key: shape[key] for key in ("m_antennas", "fft_size", "n_used_subcarriers", "cp_len", "n_symbols")}
+    fields = [f.name for f in dataclasses.fields(LinkSdrPoint)]
+    antennas = [f"per_antenna_power_{i}" for i in range(shape["m_antennas"])]
+    header = [column for name in fields for column in (antennas if name == "per_antenna_power" else [name])]
+    rows = []
+    for n_users in shape["n_users"]:
+        cfg = LinkSimConfig(n_users=n_users, ibo_grid_db=shape["ibo_grid_db"], precoder="zf",
+                            seed=REFERENCE_SEED, **sizes)
+        for point in simulate_sdr(cfg):
+            rows.append([cell for name in fields
+                         for cell in (point.per_antenna_power.tolist() if name == "per_antenna_power"
+                                      else [getattr(point, name)])])
+    (out / "c02").mkdir(parents=True)
+    _write_csv(out / "c02" / "c02_points.csv", header, rows)
+
+
 def _dump_montecarlo(out: Path) -> None:
     for mode, extra in MONTECARLO.items():
         config = out / f"montecarlo-{mode}.json"
@@ -177,6 +213,7 @@ def _dump_montecarlo(out: Path) -> None:
 def _dump(out: Path) -> None:
     _dump_workloads(out)
     _dump_c07(out)
+    _dump_c02(out)
     _dump_montecarlo(out)
 
 
@@ -198,7 +235,7 @@ def _run_tree(tree: Path, out: Path) -> dict[str, str]:
             mode, workers = name[len("montecarlo-"):].split("-workers")
             label = f"montecarlo {mode} workers={workers}"
         else:
-            label = "c07" if name == "c07" else f"digest {name}"
+            label = name if name in ("c02", "c07") else f"digest {name}"
         digests[label] = _digest(directory)
     return digests
 

@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -259,6 +260,20 @@ def test_linklevel(tmp_path, capsys):
     assert len(lines) == 2
     meas = float(lines[1].split(",")[4])
     assert meas == pytest.approx(30.437936276057705, rel=1e-12)
+
+
+def test_linklevel_worst_error_reads_two_infinite_sdrs_as_equal(tmp_path, capsys):
+    # at 20 dB both SDRs are +inf, and inf - inf would make the worst error nan
+    cfg = _write_cfg(tmp_path, {"m_antennas": 64, "n_users": 1, "ibo_grid_db": [20.0, 12.0],
+                                "fft_size": 128, "n_used_subcarriers": 32, "cp_len": 8,
+                                "n_symbols": 24, "seed": 0})
+    out = tmp_path / "ll"
+    assert main(["linklevel", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "linklevel.csv").read_text().splitlines()[1:]]
+    assert rows[0][4:6] == ["inf", "inf"]
+    worst = abs(float(rows[1][4]) - float(rows[1][5]))
+    assert math.isfinite(worst)
+    assert capsys.readouterr().out.endswith(f"worst |measured - analytic| = {worst:.3f} dB\n")
 
 
 def test_linklevel_rejects_unknown_key(tmp_path, capsys):

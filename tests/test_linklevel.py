@@ -1,6 +1,7 @@
 """Waveform-level clipper simulation versus the closed-form predictions."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -233,19 +234,25 @@ def _point_fields(pt):
     }
 
 
-def test_kernel_is_bitwise_the_reference():
+def test_kernel_is_bitwise_the_reference(monkeypatch):
     # The kernel transforms antenna-major, counts the prefix from the
     # symbol's tail and scales only the samples that clip; every field
     # must keep the bits of the symbol-major form.  K=1 catches an x_rx
     # laid out differently from the fancy index (the sums over r add in
     # another order), fft sizes 96 and 100 an ifft scaled by norm=.
+    # Each transform block must leave the bits as the whole chunk did;
+    # 53 symbols end on a partial chunk of 5, split into blocks 4 and 1.
     cases = [
         dict(fft_size=64, cp_len=0, n_users=1, precoder="zf", n_symbols=10),
         dict(fft_size=96, cp_len=7, n_users=3, precoder="mrt", n_symbols=30),
         dict(fft_size=128, cp_len=16, n_users=2, precoder="zf", n_symbols=50),
         dict(fft_size=100, cp_len=5, n_users=1, precoder="mrt", n_symbols=24),
+        dict(fft_size=64, cp_len=3, n_users=2, precoder="zf", n_symbols=53),
     ]
-    for case in cases:
+    for block, case in itertools.product(
+        (1, linklevel._TRANSFORM_BLOCK, linklevel._SYMBOL_CHUNK), cases
+    ):
+        monkeypatch.setattr(linklevel, "_TRANSFORM_BLOCK", block)
         cfg = LinkSimConfig(m_antennas=8, n_used_subcarriers=40, ibo_grid_db=(-6.0, 3.0, 20.0),
                             seed=11, **case)
         clip_fractions = []
@@ -255,12 +262,39 @@ def test_kernel_is_bitwise_the_reference():
             assert got.keys() == want.keys()
             for name, value in want.items():
                 if isinstance(value, np.ndarray):
-                    assert np.array_equal(got[name], value), (case, ibo_db, name)
+                    assert np.array_equal(got[name], value), (block, case, ibo_db, name)
                 else:
-                    assert got[name] == value, (case, ibo_db, name)
+                    assert got[name] == value, (block, case, ibo_db, name)
             clip_fractions.append(float(want["clip_fraction"]))
         # the grid spans both ends: most samples clip at -6 dB, none at 20 dB
         assert clip_fractions[0] > 0.5 and clip_fractions[2] == 0.0, case
+
+
+def test_a_zero_residual_reads_plus_inf_db():
+    # 20 dB clips no sample and the clamped residual sums to exactly 0,
+    # which reads +inf dB with no divide-by-zero warning
+    cfg = LinkSimConfig(m_antennas=64, n_users=1, ibo_grid_db=(20.0, 12.0), fft_size=128,
+                        n_used_subcarriers=32, cp_len=8, n_symbols=24, seed=0)
+    quiet, clean = simulate_sdr(cfg)
+    assert quiet.clip_fraction == 0.0
+    assert quiet.sdr_meas_db == math.inf and quiet.sdr_analytic_db == math.inf
+    assert math.isfinite(clean.sdr_meas_db) and clean.sdr_meas_db > clean.sdr_analytic_db
+
+
+def test_a_c02_point_keeps_its_working_set_small():
+    # the kernel transforms a few symbols at a time; spectra of a whole
+    # 24-symbol chunk (12.6 MB each) peak at 54.7 MB of traced allocation
+    import tracemalloc
+
+    cfg = LinkSimConfig(m_antennas=64, n_users=4, ibo_grid_db=(4.0,), seed=2024)
+    assert (cfg.fft_size, cfg.n_used_subcarriers, cfg.cp_len, cfg.n_symbols) == (512, 100, 32, 200)
+    tracemalloc.start()
+    try:
+        linklevel._simulate_point(cfg, 4.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, peak
 
 
 def test_traced_kernel_records_its_transforms_and_einsums(monkeypatch):
