@@ -16,8 +16,9 @@ allocations under each of a list of (config, precoder, csi) evaluators
 in one chunked ``evaluate`` call.  That call runs the Rapp law once per
 distinct total power: REF-E and REF-FPDA share one power over every
 drop, so a span of n drops runs the Rapp law at most 2n + 1 times, not
-4n.  Solver failures become NaN rows carrying the error, logged in set
-order once every span is back; any other exception propagates.
+4n.  A row that a strategy returns as an error (a solver failure)
+becomes a NaN row carrying it, logged in set order once every span is
+back; an exception that a strategy raises propagates.
 
 Determinism: a drop is a pure function of (scenario seed, drop id),
 each row of a lockstep solve or a chunked rating is bitwise its own
@@ -40,9 +41,7 @@ import numpy as np
 
 from dapalloc._fields import REAL, require
 from dapalloc.allocator import ALGORITHMS
-from dapalloc.dapa import SolverError
 from dapalloc.metrics import SystemConfig, UeSet, evaluate
-from dapalloc.numerics import ConvergenceError
 from dapalloc.pa_model import RAPP, PaModel
 from dapalloc.scenario import ScenarioConfig, drop_ues
 
@@ -130,18 +129,13 @@ def _solve_and_rate(
     each evaluator rates every allocation of the chunk in one
     :func:`~dapalloc.metrics.evaluate` call.  Returns one result list per
     evaluator, ordered by (set, strategy), each result carrying its set's
-    id.  A solver failure gives the same NaN result in every list; any
-    other error propagates.
+    id.  A row that a strategy returns as an error gives the same NaN
+    result in every list; an exception that a strategy raises propagates.
     """
     if chunk is None:
         chunk = [drop_ues(sc, drop_id) for drop_id in ids]
     cfg = _system_config(sc)
-    outcomes = {}
-    for label in algorithms:
-        try:
-            outcomes[label] = ALGORITHMS[label](chunk, cfg)
-        except (SolverError, ConvergenceError) as exc:
-            outcomes[label] = [exc] * len(chunk)
+    outcomes = {label: ALGORITHMS[label](chunk, cfg) for label in algorithms}
     # (set id, set, strategy, allocation or error) in (set, strategy) order
     pairs = [
         (set_id, ues, label, outcomes[label][row])

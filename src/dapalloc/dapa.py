@@ -240,8 +240,7 @@ def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig,
     psi, lam, _, dist = _clipper_state(power, cfg)
     tail = _erfc_over_sqrt(psi)
     # 1 - e^-psi - psi e^-psi ~ psi^2 / 2 at small psi; expm1 avoids the cancellation
-    exp_neg = np.where(psi <= 700.0, _libm(math.exp, -psi), 0.0)
-    common = np.sqrt(lam) * (-_libm(math.expm1, -psi) - psi * exp_neg)
+    common = np.sqrt(lam) * (-_libm(math.expm1, -psi) - psi * _libm(math.exp, -psi))
     if plans is None:
         plans = [_plan(ues, _active(ues, omega), cfg) for ues, omega in zip(ues_rows, omega_rows)]
     out = np.empty(power.shape)
@@ -399,11 +398,12 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, 
     After bisection the sum rate is sampled at 32 log-spaced points of
     the bracket; if any sample beats the bisection root (possible only
     if the K-term derivative had several sign changes), bisection is
-    re-run inside the best sample's sub-interval and the best candidate
-    wins.  This guard keeps the common single-root case untouched.  Both
-    stages batch their points: bisection evaluates three levels of
-    midpoints per derivative call, and the guard rates its 32 samples in
-    one call.  Every bit is that of one scalar call per point.
+    re-run inside the best sample's sub-interval, and its root replaces
+    the sample unless it rates lower.  This guard keeps the common
+    single-root case untouched.  Both stages batch their points:
+    bisection evaluates three levels of midpoints per derivative call,
+    and the guard rates its 32 samples in one call.  Every bit is that
+    of one scalar call per point.
 
     Derivative calls per solve: each covers at least three bisection
     levels and the path a walk toward a guessed root would take, so a
@@ -554,20 +554,21 @@ def _solve_rows(
     i_best = np.argmax(rated[:, 1:], axis=1)
     fired = np.flatnonzero(rated[np.arange(len(rows)), 1 + i_best] > best_obj)
     if fired.size:
-        sub_lo = samples[fired, np.maximum(i_best[fired] - 1, 0)]
-        sub_hi = samples[fired, np.minimum(i_best[fired] + 1, _GUARD_SAMPLES - 1)]
+        # a fired row starts from its best sample, rated with evaluate's bits
+        best = i_best[fired]
+        best_p[fired], best_obj[fired] = samples[fired, best], rated[fired, 1 + best]
+        sub_lo = samples[fired, np.maximum(best - 1, 0)]
+        sub_hi = samples[fired, np.minimum(best + 1, _GUARD_SAMPLES - 1)]
         sub_ues, sub_omega, sub_tables, sub_plans = (
             _pick(items, fired) for items in (ues_rows, omega_rows, tables, plans)
         )
         sub_roots, iterations[fired] = _walk(
             sub_lo, sub_hi, delta, sub_ues, sub_omega, cfg, sub_tables, plans=sub_plans
         )
-        for i, sub_root in zip(fired, sub_roots):
-            for candidate in (float(sub_root), float(samples[i, i_best[i]])):
-                obj = evaluate(cfg, ues_rows[i], Allocation(candidate, omega_rows[i])).sum_rate
-                if obj > best_obj[i]:
-                    best_obj[i] = obj
-                    best_p[i] = candidate
+        for i, sub_root in zip(fired, sub_roots.tolist()):
+            obj = evaluate(cfg, ues_rows[i], Allocation(sub_root, omega_rows[i])).sum_rate
+            if obj >= best_obj[i]:  # a tie goes to the re-walked root
+                best_p[i], best_obj[i] = sub_root, obj
 
     # The residual reads each row's table at its power; a row whose power
     # is a guard sample no call evaluated, or whose table holds NaN, gets one call.

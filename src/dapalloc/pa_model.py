@@ -58,9 +58,6 @@ ETA = 2.0 / 3.0
 # Beyond this back-off the closed forms are evaluated through erfcx to
 # dodge underflow of erfc(sqrt(psi)); see bussgang_gain_soft.
 _ERFCX_SWITCH = 25.0
-# exp(-psi) underflows double precision near 745; treating it as exactly
-# zero above 700 avoids denormal noise with no effect at double precision.
-_EXP_CUTOFF = 700.0
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -111,14 +108,6 @@ def input_backoff(total_power_p, m_antennas: int, p_max: float):
     return m_antennas * p_max / total_power_p
 
 
-def _exp_neg(psi):
-    """exp(-psi), flushed to exactly zero past the underflow cutoff."""
-    psi = np.asarray(psi, dtype=np.float64)
-    with np.errstate(under="ignore"):
-        out = np.where(psi > _EXP_CUTOFF, 0.0, np.exp(-np.minimum(psi, _EXP_CUTOFF)))
-    return out
-
-
 def _tail_term(psi):
     """0.5 * sqrt(pi * psi) * erfc(sqrt(psi)), stable at large psi."""
     psi = np.asarray(psi, dtype=np.float64)
@@ -128,9 +117,9 @@ def _tail_term(psi):
     if small.any():
         out[small] = 0.5 * _SQRT_PI * root[small] * erfc(root[small])
     if not small.all():
-        rl = np.minimum(root[~small], 1e3)  # the product is 0 past psi = 700; keeps inf * 0 out
+        rl = np.minimum(root[~small], 1e3)  # keeps inf * 0 out at psi = inf
         with np.errstate(under="ignore"):
-            out[~small] = 0.5 * _SQRT_PI * rl * erfcx(rl) * _exp_neg(psi[~small])
+            out[~small] = 0.5 * _SQRT_PI * rl * erfcx(rl) * np.exp(-psi[~small])
     return out
 
 

@@ -44,8 +44,7 @@ class ScenarioConfig:
         cell_radius_m: cell radius in meters.
         min_distance_m: smallest allowed user distance in meters (the
             log-distance law diverges at 0; 10 m is the default guard).
-        fc_ghz: carrier frequency in GHz (3.0 and 3.5 are the presets
-            used by the shipped experiment configs).
+        fc_ghz: carrier frequency in GHz; 3.0 GHz is the default.
         n_subcarriers: occupied subcarrier count.
         delta_f_hz: subcarrier spacing in Hz.
         seed: 64-bit master seed; all randomness derives from it.

@@ -89,7 +89,8 @@ def simulate_point(
     resid = rec_power / sym_count - wanted
     # Unbiased residual variance (one complex parameter estimated).
     resid = np.maximum(resid, 0.0) * (sym_count / (sym_count - 1))
-    sdr_meas = float(np.sum(wanted) / np.sum(resid))
+    resid_total = np.sum(resid)  # exactly 0 when no distortion shows: +inf dB
+    sdr_meas_db = 10.0 * math.log10(float(np.sum(wanted) / resid_total)) if resid_total else math.inf
 
     lam = bussgang_gain_soft(psi)
     pred_gain = math.sqrt(lam) * np.abs(lin_gain)
@@ -105,7 +106,7 @@ def simulate_point(
         precoder=cfg.precoder,
         m_antennas=m,
         n_users=k,
-        sdr_meas_db=10.0 * math.log10(sdr_meas),
+        sdr_meas_db=sdr_meas_db,
         sdr_analytic_db=analytic_sdr_db(ibo_db, m, k, cfg.precoder),
         n_symbols=sym_count,
         clip_fraction=clip_count / sample_count,

@@ -105,8 +105,18 @@ def _raise(exc):
     return strategy
 
 
+def _fail(exc):
+    """A strategy that returns ``exc`` for every row of its chunk, as the
+    shipped strategies return a solver failure."""
+
+    def strategy(ues, cfg):
+        return [exc] * len(ues)
+
+    return strategy
+
+
 def test_solver_failure_becomes_nan_row(monkeypatch):
-    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-E", _raise(SolverError("no bracket")))
+    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-E", _fail(SolverError("no bracket")))
     soft, rapp = evaluate_rapp_mode(SMALL_SC, n_drops=2)
     for results in (soft, rapp):
         assert len(results) == 2 * len(DEFAULT_ALGORITHMS)
@@ -123,13 +133,47 @@ def test_failure_log_is_drop_major_across_chunks(monkeypatch, caplog):
     # drop by drop once every chunk is back.  Threads stand in for the
     # worker processes, so the injected strategies reach every chunk.
     for label in ("DAPA-E", "REF-E"):
-        monkeypatch.setitem(bench.ALGORITHMS, label, _raise(SolverError("no bracket")))
+        monkeypatch.setitem(bench.ALGORITHMS, label, _fail(SolverError("no bracket")))
     monkeypatch.setattr(bench, "ProcessPoolExecutor", ThreadPoolExecutor)
     n_drops = 7
     run_montecarlo(SMALL_SC, n_drops=n_drops, workers=2)
     assert [rec.getMessage() for rec in caplog.records] == [
         f"drop {d}, {label} failed: no bracket" for d in range(n_drops) for label in ("DAPA-E", "REF-E")
     ]
+
+
+def test_a_row_returned_as_an_error_fails_that_row_alone(monkeypatch, caplog):
+    # DAPA-E returns an error for the middle drop of its one chunk; every
+    # other row is rated as in a run without the failure
+    dapa_e = bench.ALGORITHMS["DAPA-E"]
+
+    def one_row_fails(ues, cfg):
+        outcomes = dapa_e(ues, cfg)
+        outcomes[1] = SolverError("no bracket")
+        return outcomes
+
+    clean = evaluate_rapp_mode(SMALL_SC, n_drops=3)
+    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-E", one_row_fails)
+    caplog.clear()
+    for results, want in zip(evaluate_rapp_mode(SMALL_SC, n_drops=3), clean):
+        assert len(results) == len(want) == 3 * len(DEFAULT_ALGORITHMS)
+        for r, w in zip(results, want):
+            if (r.drop_id, r.algorithm) == (1, "DAPA-E"):
+                assert r.error == "no bracket"
+                assert math.isnan(r.sum_rate) and np.all(np.isnan(r.rates))
+            else:
+                assert r.error is None and math.isfinite(r.sum_rate)
+                assert (r.sum_rate, r.total_power_p) == (w.sum_rate, w.total_power_p)
+                assert np.array_equal(r.rates, w.rates)
+    assert [rec.getMessage() for rec in caplog.records] == ["drop 1, DAPA-E failed: no bracket"]
+
+
+def test_a_raised_solver_error_propagates(monkeypatch):
+    # a strategy returns its rows' failures; one it raises breaks that
+    # contract and is not turned into NaN rows
+    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-E", _raise(SolverError("no bracket")))
+    with pytest.raises(SolverError, match="no bracket"):
+        run_montecarlo(SMALL_SC, n_drops=2)
 
 
 def test_programming_error_propagates(monkeypatch):
@@ -228,7 +272,7 @@ def test_grid_2ue_records():
 
 
 def test_grid_2ue_failed_cell_is_nan(monkeypatch, caplog):
-    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-FPDA", _raise(SolverError("no bracket")))
+    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-FPDA", _fail(SolverError("no bracket")))
     sc = ScenarioConfig(n_users=2, m_antennas=64, p_max=0.1, seed=17)
     (record,) = grid_2ue(sc, two_ue_grid(100.0, 100.0, 10.0, sc))
     assert record["pl1_db"] == record["pl2_db"] == 100.0
@@ -238,7 +282,7 @@ def test_grid_2ue_failed_cell_is_nan(monkeypatch, caplog):
 
 
 def test_sweep_failed_point_is_nan_and_logged_as_a_sweep_point(monkeypatch, caplog):
-    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-E", _raise(SolverError("no bracket")))
+    monkeypatch.setitem(bench.ALGORITHMS, "DAPA-E", _fail(SolverError("no bracket")))
     rows = sweep_homogeneous(SMALL_SC, [90.0, 100.0], algorithms=("DAPA-E", "REF-E"))
     for row in rows:
         assert math.isnan(row["DAPA-E_sum_rate"]) and math.isnan(row["DAPA-E_ibo_db"])
@@ -362,7 +406,7 @@ def test_a_policy_that_is_no_fraction_or_estimated_is_rejected(policy):
 
 def test_summary_of_a_run_whose_every_drop_failed(monkeypatch):
     for label in DEFAULT_ALGORITHMS:
-        monkeypatch.setitem(bench.ALGORITHMS, label, _raise(SolverError("no bracket")))
+        monkeypatch.setitem(bench.ALGORITHMS, label, _fail(SolverError("no bracket")))
     s = summarize(run_montecarlo(SMALL_SC, n_drops=2))
     for block in s["algorithms"].values():
         assert block["failures"] == 2

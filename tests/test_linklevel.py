@@ -242,20 +242,23 @@ def test_kernel_is_bitwise_the_reference(monkeypatch):
     # another order), fft sizes 96 and 100 an ifft scaled by norm=.
     # Each transform block must leave the bits as the whole chunk did;
     # 53 symbols end on a partial chunk of 5, split into blocks 4 and 1.
+    # The last case's residual sums to exactly 0 at 20 dB: +inf dB in both.
+    base = dict(m_antennas=8, n_used_subcarriers=40, ibo_grid_db=(-6.0, 3.0, 20.0), seed=11)
     cases = [
         dict(fft_size=64, cp_len=0, n_users=1, precoder="zf", n_symbols=10),
         dict(fft_size=96, cp_len=7, n_users=3, precoder="mrt", n_symbols=30),
         dict(fft_size=128, cp_len=16, n_users=2, precoder="zf", n_symbols=50),
         dict(fft_size=100, cp_len=5, n_users=1, precoder="mrt", n_symbols=24),
         dict(fft_size=64, cp_len=3, n_users=2, precoder="zf", n_symbols=53),
+        dict(m_antennas=64, n_users=1, fft_size=128, n_used_subcarriers=32, cp_len=8, n_symbols=24,
+             seed=0, ibo_grid_db=(20.0, 12.0)),
     ]
     for block, case in itertools.product(
         (1, linklevel._TRANSFORM_BLOCK, linklevel._SYMBOL_CHUNK), cases
     ):
         monkeypatch.setattr(linklevel, "_TRANSFORM_BLOCK", block)
-        cfg = LinkSimConfig(m_antennas=8, n_used_subcarriers=40, ibo_grid_db=(-6.0, 3.0, 20.0),
-                            seed=11, **case)
-        clip_fractions = []
+        cfg = LinkSimConfig(**{**base, **case})
+        clip_fractions, sdrs = [], []
         for index, ibo_db in enumerate(cfg.ibo_grid_db):
             got = _point_fields(linklevel._simulate_point(cfg, ibo_db, index))
             want = _point_fields(linklevel_reference.simulate_point(cfg, ibo_db, index))
@@ -266,8 +269,12 @@ def test_kernel_is_bitwise_the_reference(monkeypatch):
                 else:
                     assert got[name] == value, (block, case, ibo_db, name)
             clip_fractions.append(float(want["clip_fraction"]))
-        # the grid spans both ends: most samples clip at -6 dB, none at 20 dB
-        assert clip_fractions[0] > 0.5 and clip_fractions[2] == 0.0, case
+            sdrs.append(float(want["sdr_meas_db"]))
+        if cfg.ibo_grid_db == base["ibo_grid_db"]:
+            # the grid spans both ends: most samples clip at -6 dB, none at 20 dB
+            assert clip_fractions[0] > 0.5 and clip_fractions[2] == 0.0, case
+        else:
+            assert sdrs[0] == math.inf and math.isfinite(sdrs[1]), case
 
 
 def test_a_zero_residual_reads_plus_inf_db():

@@ -83,6 +83,16 @@ def test_gain_monotone_and_bounded():
     assert lam[-1] <= 1.0
     assert bussgang_gain_soft(0.0) == 0.0
     assert distortion_coeff_soft(0.0) == 0.0
+    # from psi = 38 on the gain is exactly 1.0, with exp(-psi) taken as it
+    # is: across 700 and exp's subnormal range (to ~745), and at psi = inf
+    deep = _deep_saturation(psis)
+    assert np.all(bussgang_gain_soft(deep) == 1.0)
+
+
+def _deep_saturation(psis):
+    """``psis``, a dense grid over (690, 760) and +inf, from 38 upward."""
+    psis = np.concatenate([psis, np.linspace(690.0, 760.0, 7001), [np.inf]])
+    return psis[psis >= 38.0]
 
 
 def test_dist_nonnegative_everywhere():
@@ -92,6 +102,7 @@ def test_dist_nonnegative_everywhere():
     c = distortion_coeff_soft(psis)
     assert np.all(c >= 0.0)
     assert distortion_coeff_soft(800.0) == 0.0
+    assert np.all(distortion_coeff_soft(_deep_saturation(psis)) == 0.0)
 
 
 def test_vectorized_matches_scalar():
