@@ -20,6 +20,7 @@ spot (about 27 dB), making REF-E the standard fixed-design baseline.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -73,10 +74,17 @@ def _ref_power(cfg: SystemConfig) -> float:
     return cfg.m_antennas * cfg.p_max / _REF_BACKOFF_LINEAR
 
 
-# (key, (outcomes, bounds)) of the last chunk _equal_split solved, until
-# one hit takes it; set and cleared whole, so a thread or worker can at
-# worst miss.
+# (key, (outcomes, bounds), weak reference to the chunk's first set) of
+# the last chunk _equal_split solved, until one hit takes it or that set
+# is freed; set and cleared whole, so a thread or worker can at worst miss.
 _equal_split_memo: Optional[tuple] = None
+
+
+def _forget_equal_split(first_set: weakref.ref) -> None:
+    """Drop the memo entry whose chunk's first set was just freed, if it is still the entry."""
+    global _equal_split_memo
+    if _equal_split_memo is not None and _equal_split_memo[2] is first_set:
+        _equal_split_memo = None
 
 
 def _equal_split(ues_rows: list, cfg: SystemConfig, delta: float) -> tuple[list, list]:
@@ -88,9 +96,10 @@ def _equal_split(ues_rows: list, cfg: SystemConfig, delta: float) -> tuple[list,
     everything the solve reads: ``cfg``, ``delta`` and each set's
     ``beta`` and ``noise_w`` bytes, so a hit is never stale.  The entry
     serves one hit, the second strategy's, and is then dropped: a run
-    that repeats a chunk solves it again, and nothing is held after.
-    Every user holds power, so the bounds cover every user a later
-    round can keep.
+    that repeats a chunk solves it again.  An entry that no hit takes
+    (a run without DAPA-E) is dropped when the chunk's first set is
+    freed, so no entry outlives its chunk.  Every user holds power, so
+    the bounds cover every user a later round can keep.
     """
     global _equal_split_memo
     key = (cfg, delta, tuple((ues.beta.tobytes(), ues.noise_w.tobytes()) for ues in ues_rows))
@@ -101,7 +110,8 @@ def _equal_split(ues_rows: list, cfg: SystemConfig, delta: float) -> tuple[list,
     bounds = _user_bounds([ues.beta for ues in ues_rows], [ues.noise_w for ues in ues_rows], cfg)
     omega = [np.full(ues.n_users, 1.0 / ues.n_users) for ues in ues_rows]
     solved = (solve_dapa(ues_rows, omega, cfg, delta, _bounds=bounds), bounds)
-    _equal_split_memo = (key, solved)
+    if ues_rows:  # an empty chunk has no set to outlive
+        _equal_split_memo = (key, solved, weakref.ref(ues_rows[0], _forget_equal_split))
     return solved
 
 

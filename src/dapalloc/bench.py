@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -39,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from dapalloc._fields import REAL, require
+from dapalloc._fields import ERROR_FRACTION, REAL, require
 from dapalloc.allocator import ALGORITHMS
 from dapalloc.metrics import SystemConfig, UeSet, evaluate
 from dapalloc.pa_model import RAPP, PaModel
@@ -193,16 +192,12 @@ def _run(
             raise ValueError(f"unknown algorithm label {label!r}")
         if label in algorithms[:i]:  # every result row would be written twice
             raise ValueError(f"algorithms lists {label!r} twice")
-    if isinstance(sets, list):
-        n_sets, prebuilt = len(sets), sets
-    else:
-        n_sets, prebuilt = sets, None
-    if n_sets < 1:
+    if not isinstance(sets, list):
+        require("n_drops", sets, 1)
+    elif not sets:
         raise ValueError(f"need at least one {unit}")
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
-        raise ValueError("workers must be an int")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    n_sets, prebuilt = (len(sets), sets) if isinstance(sets, list) else (sets, None)
+    require("workers", workers, 1)
     n_spans = min(n_sets, workers)
     spans = [range(n_sets * i // n_spans, n_sets * (i + 1) // n_spans) for i in range(n_spans)]
     chunks = [None if prebuilt is None else prebuilt[span.start:span.stop] for span in spans]
@@ -269,15 +264,14 @@ def evaluate_icsi_mode(
     the string ``"estimated"`` to use each drop's per-user fractions
     derived from the scenario's pilot parameters.
     """
+    if np.ndim(delta_policy):  # one fraction for every user; an array's == would be elementwise
+        raise ValueError("delta_policy must be a number or 'estimated'")
     if delta_policy == "estimated":
         if sc.pilot_len is None:
             raise ValueError("'estimated' policy requires pilot parameters in the scenario")
         csi = None  # drop_ues already carries the estimated fractions
-    elif isinstance(delta_policy, bool) or not isinstance(delta_policy, numbers.Real):
-        raise ValueError("delta_policy must be a float or 'estimated'")
-    elif not 0 <= delta_policy < 1:
-        raise ValueError("uniform csi error fraction must lie in [0, 1)")
     else:
+        require("delta_policy", delta_policy, ERROR_FRACTION)
         csi = np.full(sc.n_users, float(delta_policy))
     cfg = _system_config(sc)
     perfect, imperfect = _run(

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from dapalloc._fields import POSITIVE, REAL, require
+from dapalloc._fields import POSITIVE, REAL, U64, require
 
 __all__ = ["main"]
 
@@ -360,12 +360,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2**64:
-        print(
-            json.dumps({"error": {"type": "ValueError", "message": "seed must fit in u64"}})
-        )
-        return _EXIT_ERROR
     try:
+        if getattr(args, "seed", None) is not None:  # before the handler, which may fail on its config first
+            require("seed", args.seed, U64)
         return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns errors into JSON
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

@@ -417,8 +417,8 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, 
     table that every call fills: the sign check, the walk and the guard's
     re-walk read their signs from it, and the residual reads the returned
     power there: every root a walk returns is a point it evaluated.  A
-    row whose returned power is a guard sample no call evaluated, or NaN
-    in its table, gets one more call.
+    row whose returned power is a guard sample no call evaluated gets one
+    more call.
 
     A chunk -- ``ues`` and ``omega`` sequences of N user sets and
     fractions sharing ``cfg`` and ``delta`` -- is solved in lockstep and
@@ -571,12 +571,12 @@ def _solve_rows(
                 best_p[i], best_obj[i] = sub_root, obj
 
     # The residual reads each row's table at its power; a row whose power
-    # is a guard sample no call evaluated, or whose table holds NaN, gets one call.
+    # is a guard sample no call evaluated gets one call.
     d_root = np.array([table.get(p, np.nan) for table, p in zip(tables, best_p.tolist())])
-    fresh = np.flatnonzero(np.isnan(d_root))
-    if fresh.size:
-        fresh_ues, fresh_omega, fresh_plans = (_pick(items, fresh) for items in (ues_rows, omega_rows, plans))
-        d_root[fresh] = _derivative_rows(best_p[fresh, None], fresh_ues, fresh_omega, cfg, fresh_plans)[:, 0]
+    fresh = [i for i, p in enumerate(best_p.tolist()) if p not in tables[i]]
+    if fresh:
+        fresh_p, picked = best_p[fresh, None], (_pick(items, fresh) for items in (ues_rows, omega_rows))
+        d_root[fresh] = sum_rate_derivative(fresh_p, *picked, cfg, _plans=_pick(plans, fresh))[:, 0]
     d_root = np.abs(d_root)
     for i, r in enumerate(rows):
         outcomes[r] = DapaResult(

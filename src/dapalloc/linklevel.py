@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dapalloc._fields import REAL, check, require
+from dapalloc._fields import REAL, U64, check, require
 from dapalloc.metrics import _zf_gain
 from dapalloc.pa_model import ETA, bussgang_gain_soft, distortion_coeff_soft
 
@@ -87,7 +87,7 @@ class LinkSimConfig:
 
     def __post_init__(self) -> None:
         check(self, m_antennas=1, n_users=1, fft_size=1, n_used_subcarriers=1, cp_len=0,
-              n_symbols=2, seed=0)
+              n_symbols=2, seed=U64)
         if self.precoder not in ("zf", "mrt"):
             raise ValueError("precoder must be 'zf' or 'mrt'")
         if self.precoder == "zf" and self.m_antennas <= self.n_users:
@@ -96,8 +96,6 @@ class LinkSimConfig:
             raise ValueError("used subcarriers must fit inside the FFT grid")
         if self.cp_len >= self.fft_size:
             raise ValueError("cyclic prefix must be shorter than the FFT")
-        if self.seed >= 2**64:
-            raise ValueError("seed must fit in 64 bits")
         # a str is a sequence too: "45" would read as (4.0, 5.0)
         if isinstance(self.ibo_grid_db, str) or len(self.ibo_grid_db) == 0:
             raise ValueError("ibo_grid_db must be a non-empty sequence")

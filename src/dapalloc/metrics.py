@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from dapalloc._fields import NONNEGATIVE, POSITIVE, check, require
+from dapalloc._fields import ERROR_FRACTION, NONNEGATIVE, POSITIVE, check, require
 from dapalloc.pa_model import (
     ETA,
     SOFT_LIMITER,
@@ -110,7 +110,7 @@ class UeSet:
     csi_delta: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        check(self, beta=POSITIVE, noise_w=POSITIVE, csi_delta=NONNEGATIVE)
+        check(self, beta=POSITIVE, noise_w=POSITIVE, csi_delta=ERROR_FRACTION)
         beta = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))
         if beta.size == 0:
             raise ValueError("need at least one user")
@@ -125,8 +125,6 @@ class UeSet:
             delta = np.atleast_1d(np.asarray(self.csi_delta, dtype=np.float64))
             if delta.shape != beta.shape:
                 raise ValueError("csi_delta must match beta in length")
-            if not (delta < 1.0).all():
-                raise ValueError("csi_delta must be below 1")
             object.__setattr__(self, "csi_delta", delta)
 
     @property

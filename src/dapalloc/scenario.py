@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dapalloc._fields import POSITIVE, REAL, check, require
+from dapalloc._fields import POSITIVE, REAL, U64, check, require
 from dapalloc.metrics import UeSet, csi_error_factor
 
 __all__ = [
@@ -69,13 +69,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         check(self, n_users=1, m_antennas=1, p_max=POSITIVE, cell_radius_m=POSITIVE,
               min_distance_m=POSITIVE, fc_ghz=POSITIVE, n_subcarriers=1, delta_f_hz=POSITIVE,
-              seed=0, pilot_len=1, rho_ul_w=POSITIVE)
+              seed=U64, pilot_len=1, rho_ul_w=POSITIVE)
         if self.m_antennas <= self.n_users:
             raise ValueError("need 1 <= n_users < m_antennas")
         if self.min_distance_m >= self.cell_radius_m:
             raise ValueError("need 0 < min_distance_m < cell_radius_m")
-        if self.seed >= 2**64:
-            raise ValueError("seed must fit in 64 bits")
         if (self.pilot_len is None) != (self.rho_ul_w is None):
             raise ValueError("pilot_len and rho_ul_w must be set together")
 
@@ -136,9 +134,7 @@ def drop_ues(sc: ScenarioConfig, drop_id: int) -> UeSet:
     Deterministic in (seed, drop_id): the same pair always produces the
     same UeSet, regardless of generation order or worker count.
     """
-    require("drop_id", drop_id, 0)
-    if drop_id >= 2**64:
-        raise ValueError("drop_id must fit in 64 bits")
+    require("drop_id", drop_id, U64)
     # Generator identity (fixed for reproducibility): numpy Philox keyed
     # with (seed, drop_id); user k takes the first draw from the counter
     # (0, 0, 0, k).  That draw leaves the counter at (1, 0, 0, k), and

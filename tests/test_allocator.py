@@ -122,3 +122,26 @@ def test_algorithms_take_users_and_config():
         assert len(inspect.signature(fn).parameters) == 2, name
         alloc = fn(ues, cfg)
         assert float(np.sum(alloc.omega)) == pytest.approx(1.0, abs=1e-9), name
+
+
+def test_no_equal_split_outlives_its_user_sets(monkeypatch):
+    # DAPA-FPDA without DAPA-E leaves its equal-split solve unclaimed; the
+    # memo used to hold it, a whole grid's solve, after the run was over
+    from dapalloc import allocator
+    from dapalloc.bench import grid_2ue, run_montecarlo
+    from dapalloc.scenario import ScenarioConfig, two_ue_grid
+
+    monkeypatch.setattr(allocator, "_equal_split_memo", None)
+    ues = _mixed_ues()
+    alternating_optimize(ues, _cfg())
+    assert allocator._equal_split_memo is not None  # the premise: an unclaimed entry
+    del ues
+    assert allocator._equal_split_memo is None
+    sc = ScenarioConfig(n_users=2, m_antennas=16, p_max=0.1, seed=5)
+    run_montecarlo(sc, algorithms=("DAPA-FPDA",), n_drops=3)
+    assert allocator._equal_split_memo is None  # the drops die with their task
+    grid = two_ue_grid(90.0, 110.0, 10.0, sc)
+    grid_2ue(sc, grid)
+    assert allocator._equal_split_memo is not None  # the cells are still held
+    del grid
+    assert allocator._equal_split_memo is None

@@ -225,7 +225,8 @@ def test_nan_off_the_visited_path_is_never_read(monkeypatch):
         bisect_on_sign(
             expected.bracket_lo, expected.bracket_hi, dapa.default_delta(cfg), ues, omega, cfg
         )
-        on_path = visited + [expected.bracket_lo, expected.bracket_hi]
+        # the returned power is on the path too: the residual is read there
+        on_path = visited + [expected.bracket_lo, expected.bracket_hi, expected.total_power_p]
         injected = []
 
         def nan_off_path(p, *rest, **kwargs):

@@ -324,3 +324,34 @@ def test_traced_kernel_records_its_transforms_and_einsums(monkeypatch):
     for name in ("linklevel.point", "linklevel.fft", "linklevel.einsum", "linklevel.linalg"):
         assert spans.count(tracer.name_of(name)) > 0, name
     assert min(tracer.observed["flops"]) > 0
+
+
+def _cond(g):
+    s = np.linalg.svd(g, compute_uv=False)
+    return s[:, 0] / s[:, -1]
+
+
+def test_ill_conditioned_channels_are_redrawn(monkeypatch):
+    # at the default limit no tier-1 draw redraws; at 3 some 2 x 2
+    # subcarrier channels do, and the same key still draws the same channels
+    monkeypatch.setattr(linklevel, "_COND_LIMIT", 3.0)
+
+    def draw():
+        rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
+        return linklevel._draw_channels(rng, 48, 2, 2)
+
+    (g, redraws), (g_again, redraws_again) = draw(), draw()
+    assert redraws > 0
+    assert np.all(_cond(g) <= 3.0)
+    assert g.tobytes() == g_again.tobytes() and redraws == redraws_again
+    cfg = dataclasses.replace(SMALL, m_antennas=2, precoder="mrt")
+    (point,) = simulate_sdr(cfg)
+    assert point.n_channel_redraws > 0
+
+
+def test_a_channel_limit_no_draw_meets_is_an_error(monkeypatch):
+    # every condition number is at least 1, so at 1.0 the redraws never end
+    monkeypatch.setattr(linklevel, "_COND_LIMIT", 1.0)
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
+    with pytest.raises(RuntimeError, match="^channel redraw limit exceeded"):
+        linklevel._draw_channels(rng, 4, 2, 2)

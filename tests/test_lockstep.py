@@ -351,12 +351,14 @@ def test_derivative_residual_is_a_fresh_derivative_ratio(delta, monkeypatch):
 
 def _record_evaluated_powers(monkeypatch):
     """Spy on ``dapa.sum_rate_derivative``; return the dict it fills with
-    every power evaluated for each user set, by ``id``."""
+    every power that the sign check and the walks evaluated for each user
+    set, by ``id``.  The closing call, one power per row, is not recorded."""
     evaluated, derivative = {}, dapa.sum_rate_derivative
 
     def recorded(p, ues_rows, *rest, **kwargs):
-        for ues, row in zip(ues_rows, p):
-            evaluated.setdefault(id(ues), set()).update(row.tolist())
+        if p.shape[1] > 1:
+            for ues, row in zip(ues_rows, p):
+                evaluated.setdefault(id(ues), set()).update(row.tolist())
         return derivative(p, ues_rows, *rest, **kwargs)
 
     monkeypatch.setattr(dapa, "sum_rate_derivative", recorded)
@@ -719,6 +721,33 @@ def test_each_solve_plans_its_rows_once_and_calls_again_only_for_moved_roots(mon
             (i, ues) for ues, power in solved["powers"].items() if power not in solved["evaluated"][ues]
         ]
     assert closing and sorted(closing) == sorted(unevaluated)
+
+
+def test_every_derivative_evaluation_goes_through_the_public_name(monkeypatch):
+    # The guard sets return guard samples, so their solves make closing
+    # calls; those, like the walks' calls, reach the row kernel through
+    # sum_rate_derivative, the name a tracer wraps.
+    sets, omegas = _guard_sets()
+    derivative, rows = dapa.sum_rate_derivative, dapa._derivative_rows
+    inside, calls = [0], []
+
+    def wrapped(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return derivative(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    def spied(power, *rest):
+        calls.append((power.shape[1], inside[0] > 0))
+        return rows(power, *rest)
+
+    monkeypatch.setattr(dapa, "sum_rate_derivative", wrapped)
+    monkeypatch.setattr(dapa, "_derivative_rows", spied)
+    for delta in (None, 1e-30, 1e9):
+        solve_dapa(sets + [SAMPLED], omegas + [SAMPLED_OMEGA], CFG, delta)
+    assert any(width == 1 for width, _ in calls)  # the premise: closing calls were made
+    assert all(through for _, through in calls)
 
 
 def test_the_walk_reads_each_sign_by_power_not_by_position(monkeypatch):

@@ -238,10 +238,11 @@ def test_every_config_number_field_is_checked():
     assert all(_number_fields(type(config)) for config in valid)  # the annotations were read
 
 
-# The number arguments of every public function of the model modules, by
-# kind: an int is a count of at least that int, and the strings are the
-# real kinds of dapalloc._fields ("fractions" is a nonnegative array that
-# sums to 1).  Each entry also holds a valid call's other arguments.
+# The number arguments of every public function of the model modules and
+# bench, by kind: an int is a count of at least that int, and the strings
+# are the other kinds of dapalloc._fields ("fractions" is a nonnegative
+# array that sums to 1).  Each entry also holds a valid call's other
+# arguments.
 _MODEL_MODULES = ("metrics", "pa_model", "dapa", "fpda", "allocator", "scenario", "nonconvexity")
 _NOT_NUMBER_TAKERS = {
     "metrics.SystemConfig": "a config: test_every_config_number_field_is_checked",
@@ -255,12 +256,14 @@ _NOT_NUMBER_TAKERS = {
     "allocator.AoTrace": "a record of computed values, built by alternating_optimize",
     "nonconvexity.HessianProbe": "a record of computed values, built by hessian_eigs",
     "linklevel.LinkSdrPoint": "a record of computed values, built by simulate_sdr",
+    "bench.DropResult": "a record of computed values, built by the Monte-Carlo runner",
+    "bench.CcdfSeries": "a record of computed values, built by ccdf",
 }
 
 
 def _model_setup():
     from dapalloc.metrics import Allocation, SystemConfig, UeSet, operating_point_at
-    from dapalloc.scenario import ScenarioConfig
+    from dapalloc.scenario import ScenarioConfig, two_ue_grid
 
     cfg = SystemConfig(m_antennas=8, p_max=0.1, bandwidth_hz=18e6)
     ues = UeSet(beta=np.array([1e-10, 1e-11]), noise_w=np.full(2, 7.2e-14), csi_delta=np.full(2, 0.1))
@@ -270,7 +273,7 @@ def _model_setup():
     alloc = Allocation(0.5, half)
     return {
         # name: (number arguments by kind, the valid call's other arguments and numbers)
-        "metrics.UeSet": ({"beta": "positive", "noise_w": "positive", "csi_delta": "nonnegative"},
+        "metrics.UeSet": ({"beta": "positive", "noise_w": "positive", "csi_delta": "error fraction"},
                           dict(beta=np.array([1e-10, 1e-11]), noise_w=np.full(2, 7.2e-14),
                                csi_delta=np.array([0.1, 0.2]))),
         "metrics.Allocation": ({"total_power_p": "nonnegative", "omega": "fractions"},
@@ -308,7 +311,7 @@ def _model_setup():
         "scenario.path_loss_db": ({"d_m": "positive", "fc_ghz": "positive"}, dict(d_m=100.0, fc_ghz=3.0)),
         "scenario.noise_power_w": ({"n_subcarriers": 1, "delta_f_hz": "positive"},
                                    dict(n_subcarriers=1200, delta_f_hz=15e3)),
-        "scenario.drop_ues": ({"drop_id": 0}, dict(sc=sc, drop_id=3)),
+        "scenario.drop_ues": ({"drop_id": "u64"}, dict(sc=sc, drop_id=3)),
         "scenario.homogeneous_sweep": ({"pl_db_grid": "real"}, dict(pl_db_grid=[80.0, 100.0], sc=sc)),
         "scenario.two_ue_grid": ({"lo_db": "real", "hi_db": "real", "step_db": "positive"},
                                  dict(lo_db=60.0, hi_db=70.0, step_db=5.0, sc=sc2)),
@@ -325,6 +328,20 @@ def _model_setup():
                                       dict(ibo_db=4.0, m_antennas=64, n_users=4, precoder="zf")),
         "linklevel.simulate_sdr": ({}, dict(cfg=None)),
         "linklevel.write_sdr_csv": ({}, dict(points=[], path="sdr.csv")),
+        "bench.run_montecarlo": ({"n_drops": 1, "workers": 1},
+                                 dict(sc=sc, algorithms=("REF-E",), n_drops=2, workers=1)),
+        "bench.evaluate_rapp_mode": ({"n_drops": 1, "smoothness_p": "positive", "workers": 1},
+                                     dict(sc=sc, n_drops=2, algorithms=("REF-E",), smoothness_p=2.0, workers=1)),
+        "bench.evaluate_icsi_mode": ({"n_drops": 1, "delta_policy": "error fraction", "workers": 1},
+                                     dict(sc=sc, n_drops=2, delta_policy=0.1, algorithms=("REF-E",), workers=1)),
+        "bench.ccdf": ({"values": "real"}, dict(values=np.array([1.0, 2.0]), label="")),
+        "bench.sweep_homogeneous": ({"pl_db_grid": "real"},
+                                    dict(sc=sc, pl_db_grid=[80.0, 100.0], algorithms=("REF-E",))),
+        "bench.grid_2ue": ({"workers": 1}, dict(sc=sc2, grid=two_ue_grid(60.0, 70.0, 5.0, sc2), workers=1)),
+        "bench.summarize": ({}, dict(results=[])),
+        "bench.write_drop_results_csv": ({}, dict(results=[], path="results.csv")),
+        "bench.write_table_csv": ({}, dict(rows=[], path="table.csv")),
+        "bench.write_summary_json": ({}, dict(summary={}, path="summary.json")),
     }
 
 
@@ -335,13 +352,16 @@ _REJECTED = {
     "fractions": [math.inf, -math.inf, True, -1.0],
     "backoff": [-math.inf, True, -1.0],
     "real": [math.inf, -math.inf, True],
+    "error fraction": [math.inf, -math.inf, True, -1.0, 1.0],
+    "u64": [math.inf, True, 1.5, 1.0, -1, 2**64],
 }
 
 
 def _bad_values(valid, kind):
     """NaN and every value ``kind`` rejects, in the shape of ``valid``: in
     place of an array's (or a list's) last entry."""
-    values = [math.nan, *(_REJECTED[kind] if isinstance(kind, str) else [math.inf, True, kind + 1.5, kind - 1])]
+    rejected = _REJECTED[kind] if isinstance(kind, str) else [math.inf, True, kind + 1.5, float(kind + 1), kind - 1]
+    values = [math.nan, *rejected]
     if isinstance(valid, np.ndarray):
         return [np.array([*valid[:-1], v], dtype=bool if v is True else None) for v in values]
     if isinstance(valid, (list, tuple)):
@@ -361,7 +381,7 @@ def _public_callables():
     import importlib
     import inspect
 
-    for module_name in (*_MODEL_MODULES, "linklevel"):
+    for module_name in (*_MODEL_MODULES, "linklevel", "bench"):
         module = importlib.import_module(f"dapalloc.{module_name}")
         for name in module.__all__:
             if inspect.isfunction(getattr(module, name)) or inspect.isclass(getattr(module, name)):
@@ -403,8 +423,10 @@ def _argument_cases():
 
 @pytest.mark.parametrize("fn, kwargs, arg", _argument_cases())
 def test_every_number_argument_is_checked_by_name(fn, kwargs, arg):
-    # NaN, an infinity, a bool, a fractional count or a value below the
-    # kind fails with a message that starts with the argument's name
+    # NaN, an infinity, a bool, a fractional or float count or a value
+    # out of the kind's range fails with a message that starts with the
+    # argument's name (bench's n_drops=True ran one drop, and 2.0 failed
+    # inside range with a TypeError that named no argument)
     with pytest.raises(ValueError) as caught:
         fn(**kwargs)
     assert str(caught.value).startswith(f"{arg} "), str(caught.value)
