@@ -387,7 +387,8 @@ def summarize(results: Sequence[DropResult]) -> dict:
         for key in ("sum_rate", "ibo_db", "omega_max"):
             stats.append((label, key, np.array([getattr(r, key) for r in rows])))
     if "REF-E" in by_label:
-        ref = {r.drop_id: r.sum_rate for r in by_label["REF-E"]}
+        # a drop whose REF-E rate is not positive has no ratio, as a NaN ratio has none
+        ref = {r.drop_id: r.sum_rate for r in by_label["REF-E"] if r.sum_rate > 0.0}
         for label, rows in by_label.items():
             if label == "REF-E":
                 continue

@@ -23,8 +23,9 @@ end to end, with no analytic shortcuts on the signal path:
 6. per (user, subcarrier), least-squares-project the received symbols
    onto the transmitted ones across OFDM symbols: the projection is the
    wanted (Bussgang-scaled) component, the residual is distortion.  The
-   sums of steps 4-6 run once per 24-symbol chunk, which fixes the order
-   they add in, so the block size moves no bit.
+   block size sets the order the sums of steps 4-6 add in.  A point
+   where no sample clips has no distortion to measure: +inf dB, unless
+   MRT's multi-user interference is in the residual.
 
 The measured signal-to-distortion ratio is then compared against the
 closed-form prediction (array gain x lam / distortion) on the same
@@ -53,8 +54,7 @@ __all__ = [
 
 _COND_LIMIT = 1e8
 _MAX_REDRAW_ROUNDS = 100
-_SYMBOL_CHUNK = 24  # symbols per accumulation step: fixes the order the sums add in
-_TRANSFORM_BLOCK = 4  # symbols per transform pass: bounds the working set, moves no bit
+_SYMBOL_BLOCK = 4  # symbols per pass: bounds the working set and sets the order the sums add in
 
 
 @dataclass(frozen=True)
@@ -227,35 +227,30 @@ def _simulate_point(cfg: LinkSimConfig, ibo_db: float, point_index: int) -> Link
     sym_count = cfg.n_symbols
     clip_count = 0
     antenna_power_sum = np.zeros(m)
-    spec = np.zeros((_TRANSFORM_BLOCK, m, n), dtype=np.complex128)  # antenna-major; unused bins stay 0
-    emitted_power = np.empty((_SYMBOL_CHUNK, n + cfg.cp_len, m))  # symbol-major: sets the sum's order
+    spec = np.zeros((_SYMBOL_BLOCK, m, n), dtype=np.complex128)  # antenna-major; unused bins stay 0
+    emitted_power = np.empty((_SYMBOL_BLOCK, n + cfg.cp_len, m))  # symbol-major: sets the sum's order
 
-    for start in range(0, cfg.n_symbols, _SYMBOL_CHUNK):
-        ns = min(_SYMBOL_CHUNK, cfg.n_symbols - start)
+    for start in range(0, cfg.n_symbols, _SYMBOL_BLOCK):
+        ns = min(_SYMBOL_BLOCK, cfg.n_symbols - start)
         # Random 16-PSK symbols, unit power.
         phases = rng.integers(0, 16, size=(ns, n_used, k))
         s = np.exp(1j * (2.0 * np.pi / 16.0) * phases)
-        x_rx = np.empty((n_used, ns, m), dtype=np.complex128).transpose(1, 0, 2)  # sets r's sum order
-        for block in range(0, ns, _TRANSFORM_BLOCK):
-            rows = slice(block, min(block + _TRANSFORM_BLOCK, ns))
-            nb = rows.stop - block
-            spec[:nb, :, bins] = np.einsum("nmk,snk->smn", w, s[rows])  # frequency domain
-            # Synthesis y_t = sum_f X_f e^{+j 2 pi f t / N}.
-            y = np.fft.ifft(spec[:nb])
-            y *= n
+        spec[:ns, :, bins] = np.einsum("nmk,snk->smn", w, s)  # frequency domain
+        # Synthesis y_t = sum_f X_f e^{+j 2 pi f t / N}.
+        y = np.fft.ifft(spec[:ns])
+        y *= n
 
-            power = np.abs(y) ** 2
-            emitted = emitted_power[rows]  # the prefix repeats the symbol's tail
-            emitted[:, cfg.cp_len :, :] = power.transpose(0, 2, 1)
-            emitted[:, : cfg.cp_len, :] = emitted[:, n:, :]
+        power = np.abs(y) ** 2
+        emitted = emitted_power[:ns]  # the prefix repeats the symbol's tail
+        emitted[:, cfg.cp_len :, :] = power.transpose(0, 2, 1)
+        emitted[:, : cfg.cp_len, :] = emitted[:, n:, :]
+        antenna_power_sum += emitted.sum(axis=(0, 1))
+        clip_count += int(np.count_nonzero(emitted > p_max))
 
-            # Ideal clipper: magnitude capped at the saturation amplitude.
-            at = np.flatnonzero(power > p_max)
-            y.reshape(-1)[at] *= clip_amp / np.sqrt(power.reshape(-1)[at])
-            x_rx[rows] = np.fft.fft(y).transpose(0, 2, 1)[:, bins, :]
-
-        antenna_power_sum += emitted_power[:ns].sum(axis=(0, 1))
-        clip_count += int(np.count_nonzero(emitted_power[:ns] > p_max))
+        # Ideal clipper: magnitude capped at the saturation amplitude.
+        at = np.flatnonzero(power > p_max)
+        y.reshape(-1)[at] *= clip_amp / np.sqrt(power.reshape(-1)[at])
+        x_rx = np.fft.fft(y).transpose(0, 2, 1)[:, bins, :]  # subcarrier-major, as the reference's
         x_rx /= n
         r = np.einsum("snm,nkm->snk", x_rx, g)  # zero-noise reception
 
@@ -268,8 +263,10 @@ def _simulate_point(cfg: LinkSimConfig, ibo_db: float, point_index: int) -> Link
     resid = rec_power / sym_count - wanted
     # Unbiased residual variance (one complex parameter estimated).
     resid = np.maximum(resid, 0.0) * (sym_count / (sym_count - 1))
-    resid_total = float(np.sum(resid))  # 0 when no distortion shows: +inf dB, as analytic_sdr_db
-    sdr_meas_db = 10.0 * math.log10(float(np.sum(wanted)) / resid_total) if resid_total else math.inf
+    # With no sample clipped the residual holds only rounding, unless MRT's
+    # multi-user interference (which analytic_sdr_db predicts) is in it: +inf dB
+    measured = clip_count or (cfg.precoder == "mrt" and k > 1)
+    sdr_meas_db = 10.0 * math.log10(float(np.sum(wanted) / np.sum(resid))) if measured else math.inf
 
     lam = bussgang_gain_soft(psi)
     pred_gain = math.sqrt(lam) * np.abs(lin_gain)

@@ -350,11 +350,11 @@ def csi_error_factor(beta, pilot_len: int, rho_ul_w: float):
 
     delta = 1 / (1 + pilot_len * rho_ul_w * beta)
 
-    where ``pilot_len`` is the number of pilot symbols and ``rho_ul_w``
-    the uplink pilot power in watts, with ``beta`` normalized the same
-    way as in :class:`UeSet` (noise-power scale carried by beta).  The
-    limits are delta -> 0 for strong channels and delta -> 1 for
-    vanishing ones.
+    where ``pilot_len`` is the number of pilot symbols, ``rho_ul_w``
+    the uplink pilot power in watts and ``beta`` the channel gain over
+    the noise power in watts (a :class:`UeSet`'s ``beta / noise_w``), so
+    the product is the pilot SNR.  The limits are delta -> 0 for strong
+    channels and delta -> 1 for vanishing ones.
     """
     check(locals(), beta=NONNEGATIVE, pilot_len=1, rho_ul_w=POSITIVE)
     arr = np.asarray(beta, dtype=np.float64)

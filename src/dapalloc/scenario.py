@@ -155,7 +155,7 @@ def drop_ues(sc: ScenarioConfig, drop_id: int) -> UeSet:
     noise = np.full(sc.n_users, sc.noise_w)
     delta = None
     if sc.pilot_len is not None:
-        delta = csi_error_factor(beta, sc.pilot_len, sc.rho_ul_w)
+        delta = csi_error_factor(beta / sc.noise_w, sc.pilot_len, sc.rho_ul_w)
     return UeSet(beta=beta, noise_w=noise, csi_delta=delta)
 
 

@@ -4,16 +4,17 @@
 antenna-major layout, counts the cyclic prefix from each symbol's tail
 and scales only the samples that clip; :func:`simulate_point` here is
 the plain form it must match bit for bit: transforms along axis 1 of a
-``(symbols, subcarriers, antennas)`` spectrum zeroed per chunk, a
-copied prefix, and a clip factor applied to every sample.
+``(symbols, subcarriers, antennas)`` spectrum zeroed per block of
+``linklevel._SYMBOL_BLOCK`` symbols, a copied prefix, and a clip factor
+applied to every sample.
 """
 
 import math
 
 import numpy as np
 
+from dapalloc import linklevel
 from dapalloc.linklevel import (
-    _SYMBOL_CHUNK,
     LinkSdrPoint,
     LinkSimConfig,
     _draw_channels,
@@ -52,8 +53,9 @@ def simulate_point(
     sample_count = 0
     antenna_power_sum = np.zeros(m)
 
-    for start in range(0, cfg.n_symbols, _SYMBOL_CHUNK):
-        ns = min(_SYMBOL_CHUNK, cfg.n_symbols - start)
+    block = linklevel._SYMBOL_BLOCK  # read per call: a test may patch it
+    for start in range(0, cfg.n_symbols, block):
+        ns = min(block, cfg.n_symbols - start)
         # Random 16-PSK symbols, unit power.
         phases = rng.integers(0, 16, size=(ns, n_used, k))
         s = np.exp(1j * (2.0 * np.pi / 16.0) * phases)
@@ -89,8 +91,9 @@ def simulate_point(
     resid = rec_power / sym_count - wanted
     # Unbiased residual variance (one complex parameter estimated).
     resid = np.maximum(resid, 0.0) * (sym_count / (sym_count - 1))
-    resid_total = np.sum(resid)  # exactly 0 when no distortion shows: +inf dB
-    sdr_meas_db = 10.0 * math.log10(float(np.sum(wanted) / resid_total)) if resid_total else math.inf
+    # no clipped sample and no MRT interference: nothing but rounding to measure
+    measured = clip_count or (cfg.precoder == "mrt" and k > 1)
+    sdr_meas_db = 10.0 * math.log10(float(np.sum(wanted) / np.sum(resid))) if measured else math.inf
 
     lam = bussgang_gain_soft(psi)
     pred_gain = math.sqrt(lam) * np.abs(lin_gain)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -417,6 +418,36 @@ def test_summary_of_a_run_whose_every_drop_failed(monkeypatch):
             assert quartiles["n"] == 0
             assert all(math.isnan(quartiles[key]) for key in ("median", "q1", "q3"))
     assert s["algorithms"]["DAPA-FPDA"]["sum_rate_ratio_vs_ref_e"]["n"] == 0
+
+
+def _drop(drop_id, label, sum_rate):
+    return DropResult(drop_id, label, sum_rate, 1.0, 6.0, np.array([1.0]), np.array([sum_rate]))
+
+
+def test_a_drop_whose_ref_e_rate_is_not_positive_has_no_ratio():
+    # a ratio over REF-E's 0 raised ZeroDivisionError; such a drop is left
+    # out of the ratio statistics, as a NaN ratio is, with no warning
+    results = [_drop(0, "REF-E", 2.0), _drop(1, "REF-E", 0.0), _drop(2, "REF-E", math.nan),
+               _drop(0, "DAPA-E", 3.0), _drop(1, "DAPA-E", 1.0), _drop(2, "DAPA-E", 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summarize(results)
+    ratio = s["algorithms"]["DAPA-E"]["sum_rate_ratio_vs_ref_e"]
+    assert (ratio["n"], ratio["median"]) == (1, 1.5)
+    assert s["algorithms"]["REF-E"]["sum_rate"]["n"] == 2
+
+
+def test_summary_of_a_run_whose_ref_e_rates_round_to_zero():
+    # csi_delta one ulp below 1 leaves every SINDR near 1e-16, and drop
+    # 1's log2(1 + gamma) rounds to 0 for every user
+    sc = ScenarioConfig(n_users=6, m_antennas=16, p_max=0.1, seed=0)
+    _, imperfect = evaluate_icsi_mode(sc, 2, 0.9999999999999999)
+    ref_e = [r.sum_rate for r in imperfect if r.algorithm == "REF-E"]
+    assert 0.0 < ref_e[0] < 1e-6 and ref_e[1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summarize(imperfect)
+    assert s["algorithms"]["DAPA-FPDA"]["sum_rate_ratio_vs_ref_e"]["n"] == 1
 
 
 def test_empty_run_is_rejected():

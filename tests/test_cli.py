@@ -195,6 +195,27 @@ def test_montecarlo_icsi_mode(tmp_path, capsys):
     assert icsi < perfect
 
 
+@pytest.mark.parametrize(
+    "scenario, extra",
+    [
+        # estimated fractions read 1 to within 1e-13 when the pilot SNR
+        # left out the noise, and a REF-E rate rounded to 0
+        ({"pilot_len": 10, "rho_ul_w": 0.2}, {"csi_delta": "estimated", "n_drops": 4}),
+        # one ulp below 1 is a legal fraction; every REF-E rate rounds to 0
+        ({}, {"csi_delta": 0.9999999999999999, "n_drops": 2}),
+    ],
+    ids=["estimated", "ref-e-rate-zero"],
+)
+def test_an_icsi_run_that_divided_by_a_zero_ref_e_rate_completes(tmp_path, capsys, scenario, extra):
+    # both runs divided by a zero REF-E sum rate in the summary and exited 2
+    sc = {"n_users": 6, "m_antennas": 16, "p_max": 0.1, "seed": 0, **scenario}
+    cfg = _write_cfg(tmp_path, {"scenario": sc, "mode": "icsi", **extra})
+    out = tmp_path / "icsi"
+    assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "montecarlo_summary.json").read_text())
+    assert summary["montecarlo_icsi"]["algorithms"]["REF-E"]["sum_rate"]["n"] == extra["n_drops"]
+
+
 def test_montecarlo_unknown_mode(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {**MC_SCENARIO, "mode": "quantum"})
     assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -266,7 +287,7 @@ def test_linklevel(tmp_path, capsys):
 
 def test_linklevel_worst_error_reads_two_infinite_sdrs_as_equal(tmp_path, capsys):
     # at 20 dB both SDRs are +inf, and inf - inf would make the worst error nan
-    cfg = _write_cfg(tmp_path, {"m_antennas": 64, "n_users": 1, "ibo_grid_db": [20.0, 12.0],
+    cfg = _write_cfg(tmp_path, {"m_antennas": 64, "n_users": 1, "ibo_grid_db": [20.0, 3.0],
                                 "fft_size": 128, "n_used_subcarriers": 32, "cp_len": 8,
                                 "n_symbols": 24, "seed": 0})
     out = tmp_path / "ll"

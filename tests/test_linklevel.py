@@ -240,9 +240,11 @@ def test_kernel_is_bitwise_the_reference(monkeypatch):
     # must keep the bits of the symbol-major form.  K=1 catches an x_rx
     # laid out differently from the fancy index (the sums over r add in
     # another order), fft sizes 96 and 100 an ifft scaled by norm=.
-    # Each transform block must leave the bits as the whole chunk did;
-    # 53 symbols end on a partial chunk of 5, split into blocks 4 and 1.
-    # The last case's residual sums to exactly 0 at 20 dB: +inf dB in both.
+    # The block size sets the order the sums add in, so kernel and
+    # reference run at each size together; 7 divides no case's symbol
+    # count, and 53 symbols end on a partial block at 4 as well.
+    # A point where no sample clips reads +inf dB in both, unless MRT
+    # serves more than one user: its interference is measured.
     base = dict(m_antennas=8, n_used_subcarriers=40, ibo_grid_db=(-6.0, 3.0, 20.0), seed=11)
     cases = [
         dict(fft_size=64, cp_len=0, n_users=1, precoder="zf", n_symbols=10),
@@ -251,12 +253,10 @@ def test_kernel_is_bitwise_the_reference(monkeypatch):
         dict(fft_size=100, cp_len=5, n_users=1, precoder="mrt", n_symbols=24),
         dict(fft_size=64, cp_len=3, n_users=2, precoder="zf", n_symbols=53),
         dict(m_antennas=64, n_users=1, fft_size=128, n_used_subcarriers=32, cp_len=8, n_symbols=24,
-             seed=0, ibo_grid_db=(20.0, 12.0)),
+             seed=0, ibo_grid_db=(20.0, 3.0)),
     ]
-    for block, case in itertools.product(
-        (1, linklevel._TRANSFORM_BLOCK, linklevel._SYMBOL_CHUNK), cases
-    ):
-        monkeypatch.setattr(linklevel, "_TRANSFORM_BLOCK", block)
+    for block, case in itertools.product((1, linklevel._SYMBOL_BLOCK, 7), cases):
+        monkeypatch.setattr(linklevel, "_SYMBOL_BLOCK", block)
         cfg = LinkSimConfig(**{**base, **case})
         clip_fractions, sdrs = [], []
         for index, ibo_db in enumerate(cfg.ibo_grid_db):
@@ -273,24 +273,39 @@ def test_kernel_is_bitwise_the_reference(monkeypatch):
         if cfg.ibo_grid_db == base["ibo_grid_db"]:
             # the grid spans both ends: most samples clip at -6 dB, none at 20 dB
             assert clip_fractions[0] > 0.5 and clip_fractions[2] == 0.0, case
+            interference = cfg.precoder == "mrt" and cfg.n_users > 1
+            assert math.isfinite(sdrs[2]) == interference, case
         else:
-            assert sdrs[0] == math.inf and math.isfinite(sdrs[1]), case
+            assert sdrs[0] == math.inf and clip_fractions[1] > 0.0 and math.isfinite(sdrs[1]), case
 
 
-def test_a_zero_residual_reads_plus_inf_db():
-    # 20 dB clips no sample and the clamped residual sums to exactly 0,
-    # which reads +inf dB with no divide-by-zero warning
-    cfg = LinkSimConfig(m_antennas=64, n_users=1, ibo_grid_db=(20.0, 12.0), fft_size=128,
+def test_a_point_where_no_sample_clips_reads_plus_inf_db():
+    # 20 dB clips no sample, so no distortion is there to measure: +inf dB
+    # by rule (the residual, all rounding, read 155 dB), with no warning
+    cfg = LinkSimConfig(m_antennas=64, n_users=1, ibo_grid_db=(20.0, 3.0), fft_size=128,
                         n_used_subcarriers=32, cp_len=8, n_symbols=24, seed=0)
-    quiet, clean = simulate_sdr(cfg)
+    quiet, clipped = simulate_sdr(cfg)
     assert quiet.clip_fraction == 0.0
     assert quiet.sdr_meas_db == math.inf and quiet.sdr_analytic_db == math.inf
-    assert math.isfinite(clean.sdr_meas_db) and clean.sdr_meas_db > clean.sdr_analytic_db
+    assert clipped.clip_fraction > 0.0 and math.isfinite(clipped.sdr_meas_db)
+    assert abs(clipped.sdr_meas_db - clipped.sdr_analytic_db) < 1.0
+
+
+def test_mrt_interference_is_measured_where_no_sample_clips():
+    # MRT's residual holds the other users' signals, which the analytic
+    # M / (K - 1) predicts; a clip-free point still measures it
+    cfg = LinkSimConfig(m_antennas=8, n_users=3, ibo_grid_db=(20.0,), fft_size=96,
+                        n_used_subcarriers=40, cp_len=7, precoder="mrt", n_symbols=30, seed=11)
+    (point,) = simulate_sdr(cfg)
+    assert point.clip_fraction == 0.0
+    assert point.sdr_analytic_db == pytest.approx(10 * math.log10(8 / 2), abs=1e-6)
+    assert abs(point.sdr_meas_db - point.sdr_analytic_db) < 1.0
 
 
 def test_a_c02_point_keeps_its_working_set_small():
-    # the kernel transforms a few symbols at a time; spectra of a whole
-    # 24-symbol chunk (12.6 MB each) peak at 54.7 MB of traced allocation
+    # the kernel runs a few symbols at a time: spectra of a 24-symbol
+    # chunk (12.6 MB each) peaked at 54.7 MB of traced allocation, and
+    # sums over 24-symbol chunks with 4-symbol transforms at 19.1 MB
     import tracemalloc
 
     cfg = LinkSimConfig(m_antennas=64, n_users=4, ibo_grid_db=(4.0,), seed=2024)
@@ -301,7 +316,7 @@ def test_a_c02_point_keeps_its_working_set_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25e6, peak
+    assert peak < 15e6, peak
 
 
 def test_traced_kernel_records_its_transforms_and_einsums(monkeypatch):

@@ -159,6 +159,16 @@ def test_drop_carries_csi_delta_when_piloted():
     assert drop_ues(_sc(), 3).csi_delta is None
 
 
+def test_estimated_error_fractions_take_the_pilot_snr_over_the_noise():
+    # delta = 1 / (1 + tau rho beta / sigma^2); with the raw gain (about
+    # 1e-15) in place of beta / sigma^2, 1 - delta read about 1e-14
+    sc = ScenarioConfig(n_users=4, m_antennas=64, p_max=0.1, seed=17, pilot_len=60, rho_ul_w=0.2)
+    ues = drop_ues(sc, 0)
+    snr = 60 * 0.2 * ues.beta / sc.noise_w
+    assert np.allclose(1.0 - ues.csi_delta, snr / (1.0 + snr), rtol=1e-12, atol=0.0)
+    assert np.allclose(1.0 - ues.csi_delta, [0.250, 0.083, 0.252, 0.061], atol=1e-3)
+
+
 def test_drop_id_validation():
     with pytest.raises(ValueError):
         drop_ues(_sc(), -1)
