@@ -159,7 +159,7 @@ def _ao_rows(
     Every round solves the total power of each open row in one chunked
     :func:`~dapalloc.dapa.solve_dapa` call, then takes their operating
     points in one :func:`~dapalloc.metrics.operating_point_at` call and
-    rates the water-filled iterates in one chunked
+    rates the water-filled iterates at those points in one chunked
     :func:`~dapalloc.metrics.evaluate` call; each row keeps its own
     fractions, iterates, stop rule and best iterate.  Returns one
     (Allocation, AoTrace) pair, or the solver error, per row.
@@ -207,13 +207,15 @@ def _ao_rows(
                     power = prev_power[r]
             rows.append(r)
             powers.append(power)
-        for r, power, op in zip(rows, powers, operating_point_at(cfg, powers)):
+        ops = operating_point_at(cfg, powers)
+        for r, power, op in zip(rows, powers, ops):
             omega[r] = solve_fpda(breakpoints(ues_rows[r], cfg, power, op))
         reports = evaluate(
             cfg,
             [ues_rows[r] for r in rows],
             [Allocation(power, omega[r]) for r, power in zip(rows, powers)],
             precoder="zf",
+            _ops=ops,
         )
         open_rows = []
         for r, power, report in zip(rows, powers, reports):

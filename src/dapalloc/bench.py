@@ -416,7 +416,7 @@ def write_drop_results_csv(results: Sequence[DropResult], path: str) -> None:
             f"drop_id,algorithm,sum_rate,total_power_p,ibo_db,omega_max,{rate_cols}\n"
         )
         for r in results:
-            rates = ",".join(f"{v:.17g}" for v in r.rates.tolist())
+            rates = ",".join(map("{:.17g}".format, r.rates.tolist()))
             fh.write(
                 f"{r.drop_id},{r.algorithm},{r.sum_rate:.17g},"
                 f"{r.total_power_p:.17g},{r.ibo_db:.17g},{r.omega_max:.17g},{rates}\n"

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from dapalloc._fields import POSITIVE, check, require
-from dapalloc.metrics import Allocation, SystemConfig, UeSet, _check_fractions, _rate_rows, evaluate, zf_gain
+from dapalloc.metrics import Allocation, SystemConfig, UeSet, _blocks, _check_fractions, _rate_rows, evaluate, zf_gain
 from dapalloc.numerics import ConvergenceError, _libm, erfc, erfcx, lambert_w0_of_log
 from dapalloc.pa_model import (
     _ERFCX_SWITCH,
@@ -178,8 +178,9 @@ def _clipper_state(power: np.ndarray, cfg: SystemConfig):
     """Back-off, gain, distortion coefficient and distortion ETA c P, as
     operating_point_at computes them, at every point of ``power``."""
     psi = cfg.m_antennas * cfg.p_max / power
-    coeff = distortion_coeff_soft(psi)
-    return psi, bussgang_gain_soft(psi), coeff, ETA * coeff * power
+    lam = bussgang_gain_soft(psi)
+    coeff = distortion_coeff_soft(psi, _lam=lam)
+    return psi, lam, coeff, ETA * coeff * power
 
 
 def _active(ues: UeSet, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,8 +403,8 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, 
     the sample unless it rates lower.  This guard keeps the common
     single-root case untouched.  Both stages batch their points:
     bisection evaluates three levels of midpoints per derivative call,
-    and the guard rates its 32 samples in one call.  Every bit is that
-    of one scalar call per point.
+    and the guard rates every row's root and 32 samples in one call per
+    user count.  Every bit is that of one scalar call per point.
 
     Derivative calls per solve: each covers at least three bisection
     levels and the path a walk toward a guessed root would take, so a
@@ -544,12 +545,14 @@ def _solve_rows(
     samples = np.geomspace(lo, hi, _GUARD_SAMPLES, axis=1)
     power = np.column_stack([roots, samples])
     _, lam, _, dist = _clipper_state(power, cfg)
-    # row by row: a chunk of a whole run's drops stacked into one (N, 33, K)
-    # block would hold 33 N K floats per temporary
-    rated = np.array([
-        _rate_rows(cfg, ues.beta, ues.noise_w, power[i], omega, states=(lam[i], dist[i]))[2]
-        for i, (ues, omega) in enumerate(zip(ues_rows, omega_rows))
-    ])
+    # rows of one user count stack as (rows, 33, K) blocks of at most
+    # _BLOCK_ROWS rows, as evaluate rates them, which bounds each temporary
+    rated = np.empty(power.shape)
+    for block in _blocks([ues.n_users for ues in ues_rows]):
+        beta = np.array([ues_rows[i].beta for i in block])[:, None]
+        noise = np.array([ues_rows[i].noise_w for i in block])[:, None]
+        omega = np.array(_pick(omega_rows, block))[:, None]
+        rated[block] = _rate_rows(cfg, beta, noise, power[block], omega, states=(lam[block], dist[block]))[2]
     best_p, best_obj = roots, rated[:, 0]
     i_best = np.argmax(rated[:, 1:], axis=1)
     fired = np.flatnonzero(rated[np.arange(len(rows)), 1 + i_best] > best_obj)

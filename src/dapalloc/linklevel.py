@@ -140,7 +140,7 @@ def analytic_sdr_db(
     check(locals(), ibo_db=REAL, m_antennas=1, n_users=1)
     psi = 10.0 ** (ibo_db / 10.0)
     lam = bussgang_gain_soft(psi)
-    coeff = distortion_coeff_soft(psi)
+    coeff = distortion_coeff_soft(psi, _lam=lam)
     if precoder == "zf":
         num = _zf_gain(m_antennas, n_users) * lam
         den = n_users * ETA * coeff

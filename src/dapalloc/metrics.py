@@ -211,11 +211,11 @@ def _states(cfg: SystemConfig, power: np.ndarray) -> np.ndarray:
     psi = input_backoff(values, cfg.m_antennas, cfg.p_max)
     if cfg.pa.kind == SOFT_LIMITER:
         lam = bussgang_gain_soft(psi)
-        coeff = distortion_coeff_soft(psi)
+        coeff = distortion_coeff_soft(psi, _lam=lam)
     else:  # PaModel admits only the two laws
         p = cfg.pa.smoothness_p
         lam = np.array([bussgang_gain_rapp(v, p) for v in psi.tolist()])
-        coeff = np.array([distortion_coeff_rapp(v, p) for v in psi.tolist()])
+        coeff = np.array([distortion_coeff_rapp(v, p, _lam=g) for v, g in zip(psi.tolist(), lam.tolist())])
     out = np.empty((4, *power.shape))
     out.T[...] = (math.inf, 1.0, 0.0, 0.0)  # the idle transmitter, at 0.0 and -0.0
     out[:, live] = np.array([psi, lam, coeff, ETA * coeff * values])[:, where]
@@ -302,11 +302,19 @@ def _rate_rows(cfg, beta, noise, power, omega, precoder="zf", csi_delta=None, st
     return gamma, rate, np.ascontiguousarray(rate).sum(axis=-1)
 
 
-def evaluate(cfg: SystemConfig, ues, alloc, precoder: str = "zf"):
+def _blocks(keys: list) -> list:
+    """The indices of ``keys`` grouped by equal key, first seen first, in blocks of up to ``_BLOCK_ROWS``."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [rows[i:i + _BLOCK_ROWS] for rows in groups.values() for i in range(0, len(rows), _BLOCK_ROWS)]
+
+
+def evaluate(cfg: SystemConfig, ues, alloc, precoder: str = "zf", *, _ops=None):
     """Full rate evaluation of an allocation: SINDRs, rates, back-off.
 
     ``precoder`` is one of ``"zf"``, ``"mrt"``, ``"zf_icsi"``.  The
-    amplifier law comes from ``cfg.pa``.  Everything is recomputed from
+    amplifier law comes from ``cfg.pa``.  Everything is computed from
     the inputs on every call; there is no hidden state.
 
     A chunk -- ``ues`` and ``alloc`` sequences of N user sets and
@@ -315,6 +323,9 @@ def evaluate(cfg: SystemConfig, ues, alloc, precoder: str = "zf"):
     :func:`operating_point_at` call gives every allocation's amplifier
     state, and the rows of each user count K are rated in array blocks
     of up to 128 rows.
+
+    ``_ops`` is private to the alternating optimizer: the chunk's operating
+    points, just computed at the allocations' powers, used as they are.
     """
     if isinstance(ues, UeSet):  # one user set: the chunk with N = 1
         (report,) = evaluate(cfg, [ues], [alloc], precoder)
@@ -322,13 +333,9 @@ def evaluate(cfg: SystemConfig, ues, alloc, precoder: str = "zf"):
     ues, alloc = list(ues), list(alloc)
     if len(ues) != len(alloc):
         raise ValueError("need one allocation per user set")
-    ops = operating_point_at(cfg, [a.total_power_p for a in alloc])
+    ops = operating_point_at(cfg, [a.total_power_p for a in alloc]) if _ops is None else _ops
     reports: list = [None] * len(ues)
-    by_count: dict = {}  # rows of one user count and one fraction count stack
-    for r, (one_set, one_alloc) in enumerate(zip(ues, alloc)):
-        by_count.setdefault((one_set.n_users, one_alloc.omega.size), []).append(r)
-    blocks = [rows[i:i + _BLOCK_ROWS] for rows in by_count.values() for i in range(0, len(rows), _BLOCK_ROWS)]
-    for rows in blocks:
+    for rows in _blocks([(one_set.n_users, one_alloc.omega.size) for one_set, one_alloc in zip(ues, alloc)]):
         csi = [ues[r].csi_delta for r in rows]
         gamma, rate, total = _rate_rows(
             cfg,

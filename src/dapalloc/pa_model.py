@@ -138,7 +138,7 @@ def bussgang_gain_soft(psi):
     return float(out) if np.ndim(psi) == 0 else out
 
 
-def distortion_coeff_soft(psi):
+def distortion_coeff_soft(psi, *, _lam=None):
     """Distortion power fraction of the ideal clipper at back-off psi.
 
     c(psi) = 1 - exp(-psi) - lambda(psi); the identity
@@ -146,11 +146,14 @@ def distortion_coeff_soft(psi):
     decays like a small multiple of exp(-psi), so past psi ~ 34 it drops
     below double-precision resolution of the subtraction and the result
     is clamped at 0.
+
+    ``_lam`` is private to callers that have just computed
+    ``bussgang_gain_soft(psi)``: that lambda, used as it is.
     """
     require("psi", psi, BACKOFF)
     arr = np.asarray(psi, dtype=np.float64)
     total = -np.expm1(-arr)
-    out = np.maximum(total - bussgang_gain_soft(arr), 0.0)
+    out = np.maximum(total - (bussgang_gain_soft(arr) if _lam is None else _lam), 0.0)
     return float(out) if np.ndim(psi) == 0 else out
 
 
@@ -203,7 +206,7 @@ def bussgang_gain_rapp(psi, p: float = 2.0):
     return _rapp_per_point(psi, p, lambda v: _rapp_moment(v, p, -1.0 / (2.0 * p)) ** 2)
 
 
-def distortion_coeff_rapp(psi, p: float = 2.0):
+def distortion_coeff_rapp(psi, p: float = 2.0, *, _lam=None):
     """Distortion power fraction of a Rapp amplifier with sharpness p.
 
     c = integral_0^inf 2 t^3 (1 + (t^2/psi)^p)^(-1/p) e^(-t^2) dt - lambda.
@@ -211,11 +214,15 @@ def distortion_coeff_rapp(psi, p: float = 2.0):
     (The first term is the total output power fraction; subtracting the
     coherent part lambda leaves the uncorrelated distortion.)  Clamped
     at 0 against quadrature-level cancellation for very large psi.
+
+    ``_lam`` is private to callers that have just computed
+    ``bussgang_gain_rapp(psi, p)``: that lambda, used as it is, so the
+    point costs two quadratures in all, not three.
     """
 
     def law(v: float) -> float:
         total = _rapp_moment(v, p, -1.0 / p)
-        lam = _rapp_moment(v, p, -1.0 / (2.0 * p)) ** 2
+        lam = _rapp_moment(v, p, -1.0 / (2.0 * p)) ** 2 if _lam is None else _lam
         return max(total - lam, 0.0)
 
     return _rapp_per_point(psi, p, law)

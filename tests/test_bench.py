@@ -25,6 +25,7 @@ from dapalloc.bench import (
     write_table_csv,
 )
 from dapalloc.dapa import SolverError
+from dapalloc.pa_model import SOFT_LIMITER
 from dapalloc.scenario import ScenarioConfig, two_ue_grid
 
 SMALL_SC = ScenarioConfig(n_users=4, m_antennas=64, p_max=0.1, seed=17)
@@ -325,6 +326,23 @@ def test_drop_csv_round_trip(tmp_path):
         write_drop_results_csv([], str(path))
 
 
+def test_drop_csv_bytes_of_special_rates(tmp_path):
+    # nan, both infinities, both zeros, subnormals and the extremes keep
+    # their 17-digit bytes in the rate columns as in the metric columns
+    rates = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308,
+                      0.1, 1.0, -1.7976931348623157e308])
+    result = DropResult(7, "REF-E", math.nan, 0.25, -math.inf, np.array([0.5, 0.5]), rates, "no bracket")
+    path = tmp_path / "drops.csv"
+    write_drop_results_csv([result], str(path))
+    assert path.read_bytes() == (
+        b"drop_id,algorithm,sum_rate,total_power_p,ibo_db,omega_max,"
+        b"rate_0,rate_1,rate_2,rate_3,rate_4,rate_5,rate_6,rate_7,rate_8,rate_9\n"
+        b"7,REF-E,nan,0.25,-inf,0.5,"
+        b"nan,inf,-inf,-0,0,4.9406564584124654e-324,2.2250738585072009e-308,"
+        b"0.10000000000000001,1,-1.7976931348623157e+308\n"
+    )
+
+
 def test_table_csv(tmp_path):
     rows = [{"a": 1.5, "b": "x"}, {"a": 2.5, "b": "y"}]
     path = tmp_path / "t.csv"
@@ -477,3 +495,105 @@ def test_rapp_chunk_rates_each_distinct_power_once(monkeypatch):
     assert len({r.total_power_p for r in rapp}) == 9
     assert len(calls) == 9
     assert all(type(psi) is float for psi in calls)
+
+
+# The three counts below run one tiny Rapp-mode chunk (K=4, M=8, 2 drops,
+# all four strategies) and count how often each amplifier state is computed.
+TINY_SC = ScenarioConfig(n_users=4, m_antennas=8, p_max=0.1, seed=2024)
+
+
+def test_the_clipper_law_rates_each_backoff_once_per_state_call(monkeypatch):
+    # Count: one pass of the clipper's erfc term (_tail_term) over each
+    # back-off in every dapa._clipper_state call and every clipper
+    # metrics._states call, and none in a Rapp _states call; the gain is
+    # handed to the distortion coefficient instead of being recomputed.
+    from dapalloc import dapa, metrics, pa_model
+
+    real_tail, open_calls, passes = pa_model._tail_term, [], []
+
+    def tail(psi):
+        if open_calls:
+            open_calls[-1].append(np.size(psi))
+        return real_tail(psi)
+
+    def state_call(real, backoffs):
+        def spy(*args):
+            sizes: list = []
+            open_calls.append(sizes)
+            try:
+                return real(*args)
+            finally:
+                open_calls.pop()
+                passes.append((backoffs(*args), sizes))
+
+        return spy
+
+    def clipper_backoffs(power, cfg):
+        return [power.size]
+
+    def states_backoffs(cfg, power):
+        return [int(np.count_nonzero(power > 0.0))] if cfg.pa.kind == SOFT_LIMITER else []
+
+    monkeypatch.setattr(pa_model, "_tail_term", tail)
+    monkeypatch.setattr(dapa, "_clipper_state", state_call(dapa._clipper_state, clipper_backoffs))
+    monkeypatch.setattr(metrics, "_states", state_call(metrics._states, states_backoffs))
+    soft, rapp = evaluate_rapp_mode(TINY_SC, 2)
+    assert all(r.error is None for r in soft + rapp)
+    assert any(expected and expected[0] > 1 for expected, _ in passes)
+    assert any(not expected for expected, _ in passes)  # the Rapp evaluation
+    assert [sizes for _, sizes in passes] == [expected for expected, _ in passes]
+
+
+def test_the_rapp_law_takes_two_quadratures_per_distinct_point(monkeypatch):
+    # Count: _rapp_moment runs twice per distinct Rapp back-off, once for
+    # the gain and once for the total power; the distortion coefficient
+    # takes the gain's moment instead of integrating it again.
+    from collections import Counter
+
+    from dapalloc import pa_model
+
+    real, moments = pa_model._rapp_moment, []
+
+    def moment(psi, p, exponent):
+        moments.append(psi)
+        return real(psi, p, exponent)
+
+    monkeypatch.setattr(pa_model, "_rapp_moment", moment)
+    _, rapp = evaluate_rapp_mode(TINY_SC, 2)
+    assert all(r.error is None for r in rapp)
+    points = Counter(moments)
+    assert len(points) == len({r.total_power_p for r in rapp}) > 1
+    assert set(points.values()) == {2}
+
+
+def test_each_optimizer_round_computes_its_operating_points_once(monkeypatch):
+    # Count: from a round's operating_point_at call to the end of its
+    # evaluate call, metrics._states runs once; evaluate rates the
+    # water-filled iterates at the points the round already holds.
+    from dapalloc import allocator, metrics
+
+    real_ops, real_eval, real_states = allocator.operating_point_at, allocator.evaluate, metrics._states
+    rounds, current = [], []  # per round: _states calls; the open round's
+
+    def ops(cfg, power):
+        current[:] = [0]
+        return real_ops(cfg, power)
+
+    def states(cfg, power):
+        if current:
+            current[0] += 1
+        return real_states(cfg, power)
+
+    def evaluate(*args, **kwargs):
+        out = real_eval(*args, **kwargs)
+        rounds.append(current[0])
+        current.clear()
+        return out
+
+    monkeypatch.setattr(allocator, "operating_point_at", ops)
+    monkeypatch.setattr(allocator, "evaluate", evaluate)
+    monkeypatch.setattr(metrics, "_states", states)
+    soft, _ = evaluate_rapp_mode(TINY_SC, 2)
+    assert all(r.error is None for r in soft)
+    assert len(rounds) > 1
+    assert rounds == [1] * len(rounds)

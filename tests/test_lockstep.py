@@ -19,7 +19,7 @@ from dapalloc import allocator, dapa
 from dapalloc.allocator import ALGORITHMS, alternating_optimize
 from dapalloc.bench import _system_config
 from dapalloc.dapa import DapaResult, SolverError, solve_dapa, sum_rate_derivative
-from dapalloc.metrics import UeSet
+from dapalloc.metrics import _BLOCK_ROWS, UeSet
 from dapalloc.pa_model import ETA
 from dapalloc.scenario import ScenarioConfig, drop_ues
 from dapa_reference import bisect_walk
@@ -158,6 +158,48 @@ def test_guard_fires_on_some_rows_of_a_chunk(monkeypatch):
     assert any(fired) and not all(fired)
     for outcome, one_set in zip(solve_dapa(sets, omegas, CFG), expected, strict=True):
         assert _bits(outcome) == _bits(one_set)
+
+
+def test_the_guard_rates_a_chunk_in_blocks_with_each_rows_bits(monkeypatch):
+    # One chunk holds 130 two-user sets, half of them spread over 32
+    # decades, with sets of 3, 4 and 5 users amid and after them.  The
+    # guard rates each user count's rows together, the two-user rows in
+    # blocks of _BLOCK_ROWS and 2, and fires on rows of every count; each
+    # row is bitwise its one-set solve.
+    rng = np.random.default_rng(31)
+
+    def mixed(k, low=-12.0, high=20.0):
+        noise = np.full(k, 7.2e-14)
+        return UeSet(beta=10.0 ** rng.uniform(low, high, size=k) * noise / (ETA * 64 * 0.1), noise_w=noise)
+
+    few = [mixed(k) for _ in range(6) for k in (3, 4, 5)]
+    pairs = [mixed(2) if i % 2 else mixed(2, 0.0, 2.0) for i in range(130)]
+    sets = pairs[:60] + few[:9] + pairs[60:] + few[9:]
+    omegas = [rng.dirichlet(np.ones(ues.n_users)) for ues in sets]
+    calls, real = [0], dapa.evaluate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dapa, "evaluate", counted)
+    expected, fired = [], set()
+    for ues, omega in zip(sets, omegas):
+        calls[0] = 0
+        expected.append(solve_dapa(ues, omega, CFG))
+        if calls[0]:
+            fired.add(ues.n_users)
+    assert fired == {2, 3, 4, 5}
+    blocks, real_rate = [], dapa._rate_rows
+
+    def rated(cfg, beta, *args, **kwargs):
+        blocks.append(beta.shape)
+        return real_rate(cfg, beta, *args, **kwargs)
+
+    monkeypatch.setattr(dapa, "_rate_rows", rated)
+    for outcome, one_set in zip(solve_dapa(sets, omegas, CFG), expected, strict=True):
+        assert _bits(outcome) == _bits(one_set)
+    assert sorted(blocks) == [(2, 1, 2), (6, 1, 3), (6, 1, 4), (6, 1, 5), (_BLOCK_ROWS, 1, 2)]
 
 
 def test_chunked_alternating_optimizer_rows_are_their_one_set_runs(ao_runs):
