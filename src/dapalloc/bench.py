@@ -360,7 +360,7 @@ def _quartiles(arrays: list) -> list[dict]:
     with as many finite values share one numpy call per statistic, whose
     rows have the bits of 1-D calls."""
     clean = [values[np.isfinite(values)] for values in arrays]
-    out = [{"n": 0, "median": math.nan, "q1": math.nan, "q3": math.nan}] * len(clean)
+    out = [{"n": 0, "median": math.nan, "q1": math.nan, "q3": math.nan} for _ in clean]
     for size in {values.size for values in clean} - {0}:
         rows = [i for i, values in enumerate(clean) if values.size == size]
         stack = np.array([clean[i] for i in rows])

@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 _GUARD_SAMPLES = 32
-_LOOKAHEAD_LEVELS = 3  # midpoint-tree levels per call (7 points); a steered path goes deeper
 _MIN_BRACKET_RATIO = 1e-13  # see root_bounds
 
 
@@ -257,29 +256,17 @@ def _derivative_rows(power: np.ndarray, ues_rows, omega_rows, cfg: SystemConfig,
     return out
 
 
-def _ladder(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Each row's next ``_LOOKAHEAD_LEVELS`` levels of midpoints between
-    its (lo, hi), as one sorted row of 2^levels + 1 bracket ends."""
-    ends = np.stack([lo, hi], axis=1)
-    for _ in range(_LOOKAHEAD_LEVELS):
-        finer = np.empty((ends.shape[0], 2 * ends.shape[1] - 1))
-        finer[:, ::2] = ends
-        finer[:, 1::2] = 0.5 * (ends[:, :-1] + ends[:, 1:])
-        ends = finer
-    return ends
-
-
 def _guess_path(lo: float, hi: float, guess: float, delta: float) -> list:
-    """The midpoints below the ladder's levels that a walk from (lo, hi)
-    reads if every sign points toward ``guess`` (the caller's or
-    :func:`_steer`'s), down to where that walk stops: an exact hit, one
-    ulp, or ``delta``, whose midpoint is the root it returns."""
+    """The midpoints that a walk from (lo, hi) reads if every sign points
+    toward ``guess`` (the caller's or :func:`_steer`'s), from the bracket's
+    own midpoint down to where that walk stops: an exact hit, one ulp, or
+    ``delta``, whose midpoint is the root it returns."""
     path = []
     while True:
         mid = 0.5 * (lo + hi)
         path.append(mid)
         if hi - lo <= delta or mid in (guess, lo, hi):
-            return path[_LOOKAHEAD_LEVELS:]
+            return path
         lo, hi = (mid, hi) if guess > mid else (lo, mid)
 
 
@@ -301,25 +288,19 @@ def _steer(table: dict, lo: float, hi: float, guess: float) -> float:
     return lo * math.exp(t * width) if 0.0 < t < 1.0 and t != 0.5 else guess  # in range before exp
 
 
-def _points(lo: np.ndarray, hi: np.ndarray, guess: Optional[list], delta: float) -> np.ndarray:
-    """The powers one derivative call evaluates for each row: its ladder's
-    2^levels - 1 midpoints, then its path toward its guess, if any,
-    padded with repeats of the row's own points."""
-    ladder = _ladder(lo, hi)[:, 1:-1]
-    paths = [[] for _ in ladder] if guess is None else [
-        _guess_path(*row, delta) for row in zip(lo.tolist(), hi.tolist(), guess)
+def _points(lo: np.ndarray, hi: np.ndarray, guess: list, delta: float, tables: list) -> np.ndarray:
+    """The powers one derivative call evaluates for each row: the ends of
+    its bracket that its table lacks, then its :func:`_guess_path`, padded
+    with repeats of the row's first point."""
+    rows = [
+        [end for end in (row_lo, row_hi) if end not in table] + _guess_path(row_lo, row_hi, row_guess, delta)
+        for row_lo, row_hi, row_guess, table in zip(lo.tolist(), hi.tolist(), guess, tables)
     ]
-    width = max(map(len, paths))
-    if not width:
-        return ladder
-    points = np.empty((ladder.shape[0], ladder.shape[1] + width))
-    points[:, : ladder.shape[1]] = ladder
-    for row, path in zip(points, paths):
-        row[ladder.shape[1] :] = path + [row[0]] * (width - len(path))
-    return points
+    width = max(map(len, rows))
+    return np.array([row + row[:1] * (width - len(row)) for row in rows])
 
 
-def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, tables=None, guess=None, plans=None):
+def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, tables=None, *, guess, plans=None):
     """Sign bisection of the derivative on a chunk of N brackets in
     lockstep; returns (midpoints, steps), one per row.
 
@@ -332,17 +313,17 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, tables=None, guess=No
     ``{power: derivative}`` dict (``tables[r]``, if given, which may
     already hold values).  One ``sum_rate_derivative`` call, read through
     the module name so that a test may replace it, adds the
-    :func:`_points` of every row whose midpoint is missing: the next
-    ``_LOOKAHEAD_LEVELS`` levels of midpoints (7 points) and, with a
-    ``guess``, the path toward the root that :func:`_steer` reads off the
-    row's table, or toward ``guess[r]`` where it reads none, as on a first
-    call.  Each value is elementwise in P, so each step has the bits of
-    one call at its midpoint; a row reads only its own path, so a NaN
-    elsewhere is never read, and a wrong guess costs points, never
-    levels.  ``plans``, if given, are the rows' :func:`_plan`.
+    :func:`_points` of every row whose midpoint is missing: the bracket
+    ends its table lacks and the path from its midpoint toward the root
+    that :func:`_steer` reads off the row's table, or toward ``guess[r]``
+    where it reads none, as on a first call.  Each value is elementwise
+    in P, so each step has the bits of one call at its midpoint; a row
+    reads only its own path, so a NaN elsewhere is never read, and each
+    call advances every open row at least one level.  ``plans``, if
+    given, are the rows' :func:`_plan`.
     """
     lo, hi = np.array([lo, hi], dtype=np.float64)
-    guess = None if guess is None else np.asarray(guess, dtype=np.float64).tolist()
+    guess = np.asarray(guess, dtype=np.float64).tolist()
     tables = [{} for _ in range(lo.size)] if tables is None else tables
     steps = np.zeros(lo.size, dtype=np.int64)
     open_rows = list(range(lo.size))
@@ -365,10 +346,8 @@ def _walk(lo, hi, delta: float, ues_rows, omega_rows, cfg, tables=None, guess=No
         if not missing:
             return 0.5 * (lo + hi), steps
         open_rows = missing
-        steered = None if guess is None else [
-            _steer(tables[r], lo.item(r), hi.item(r), guess[r]) for r in missing
-        ]
-        points = _points(lo[missing], hi[missing], steered, delta)
+        steered = [_steer(tables[r], lo.item(r), hi.item(r), guess[r]) for r in missing]
+        points = _points(lo[missing], hi[missing], steered, delta, _pick(tables, missing))
         values = sum_rate_derivative(
             points, _pick(ues_rows, missing), _pick(omega_rows, missing), cfg, _plans=_pick(plans, missing)
         )
@@ -402,17 +381,19 @@ def solve_dapa(ues, omega, cfg: SystemConfig, delta: Optional[float] = None, *, 
     re-run inside the best sample's sub-interval, and its root replaces
     the sample unless it rates lower.  This guard keeps the common
     single-root case untouched.  Both stages batch their points:
-    bisection evaluates three levels of midpoints per derivative call,
-    and the guard rates every row's root and 32 samples in one call per
-    user count.  Every bit is that of one scalar call per point.
+    bisection evaluates the path a walk toward a guessed root would take
+    per derivative call, and the guard rates every row's root and 32
+    samples in one call per user count.  Every bit is that of one scalar
+    call per point.
 
-    Derivative calls per solve: each covers at least three bisection
-    levels and the path a walk toward a guessed root would take, so a
-    walk that goes where its guess points ends in that call.  The first
-    call guesses the smallest per-user bound midpoint, or the optimizer's
+    Derivative calls per solve: each covers at least one bisection level
+    and the path a walk toward a guessed root would take, so a walk that
+    goes where its guess points ends in that call.  The first call
+    guesses the smallest per-user bound midpoint, or the optimizer's
     last power, and later ones where the row's table interpolates the
     root.  The first call also holds the bracket ends that the sign
-    check reads; a guard re-bisection walks unguessed.  Every call
+    check reads; a guard re-bisection first guesses its best sample,
+    and its first call holds its sub-interval's missing ends.  Every call
     reuses each row's plan, its active users and the terms fixed in P,
     set up once per solve.  Each row keeps one ``{power: derivative}``
     table that every call fills: the sign check, the walk and the guard's
@@ -515,9 +496,12 @@ def _solve_rows(
     ues_rows, omega_rows = _pick(ues_rows, rows), _pick(omega_rows, rows)
     # The sign check reads the bracket ends, evaluated with the walk's
     # first points, so one derivative call serves both and starts each row's table.
-    points = np.column_stack([lo, hi, _points(lo, hi, guess.tolist(), delta)])
+    tables = [{} for _ in rows]
+    points = _points(lo, hi, guess.tolist(), delta, tables)
     values = sum_rate_derivative(points, ues_rows, omega_rows, cfg, _plans=plans)
-    d_lo, d_hi = values[:, 0], values[:, 1]
+    for table, row_points, row_values in zip(tables, points.tolist(), values.tolist()):
+        table.update(zip(row_points, row_values))
+    d_lo, d_hi = (np.array([table[p] for table, p in zip(tables, ends.tolist())]) for ends in (lo, hi))
     violated = (d_lo < 0.0) | (d_hi > 0.0)
     for i in np.flatnonzero(violated):
         outcomes[rows[i]] = SolverError(
@@ -536,10 +520,9 @@ def _solve_rows(
     if not keep.size:
         return outcomes
     rows, ues_rows, omega_rows, plans = (_pick(items, keep) for items in (rows, ues_rows, omega_rows, plans))
-    lo, hi, d_lo = lo[keep], hi[keep], d_lo[keep]
-    tables = [dict(zip(p, v)) for p, v in zip(points[keep].tolist(), values[keep].tolist())]
+    lo, hi, d_lo, tables = lo[keep], hi[keep], d_lo[keep], _pick(tables, keep)
 
-    roots, iterations = _walk(lo, hi, delta, ues_rows, omega_rows, cfg, tables, guess[keep], plans)
+    roots, iterations = _walk(lo, hi, delta, ues_rows, omega_rows, cfg, tables, guess=guess[keep], plans=plans)
     # Multi-root guard: scan each bracket for a better objective.  Column
     # 0 rates the root, as evaluate would.
     samples = np.geomspace(lo, hi, _GUARD_SAMPLES, axis=1)
@@ -566,7 +549,7 @@ def _solve_rows(
             _pick(items, fired) for items in (ues_rows, omega_rows, tables, plans)
         )
         sub_roots, iterations[fired] = _walk(
-            sub_lo, sub_hi, delta, sub_ues, sub_omega, cfg, sub_tables, plans=sub_plans
+            sub_lo, sub_hi, delta, sub_ues, sub_omega, cfg, sub_tables, guess=best_p[fired], plans=sub_plans
         )
         for i, sub_root in zip(fired, sub_roots.tolist()):
             obj = evaluate(cfg, ues_rows[i], Allocation(sub_root, omega_rows[i])).sum_rate

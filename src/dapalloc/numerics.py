@@ -29,6 +29,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from dapalloc._fields import REAL, require
+
 __all__ = [
     "ConvergenceError",
     "erfc",
@@ -165,9 +167,11 @@ def lambert_w0_of_log(log_x):
     same bits as its elements passed one at a time.
 
     Raises:
+        ValueError: if any ``log_x`` is NaN or infinite.
         ConvergenceError: if the step is still above 4 eps relative
             after 64 iterations, which should not happen.
     """
+    require("log_x", log_x, REAL)
 
     def core(lx: np.ndarray) -> np.ndarray:
         eps = np.finfo(lx.dtype).eps

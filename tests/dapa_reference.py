@@ -1,7 +1,7 @@
 """Sequential total-power bisection that the tests compare against.
 
-:func:`dapalloc.dapa._walk` evaluates several levels of its
-midpoint tree per derivative call; :func:`bisect_on_sign` here is the
+:func:`dapalloc.dapa._walk` evaluates a path of midpoints toward a
+guessed root per derivative call; :func:`bisect_on_sign` here is the
 plain form it must match bit for bit, one derivative call per step, on
 every row of a lockstep chunk.
 :func:`sum_rate_derivative_scalar` is the one-power derivative with a

@@ -438,6 +438,32 @@ def test_summary_of_a_run_whose_every_drop_failed(monkeypatch):
     assert s["algorithms"]["DAPA-FPDA"]["sum_rate_ratio_vs_ref_e"]["n"] == 0
 
 
+def test_each_empty_statistic_of_a_summary_is_its_own_dict(monkeypatch, tmp_path):
+    # Every empty statistic of a run whose every drop failed was one
+    # shared dict, so editing one edited them all.  Each is its own now,
+    # and the summary file keeps its bytes.
+    for label in DEFAULT_ALGORITHMS:
+        monkeypatch.setitem(bench.ALGORITHMS, label, _fail(SolverError("no bracket")))
+    s = summarize(run_montecarlo(SMALL_SC, n_drops=2))
+    empty = [stat for block in s["algorithms"].values() for key, stat in block.items() if key != "failures"]
+    assert len(empty) == 3 * len(DEFAULT_ALGORITHMS) + len(DEFAULT_ALGORITHMS) - 1
+    assert len({id(stat) for stat in empty}) == len(empty)
+    path = tmp_path / "montecarlo_summary.json"
+    write_summary_json(s, str(path))
+    keys = ("sum_rate", "ibo_db", "omega_max", "sum_rate_ratio_vs_ref_e")
+    expected = {
+        "algorithms": {
+            label: {
+                "failures": 2,
+                **{key: {"n": 0, "median": math.nan, "q1": math.nan, "q3": math.nan}
+                   for key in keys[: 3 if label == "REF-E" else 4]},
+            }
+            for label in DEFAULT_ALGORITHMS
+        }
+    }
+    assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def _drop(drop_id, label, sum_rate):
     return DropResult(drop_id, label, sum_rate, 1.0, 6.0, np.array([1.0]), np.array([sum_rate]))
 

@@ -199,6 +199,13 @@ class TestLambertWOfLog:
                 scipy.special.lambertw(math.exp(log_x)).real, rel=1e-12
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_log_by_name(self, bad):
+        # NaN ran 64 Newton steps and raised ConvergenceError; so did +inf
+        for log_x in (bad, np.array([0.0, bad])):
+            with pytest.raises(ValueError, match=r"^log_x must be "):
+                lambert_w0_of_log(log_x)
+
 
 class TestQuadrature:
     # int_0^infty of each integrand; mpmath ground truth

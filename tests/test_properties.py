@@ -83,8 +83,7 @@ _ULP_BRACKET = (
 def test_solve_dapa_returns_or_raises_solver_error(problem):
     ues, omega, cfg = problem
     # A hang shows as a failure: a terminating solve evaluates the
-    # derivative at 31 points per five bisection steps plus three more,
-    # a few hundred points at most.
+    # derivative at a few hundred points at most.
     points = [0]
     real = dapa.sum_rate_derivative
 
@@ -106,8 +105,9 @@ def test_solve_dapa_returns_or_raises_solver_error(problem):
 
 
 def _lookahead(lo, hi, delta, ues, omega, cfg):
-    """The lockstep bisection on a one-row chunk, as (midpoint, steps)."""
-    roots, steps = dapa._walk([lo], [hi], delta, [ues], [omega], cfg)
+    """The lockstep bisection on a one-row chunk guessed at its bracket's
+    midpoint, as (midpoint, steps)."""
+    roots, steps = dapa._walk([lo], [hi], delta, [ues], [omega], cfg, guess=[0.5 * (lo + hi)])
     return roots[0], steps[0]
 
 
@@ -212,7 +212,8 @@ def _stub_chunk(rows, delta):
 
     with mock.patch.object(dapa, "sum_rate_derivative", stub):
         fast = dapa._walk(
-            [lo for lo, _ in brackets], [hi for _, hi in brackets], delta, stubs, [None] * len(rows), None
+            [lo for lo, _ in brackets], [hi for _, hi in brackets], delta, stubs, [None] * len(rows), None,
+            guess=[0.5 * (lo + hi) for lo, hi in brackets],
         )[:2]
         slow = [bisect_walk(lo, hi, delta, row_stub, None, None) for (lo, hi), row_stub in zip(brackets, stubs)]
     return fast, slow
